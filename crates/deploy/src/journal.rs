@@ -9,17 +9,16 @@
 //! — via the vendored serde, so a journal survives a process boundary.
 //!
 //! [`replay`] consumes a journal plus the *seed* of the run (the original
-//! instance and initial plan) and re-executes the recorded actions through
-//! the same `RunState` machine and the same [`idd_core::ExactSum`] /
-//! [`idd_core::ObjectiveStepper`] arithmetic the live runtime used. The
-//! result is the identical [`DeploymentReport`], field by field, `f64`s
-//! compared by bit pattern — the property the `journal_replay` proptest
-//! wall pins across the serial-equivalence scenario grid. Replay is also a
-//! *verifier*: every redundant stamp in the journal (dispatch costs, attempt
-//! clocks, completion clocks, running realized cost) is recomputed and
-//! cross-checked, so a truncated, reordered, or hand-edited journal
-//! surfaces as [`ReplayError::Diverged`] instead of a quietly different
-//! report.
+//! instance and initial plan) and feeds each recorded decision into the
+//! runtime's own transitions — one per record kind, the very code the live
+//! event loop drives (see the [`crate::runtime`] module docs). The result is
+//! the identical [`DeploymentReport`], field by field, `f64`s compared by
+//! bit pattern — the property the `journal_replay` proptest wall pins across
+//! the serial-equivalence scenario grid. Replay is also a *verifier*: every
+//! stamp a transition derives (dispatch costs, attempt clocks, completion
+//! clocks, running realized cost) is cross-checked against the recorded
+//! one, so a truncated, reordered, or hand-edited journal surfaces as
+//! [`ReplayError::Diverged`] instead of a quietly different report.
 //!
 //! What replay does *not* need is exactly what makes the journal a faithful
 //! record: no scenario (events are embedded verbatim, failure specs ride on
@@ -27,9 +26,10 @@
 //! policy knobs (debounce deferrals are recorded decisions, and slot
 //! assignment is explicit on every record).
 
-use crate::report::{DeploymentReport, ExecutedBuild, ReplanRecord};
-use crate::runtime::{DeployError, InFlight, RunState};
-use idd_core::{Deployment, JournalRecord, ObjectiveEvaluator, ProblemInstance};
+use crate::report::DeploymentReport;
+use crate::runtime::{DeployError, RunState};
+use idd_core::{Deployment, JournalRecord, ProblemInstance};
+use std::rc::Rc;
 
 /// An ordered, append-only record of one deployment run.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -152,14 +152,14 @@ fn check_bits(what: &str, recorded: f64, derived: f64) -> Result<(), ReplayError
 /// Reconstructs the [`DeploymentReport`] of the run that produced `journal`,
 /// given the run's seed: the original instance and the initial plan.
 ///
-/// The reconstruction is **bit-for-bit**: it drives the same state machine
-/// with the same [`idd_core::ExactSum`] accumulator and the same
-/// [`idd_core::ObjectiveStepper`] arithmetic as
-/// [`DeployRuntime::execute`](crate::DeployRuntime::execute), taking every
+/// The reconstruction is **bit-for-bit** because it drives the runtime's own
+/// transitions — the same state machine, [`idd_core::ExactSum`] accumulator
+/// and [`idd_core::ObjectiveStepper`] arithmetic as
+/// [`DeployRuntime::execute`](crate::DeployRuntime::execute) — taking every
 /// *decision* (what to dispatch where, what suffix a replan chose, when to
 /// defer) from the journal instead of from a scenario, solver, or config.
-/// Every redundant stamp in the journal is recomputed and cross-checked;
-/// any mismatch is a [`ReplayError::Diverged`].
+/// Every stamp a transition derives is cross-checked against the recorded
+/// one; any mismatch is a [`ReplayError::Diverged`].
 pub fn replay(
     instance: &ProblemInstance,
     initial: &Deployment,
@@ -169,16 +169,19 @@ pub fn replay(
         .validate(instance)
         .map_err(DeployError::InvalidInitialPlan)?;
     let mut state = RunState::new(instance, initial);
+    // One stepper, rebuilt only when a landed event changes the instance —
+    // exactly as the live loop keeps it.
+    let mut current = Rc::clone(&state.instance);
+    let mut stepper = state.stepper(&current);
 
     for record in journal.records() {
         match record {
             JournalRecord::EventLanded(r) => {
-                // Events land at the first boundary at or after their
-                // timestamp; post-deployment events advance the clock.
-                state.clock = state.clock.max(r.event.at);
-                check_bits("event clock", r.clock, state.clock)?;
-                state.apply_event(&r.event)?;
-                state.report.events_applied += 1;
+                let landed = state.land_event(r.event.clone())?;
+                check_bits("event clock", r.clock, landed.clock)?;
+                drop(stepper); // it borrows the instance version just replaced
+                current = Rc::clone(&state.instance);
+                stepper = state.stepper(&current);
             }
 
             JournalRecord::Debounce(_) => {
@@ -187,35 +190,12 @@ pub fn replay(
             }
 
             JournalRecord::Replan(d) => {
-                // The decision is on the record; the frozen-commitment
-                // snapshot is re-derived from replayed state so a journal
-                // whose suffix contradicts the commitment fails validation.
-                state.report.replans.push(ReplanRecord {
-                    clock: d.clock,
-                    trigger: d.trigger.clone(),
-                    frozen_prefix: state.committed.clone(),
-                    in_flight: state.in_flight.iter().map(|f| f.index).collect(),
-                    suffix_len: d.pending.len(),
-                    warm_start_objective: d.warm_start_objective,
-                    objective: d.objective,
-                    solver: d.solver.clone(),
-                    improved: d.improved,
-                });
-                check_bits("replan clock", d.clock, state.clock)?;
-                state.pending = d.pending.iter().copied().collect();
+                let adopted = state.adopt_replan(d.clone());
+                check_bits("replan clock", d.clock, adopted.clock)?;
                 state.validate_plan()?;
             }
 
             JournalRecord::Dispatch(d) => {
-                check_bits("dispatch clock", d.clock, state.clock)?;
-                if d.position != state.committed.len() {
-                    return Err(diverged(format!(
-                        "dispatch of {} at position {} but {} builds are committed",
-                        d.index,
-                        d.position,
-                        state.committed.len()
-                    )));
-                }
                 if state.pending.get(d.plan_offset) != Some(&d.index) {
                     return Err(diverged(format!(
                         "dispatch of {} at plan offset {} does not match the pending suffix",
@@ -228,70 +208,27 @@ pub fn replay(
                         d.index
                     )));
                 }
-                if state.in_flight.iter().any(|f| f.slot == d.slot) {
+                if !state.slot_is_free(d.slot) {
                     return Err(diverged(format!(
                         "dispatch of {} into occupied slot {}",
                         d.index, d.slot
                     )));
                 }
-                state.pending.remove(d.plan_offset);
-                if d.plan_offset > 0 {
-                    state.report.out_of_order_dispatches += 1;
-                }
-
-                // The stepper's dispatch-time outputs are pure functions of
-                // (instance, completed set): rebuilding it here reproduces
-                // the live runtime's cost and runtime level bit-for-bit.
-                let evaluator = ObjectiveEvaluator::new(&state.instance);
-                let mut stepper = evaluator.stepper();
-                for &i in &state.completed_order {
-                    stepper.step(i);
-                }
-                for fl in &state.in_flight {
-                    stepper.begin_build(fl.index);
-                }
-                let cost = stepper.begin_build(d.index);
-                check_bits("dispatch cost", d.cost, cost)?;
-
-                // Same per-attempt accumulation as the live runtime, so the
-                // sum rounds identically.
-                let mut wasted = 0.0;
-                for _ in 0..d.retries {
-                    wasted += d.waste_per_failure;
-                }
-                let start = state.clock;
-                let finish = start + (wasted + cost);
-                state.report.builds.push(ExecutedBuild {
-                    position: d.position,
-                    index: d.index,
-                    slot: d.slot,
-                    start,
-                    finish,
-                    cost,
-                    wasted,
-                    retries: d.retries,
-                    plan_offset: d.plan_offset,
-                    runtime_before: stepper.runtime(),
-                    runtime_after: f64::NAN, // filled at completion
+                let derived = state.dispatch(&mut stepper, d.plan_offset, d.slot, |_, _| {
+                    (d.retries, d.waste_per_failure)
                 });
-                state.report.total_build_time += cost;
-                state.report.total_wasted += wasted;
-                state.report.retries += d.retries;
-                state.in_flight.push(InFlight {
-                    index: d.index,
-                    slot: d.slot,
-                    build_pos: state.report.builds.len() - 1,
-                    start,
-                    finish,
-                    cost,
-                    waste_per_failure: d.waste_per_failure,
-                    retries: d.retries,
-                });
-                state.committed.push(d.index);
+                if derived.position != d.position {
+                    return Err(diverged(format!(
+                        "dispatch of {} at position {} but {} builds are committed",
+                        d.index, d.position, derived.position
+                    )));
+                }
+                check_bits("dispatch clock", d.clock, derived.clock)?;
+                check_bits("dispatch cost", d.cost, derived.cost)?;
             }
 
             JournalRecord::Fail(f) => {
-                let fl = state
+                let build = state
                     .in_flight
                     .iter()
                     .find(|x| x.index == f.index)
@@ -301,30 +238,28 @@ pub fn replay(
                             f.index
                         ))
                     })?;
-                if f.slot != fl.slot {
+                if f.slot != build.slot {
                     return Err(diverged(format!(
                         "failed attempt of {} in slot {} but the build occupies slot {}",
-                        f.index, f.slot, fl.slot
+                        f.index, f.slot, build.slot
                     )));
                 }
-                if f.attempt == 0 || f.attempt > fl.retries {
-                    return Err(diverged(format!(
-                        "attempt {} of {} outside its {} recorded retries",
-                        f.attempt, f.index, fl.retries
-                    )));
-                }
-                // Attempt k starts after k−1 wasted attempts, accumulated
-                // the same way the live runtime accumulated them.
-                let mut attempt_start = fl.start;
-                for _ in 1..f.attempt {
-                    attempt_start += fl.waste_per_failure;
-                }
-                check_bits("failed-attempt clock", f.clock, attempt_start)?;
-                check_bits("failed-attempt waste", f.wasted, fl.waste_per_failure)?;
+                let derived = f
+                    .attempt
+                    .checked_sub(1)
+                    .and_then(|k| build.failed_attempts().nth(k as usize))
+                    .ok_or_else(|| {
+                        diverged(format!(
+                            "attempt {} of {} outside its {} recorded retries",
+                            f.attempt, f.index, build.retries
+                        ))
+                    })?;
+                check_bits("failed-attempt clock", f.clock, derived.clock)?;
+                check_bits("failed-attempt waste", f.wasted, derived.wasted)?;
             }
 
             JournalRecord::Complete(c) => {
-                let pos = state
+                let at = state
                     .in_flight
                     .iter()
                     .position(|f| f.index == c.index)
@@ -334,52 +269,16 @@ pub fn replay(
                             c.index
                         ))
                     })?;
-
-                // Rebuild the stepper over (completions, in-flight set) —
-                // the completing build still in it, exactly as the live
-                // stepper had it at this point.
-                let evaluator = ObjectiveEvaluator::new(&state.instance);
-                let mut stepper = evaluator.stepper();
-                for &i in &state.completed_order {
-                    stepper.step(i);
-                }
-                for fl in &state.in_flight {
-                    stepper.begin_build(fl.index);
-                }
-
-                let fl = state.in_flight.remove(pos);
-                if c.slot != fl.slot {
+                let slot = state.in_flight[at].slot;
+                if c.slot != slot {
                     return Err(diverged(format!(
-                        "completion of {} in slot {} but the build occupies slot {}",
-                        c.index, c.slot, fl.slot
+                        "completion of {} in slot {} but the build occupies slot {slot}",
+                        c.index, c.slot
                     )));
                 }
-
-                // Integrate runtime · wall-clock over [clock, finish] with
-                // the exact branch structure of the live runtime: the
-                // serial-shaped per-attempt split when nothing accrued since
-                // this build started, one piece otherwise.
-                let runtime = stepper.runtime();
-                if state.clock.to_bits() == fl.start.to_bits() {
-                    for _ in 0..fl.retries {
-                        state.realized.add_prod(runtime, fl.waste_per_failure);
-                    }
-                    state.realized.add_prod(runtime, fl.cost);
-                } else {
-                    state.realized.add_prod(runtime, fl.finish - state.clock);
-                }
-                state.clock = fl.finish;
-                check_bits("completion clock", c.clock, state.clock)?;
-
-                let (_, runtime_after) = stepper.complete_build(fl.index);
-                state.report.builds[fl.build_pos].runtime_after = runtime_after;
-                state.built[fl.index.raw()] = true;
-                state.completed_order.push(fl.index);
-                check_bits(
-                    "realized cost at completion",
-                    c.realized,
-                    state.realized.value(),
-                )?;
+                let derived = state.complete(&mut stepper, at);
+                check_bits("completion clock", c.clock, derived.clock)?;
+                check_bits("realized cost at completion", c.realized, derived.realized)?;
             }
         }
     }
@@ -391,16 +290,5 @@ pub fn replay(
             state.in_flight.len()
         )));
     }
-
-    // Same closing arithmetic as the live runtime: the final runtime is the
-    // completion order replayed on the final (drifted / revised) instance.
-    let evaluator = ObjectiveEvaluator::new(&state.instance);
-    let mut stepper = evaluator.stepper();
-    for &i in &state.completed_order {
-        stepper.step(i);
-    }
-    state.report.final_runtime = stepper.runtime();
-    state.report.realized_cost = state.realized.value();
-    state.report.total_clock = state.clock;
-    Ok(state.report)
+    Ok(state.finish().0)
 }

@@ -34,6 +34,13 @@
 //!   work-conserving overtake recorded), replan records (each carrying its
 //!   frozen-commitment and in-flight snapshots), realized cumulative cost,
 //!   wasted clock, retry and out-of-order dispatch counts.
+//! * [`DeploymentJournal`] and [`replay`] — one typed record per action,
+//!   the run's ground truth. The runtime's state has one transition per
+//!   record kind; the event loop only decides, and [`replay`] feeds the
+//!   recorded decisions into the same transitions, rebuilding the report
+//!   bit-for-bit. Runtime telemetry
+//!   ([`DeployRuntime::with_telemetry`]) is the projection of the journal
+//!   records at their single append point, so the two cannot disagree.
 //!
 //! Invariants, encoded in the runtime and locked down by this crate's
 //! proptests (`replan_props` and the `serial_equivalence` differential

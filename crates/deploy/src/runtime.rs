@@ -47,6 +47,29 @@
 //!   the offline objective exactly (the runtime drives the same
 //!   [`idd_core::ObjectiveStepper`] arithmetic the evaluator uses).
 //!
+//! # One state machine, one event stream
+//!
+//! The run state has one *transition* per journal record kind — an event
+//! landing, an adopted replan, a dispatch (its failed attempts follow from
+//! it) and a completion — plus the closing step that rounds the realized
+//! cost. A transition derives every stamp its record carries (cost, clocks,
+//! realized cost, runtime levels), updates the report and returns the
+//! record. The event loop of [`DeployRuntime::execute_journaled`] only
+//! *decides*: which pending position goes into which slot, which failure
+//! spec a build gets, and whether to replan now or defer.
+//! [`crate::journal::replay`] feeds the recorded decisions into the very
+//! same transitions and cross-checks the stamps they derive, so replay
+//! cannot drift from the runtime.
+//!
+//! Every record passes through one append point, which also projects it
+//! onto the telemetry tracks when telemetry is on
+//! ([`DeployRuntime::with_telemetry`]): `deploy` gets the event / debounce /
+//! replan marks and the `pending` gauge, `slot<j>` the dispatch / fail /
+//! complete marks, a `busy` span per dispatch/complete pair, and, at
+//! finish, `idle` spans over the gaps. Runtime telemetry is the projection
+//! of the journal, so the two cannot disagree; it is still emitted live, so
+//! its wall-clock stamps show where a run spent its time.
+//!
 //! # Cost model with overlapping builds
 //!
 //! The realized cumulative cost generalizes from `Σ runtime · build_time`
@@ -66,14 +89,13 @@ use crate::report::{DeploymentReport, ExecutedBuild, ReplanRecord};
 use idd_core::{
     CompleteRecord, CoreError, DebounceRecord, Deployment, DispatchRecord, EventKind, EventRecord,
     EvolutionEvent, EvolutionScenario, ExactSum, FailRecord, IndexId, JournalRecord,
-    ObjectiveEvaluator, ProblemInstance, ReplanDecision,
+    ObjectiveEvaluator, ObjectiveStepper, ProblemInstance, ReplanDecision,
 };
 use idd_solver::replan::{ReplanStrategy, Replanner, SuffixScoring};
 use idd_solver::SearchBudget;
 use idd_telemetry::{Telemetry, TrackRecorder};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 /// Errors a deployment run can hit.
 #[derive(Debug)]
@@ -273,93 +295,118 @@ pub struct DeployRuntime {
     trace_scope: String,
 }
 
-/// The runtime's telemetry surface: one track for the event loop, one per
-/// build slot. Every method is a no-op when the runtime's [`Telemetry`] is
-/// off (`deploy` is `None` and `slots` is empty), so the execution path is
-/// bit-identical to the uninstrumented one by construction.
-struct RuntimeTrace {
-    deploy: Option<TrackRecorder>,
+/// A build occupying a slot: dispatched, not yet completed.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct InFlight {
+    pub(crate) index: IndexId,
+    pub(crate) slot: usize,
+    /// Position of this build's record in `report.builds`.
+    build_pos: usize,
+    start: f64,
+    /// `start + (wasted + cost)`, the completion time.
+    finish: f64,
+    cost: f64,
+    waste_per_failure: f64,
+    pub(crate) retries: u32,
+}
+
+impl InFlight {
+    /// The journal records of this build's failed attempts, in order. The
+    /// attempts run back to back from the build's start: attempt `k` starts
+    /// after `k − 1` wasted attempts, accumulated one at a time.
+    pub(crate) fn failed_attempts(self) -> impl Iterator<Item = FailRecord> {
+        let mut clock = self.start;
+        (1..=self.retries).map(move |attempt| {
+            let record = FailRecord {
+                clock,
+                slot: self.slot,
+                index: self.index,
+                attempt,
+                wasted: self.waste_per_failure,
+            };
+            clock += self.waste_per_failure;
+            record
+        })
+    }
+}
+
+/// The replan-trigger label of an event.
+fn trigger_label(kind: &EventKind) -> &'static str {
+    match kind {
+        EventKind::Drift(_) => "drift",
+        EventKind::Revision(_) => "revision",
+    }
+}
+
+/// The runtime telemetry of one run: its journal records projected onto
+/// one event-loop track (`deploy`) and one track per build slot
+/// (`slot<j>`). Only [`RunState::append`] feeds it, so telemetry is derived
+/// from the journal and the two cannot disagree.
+struct Tracks {
+    deploy: TrackRecorder,
     slots: Vec<TrackRecorder>,
-    /// Per-slot busy intervals (start, finish), appended in completion
-    /// order — per slot they are disjoint and time-ordered because a slot
-    /// is only reused after its build completes. Consumed by
-    /// [`RuntimeTrace::finish`] to derive the complementary idle spans.
+    /// Per slot, its busy intervals `(dispatch, completion)` in order, the
+    /// last one open while the slot holds a build. They are disjoint and
+    /// time-ordered because a slot is reused only after its build
+    /// completes; their gaps become the idle spans at finish.
     busy: Vec<Vec<(f64, f64)>>,
 }
 
-impl RuntimeTrace {
-    /// The no-op surface, used by the serial reference oracle (which is
-    /// deliberately never instrumented) and by runtimes without telemetry.
-    fn disabled() -> Self {
-        Self {
-            deploy: None,
-            slots: Vec::new(),
-            busy: Vec::new(),
-        }
-    }
-
-    fn new(telemetry: &Telemetry, scope: &str, slots: usize) -> Self {
+impl Tracks {
+    /// Registers the tracks, or returns `None` when `telemetry` is off —
+    /// then nothing is projected, and execution is bit-identical to an
+    /// uninstrumented run by construction.
+    fn register(telemetry: &Telemetry, scope: &str, slots: usize) -> Option<Self> {
         if !telemetry.is_enabled() {
-            return Self::disabled();
+            return None;
         }
-        let deploy = Some(telemetry.register(format!("{scope}deploy")).recorder());
-        let slot_recorders = (0..slots)
-            .map(|j| telemetry.register(format!("{scope}slot{j}")).recorder())
-            .collect();
-        Self {
-            deploy,
-            slots: slot_recorders,
+        Some(Self {
+            deploy: telemetry.register(format!("{scope}deploy")).recorder(),
+            slots: (0..slots)
+                .map(|j| telemetry.register(format!("{scope}slot{j}")).recorder())
+                .collect(),
             busy: vec![Vec::new(); slots],
-        }
+        })
     }
 
-    fn event_landed(&mut self, clock: f64, label: &str, pending: usize) {
-        if let Some(r) = &mut self.deploy {
-            r.mark_at(clock, "event", label.to_string());
-            r.gauge_at(clock, "pending", pending as f64);
-        }
-    }
-
-    fn debounce(&mut self, clock: f64, deferred: &str, next_event_at: f64) {
-        if let Some(r) = &mut self.deploy {
-            r.mark_at(
-                clock,
-                "debounce",
-                format!("{deferred} next={next_event_at:.2}"),
-            );
-        }
-    }
-
-    fn replan(&mut self, clock: f64, trigger: &str, solver: &str, improved: bool) {
-        if let Some(r) = &mut self.deploy {
-            r.mark_at(
-                clock,
-                "replan",
-                format!("trigger={trigger} solver={solver} improved={improved}"),
-            );
-        }
-    }
-
-    fn dispatch(&mut self, clock: f64, slot: usize, index: IndexId, position: usize) {
-        if let Some(r) = self.slots.get_mut(slot) {
-            r.mark_at(clock, "dispatch", format!("{index} position={position}"));
-        }
-    }
-
-    fn fail(&mut self, clock: f64, slot: usize, index: IndexId, attempt: u32) {
-        if let Some(r) = self.slots.get_mut(slot) {
-            r.mark_at(clock, "fail", format!("{index} attempt={attempt}"));
-        }
-    }
-
-    fn complete(&mut self, slot: usize, index: IndexId, start: f64, finish: f64, pending: usize) {
-        if let Some(r) = self.slots.get_mut(slot) {
-            r.span("busy", start, finish);
-            r.mark_at(finish, "complete", index.to_string());
-            self.busy[slot].push((start, finish));
-        }
-        if let Some(r) = &mut self.deploy {
-            r.gauge_at(finish, "pending", pending as f64);
+    /// Projects one record; `pending` is the pending-queue depth once the
+    /// record's transition applied.
+    fn project(&mut self, record: &JournalRecord, pending: usize) {
+        match record {
+            JournalRecord::EventLanded(r) => {
+                self.deploy
+                    .mark_at(r.clock, "event", trigger_label(&r.event.kind));
+                self.deploy.gauge_at(r.clock, "pending", pending as f64);
+            }
+            JournalRecord::Debounce(r) => {
+                let detail = format!("{} next={:.2}", r.deferred, r.next_event_at);
+                self.deploy.mark_at(r.clock, "debounce", detail);
+            }
+            JournalRecord::Replan(r) => {
+                let detail = format!(
+                    "trigger={} solver={} improved={}",
+                    r.trigger, r.solver, r.improved
+                );
+                self.deploy.mark_at(r.clock, "replan", detail);
+            }
+            JournalRecord::Dispatch(r) => {
+                self.busy[r.slot].push((r.clock, r.clock));
+                let detail = format!("{} position={}", r.index, r.position);
+                self.slots[r.slot].mark_at(r.clock, "dispatch", detail);
+            }
+            JournalRecord::Fail(r) => {
+                let detail = format!("{} attempt={}", r.index, r.attempt);
+                self.slots[r.slot].mark_at(r.clock, "fail", detail);
+            }
+            JournalRecord::Complete(r) => {
+                let busy = self.busy[r.slot]
+                    .last_mut()
+                    .expect("a build completes in the slot it was dispatched into");
+                busy.1 = r.clock;
+                self.slots[r.slot].span("busy", busy.0, busy.1);
+                self.slots[r.slot].mark_at(r.clock, "complete", r.index.to_string());
+                self.deploy.gauge_at(r.clock, "pending", pending as f64);
+            }
         }
     }
 
@@ -368,112 +415,82 @@ impl RuntimeTrace {
     /// summed, busy + idle == slots × makespan — the invariant the
     /// `slot_accounting` suite checks against the report totals).
     fn finish(&mut self, makespan: f64) {
-        for (slot, intervals) in self.busy.iter().enumerate() {
-            let r = &mut self.slots[slot];
+        for (recorder, intervals) in self.slots.iter_mut().zip(&self.busy) {
             let mut cursor = 0.0;
             for &(start, end) in intervals {
                 if start > cursor {
-                    r.span("idle", cursor, start);
+                    recorder.span("idle", cursor, start);
                 }
-                cursor = cursor.max(end);
+                cursor = f64::max(cursor, end);
             }
             if makespan > cursor {
-                r.span("idle", cursor, makespan);
+                recorder.span("idle", cursor, makespan);
             }
         }
     }
 }
 
-/// A build occupying a slot: dispatched, not yet completed.
-/// `pub(crate)` so the journal replayer can reconstruct the same state.
-#[derive(Debug, Clone)]
-pub(crate) struct InFlight {
-    pub(crate) index: IndexId,
-    pub(crate) slot: usize,
-    /// Position of this build's record in `report.builds`.
-    pub(crate) build_pos: usize,
-    pub(crate) start: f64,
-    /// `start + (wasted + cost)`, the completion time.
-    pub(crate) finish: f64,
-    pub(crate) cost: f64,
-    pub(crate) waste_per_failure: f64,
-    pub(crate) retries: u32,
-}
-
-/// Key of the completion priority queue: earliest finish first, dispatch
-/// order breaking ties, so the event loop is deterministic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Completion {
-    finish: f64,
-    seq: usize,
-    index: IndexId,
-}
-
-impl Eq for Completion {}
-
-impl Ord for Completion {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.finish
-            .total_cmp(&other.finish)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-impl PartialOrd for Completion {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Mutable run state, grouped so the helper methods can borrow it wholesale.
-/// `pub(crate)` so the journal replayer (`crate::journal`) can drive the
-/// exact same state machine from recorded actions.
+/// The run's state machine, shared by the live runtime and the journal
+/// replayer (`crate::journal`).
+///
+/// Each journal record kind has one *transition* —
+/// [`RunState::land_event`], [`RunState::adopt_replan`],
+/// [`RunState::dispatch`] (whose failed attempts follow from the dispatch)
+/// and [`RunState::complete`] — plus the closing [`RunState::finish`]. A
+/// transition is the state update for one record: it derives the record's
+/// stamps (cost, clocks, realized cost, runtime levels), updates the report
+/// and returns the record. The live loop supplies the decisions from the
+/// scenario, the replanner and the dispatch policy; replay supplies the
+/// recorded ones.
 pub(crate) struct RunState {
-    pub(crate) instance: ProblemInstance,
+    /// The current (drifted / revised) instance. Shared, so that an
+    /// [`ObjectiveStepper`] can borrow one version of it while the
+    /// transitions update the rest of the state.
+    pub(crate) instance: Rc<ProblemInstance>,
     /// Parent-id dispatch order of every committed build — completed *and*
     /// in-flight (append-only; the frozen commitment at any moment).
-    pub(crate) committed: Vec<IndexId>,
+    committed: Vec<IndexId>,
     /// Parent-id completion order of finished builds (used to replay the
     /// stepper after the instance changes).
-    pub(crate) completed_order: Vec<IndexId>,
+    completed_order: Vec<IndexId>,
     /// Parent-id bitmap of *completed* indexes.
-    pub(crate) built: Vec<bool>,
+    built: Vec<bool>,
     /// Parent-id bitmap of retracted (dropped, unbuilt) indexes.
-    pub(crate) excluded: Vec<bool>,
+    excluded: Vec<bool>,
     /// Builds currently occupying slots, in dispatch order.
     pub(crate) in_flight: Vec<InFlight>,
     /// The planned unbuilt suffix, in execution order (parent ids). A
     /// `VecDeque` so head dispatch is O(1) (and a work-conserving overtake
     /// at position `p` costs `O(min(p, n − p))`, not a full shift).
     pub(crate) pending: VecDeque<IndexId>,
-    /// Replan triggers accumulated but not yet acted on (debouncing).
-    deferred_triggers: Vec<&'static str>,
-    pub(crate) clock: f64,
+    clock: f64,
     /// Exact accumulator behind `report.realized_cost`: every
     /// `runtime · duration` product lands here error-free and is rounded
     /// once at the end of the run, so a quiet run reproduces the offline
     /// objective area bit-for-bit (the offline evaluator sums the same
     /// products the same way).
-    pub(crate) realized: ExactSum,
-    pub(crate) report: DeploymentReport,
-    /// Typed record of every action taken, in order. Appended by `execute`
-    /// (the serial reference predates the journal and stays silent); moved
-    /// into the returned [`DeploymentJournal`] by `execute_journaled`.
+    realized: ExactSum,
+    report: DeploymentReport,
+    /// Every record passed to [`RunState::append`], in order. Only the live
+    /// runtime appends (replay checks records, the serial reference
+    /// predates the journal); `finish` hands it out as the run's
+    /// [`DeploymentJournal`].
     journal: Vec<JournalRecord>,
+    /// Runtime telemetry, projected from the records as they are appended.
+    tracks: Option<Tracks>,
 }
 
 impl RunState {
     pub(crate) fn new(instance: &ProblemInstance, initial: &Deployment) -> Self {
         let n = instance.num_indexes();
         RunState {
-            instance: instance.clone(),
+            instance: Rc::new(instance.clone()),
             committed: Vec::with_capacity(n),
             completed_order: Vec::with_capacity(n),
             built: vec![false; n],
             excluded: vec![false; n],
             in_flight: Vec::new(),
             pending: initial.order().iter().copied().collect(),
-            deferred_triggers: Vec::new(),
             clock: 0.0,
             realized: ExactSum::new(),
             report: DeploymentReport {
@@ -490,11 +507,12 @@ impl RunState {
                 ineffective_drops: 0,
             },
             journal: Vec::new(),
+            tracks: None,
         }
     }
 
     /// `true` when `raw` is committed: completed or occupying a slot.
-    pub(crate) fn is_committed(&self, raw: usize) -> bool {
+    fn is_committed(&self, raw: usize) -> bool {
         self.built[raw] || self.in_flight.iter().any(|f| f.index.raw() == raw)
     }
 
@@ -549,18 +567,14 @@ impl RunState {
     /// Applies one timed event, mutating the instance / target set and the
     /// mechanically-maintained pending order (additions append, drops
     /// remove). Returns the trigger label.
-    pub(crate) fn apply_event(
-        &mut self,
-        event: &EvolutionEvent,
-    ) -> Result<&'static str, DeployError> {
+    fn apply_event(&mut self, event: &EvolutionEvent) -> Result<&'static str, DeployError> {
         match &event.kind {
             EventKind::Drift(drift) => {
-                self.instance = drift.apply_to(&self.instance)?;
-                Ok("drift")
+                self.instance = Rc::new(drift.apply_to(&self.instance)?);
             }
             EventKind::Revision(revision) => {
                 let (revised, new_ids) = revision.apply_additions(&self.instance)?;
-                self.instance = revised;
+                self.instance = Rc::new(revised);
                 let n = self.instance.num_indexes();
                 self.built.resize(n, false);
                 self.excluded.resize(n, false);
@@ -589,9 +603,9 @@ impl RunState {
                         self.pending.retain(|&i| i != dropped);
                     }
                 }
-                Ok("revision")
             }
         }
+        Ok(trigger_label(&event.kind))
     }
 
     /// `true` when `index` may be dispatched: every precedence prerequisite
@@ -609,13 +623,232 @@ impl RunState {
     /// work-conserving admits the first eligible index. Eligibility depends
     /// only on the *completed* set, so the answer is stable across the
     /// dispatches of one completion boundary.
-    pub(crate) fn next_dispatchable(&self, policy: DispatchPolicy) -> Option<usize> {
+    fn next_dispatchable(&self, policy: DispatchPolicy) -> Option<usize> {
         let limit = match policy {
             DispatchPolicy::HeadOfLine => self.pending.len().min(1),
             DispatchPolicy::WorkConserving => self.pending.len(),
         };
         (0..limit).find(|&pos| self.eligible(self.pending[pos]))
     }
+
+    /// `true` when no in-flight build occupies `slot`.
+    pub(crate) fn slot_is_free(&self, slot: usize) -> bool {
+        self.in_flight.iter().all(|f| f.slot != slot)
+    }
+
+    /// Position in `in_flight` of the build that completes next: earliest
+    /// finish first, dispatch order breaking ties (`in_flight` is in
+    /// dispatch order, and `min_by` keeps the first of equal elements), so
+    /// the event loop is deterministic.
+    fn next_completion(&self) -> Option<usize> {
+        self.in_flight
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.finish.total_cmp(&b.finish))
+            .map(|(at, _)| at)
+    }
+
+    /// An [`ObjectiveStepper`] over `instance` — the current version of
+    /// `self.instance` — in this state: the completions stepped in order,
+    /// the in-flight builds begun. It is a pure function of (instance,
+    /// completion order, in-flight set), so rebuilding it after the
+    /// instance changes yields bit-identical state; in between, the
+    /// dispatch and complete transitions keep it in step.
+    pub(crate) fn stepper<'i>(&self, instance: &'i ProblemInstance) -> ObjectiveStepper<'i> {
+        debug_assert!(std::ptr::eq(instance, &*self.instance), "stale instance");
+        let mut stepper = ObjectiveEvaluator::new(instance).stepper();
+        for &i in &self.completed_order {
+            stepper.step(i);
+        }
+        for fl in &self.in_flight {
+            stepper.begin_build(fl.index);
+        }
+        stepper
+    }
+
+    /// Transition for an [`EventRecord`]: `event` lands at the first
+    /// boundary at or after its timestamp — a post-deployment event
+    /// advances the clock, with no idle cost in between — and is applied.
+    /// The caller rebuilds its stepper on the changed instance.
+    pub(crate) fn land_event(&mut self, event: EvolutionEvent) -> Result<EventRecord, DeployError> {
+        self.clock = self.clock.max(event.at);
+        self.apply_event(&event)?;
+        self.report.events_applied += 1;
+        Ok(EventRecord {
+            clock: self.clock,
+            event,
+        })
+    }
+
+    /// Transition for a [`ReplanDecision`]: the chosen suffix replaces the
+    /// pending order, and the report records the replan with a snapshot of
+    /// the frozen commitment taken from this state — so a suffix that
+    /// contradicts the commitment fails [`RunState::validate_plan`], which
+    /// the caller runs next. Returns the decision stamped with the clock.
+    pub(crate) fn adopt_replan(&mut self, decision: ReplanDecision) -> ReplanDecision {
+        let decision = ReplanDecision {
+            clock: self.clock,
+            ..decision
+        };
+        self.report.replans.push(ReplanRecord {
+            clock: decision.clock,
+            trigger: decision.trigger.clone(),
+            frozen_prefix: self.committed.clone(),
+            in_flight: self.in_flight.iter().map(|f| f.index).collect(),
+            suffix_len: decision.pending.len(),
+            warm_start_objective: decision.warm_start_objective,
+            objective: decision.objective,
+            solver: decision.solver.clone(),
+            improved: decision.improved,
+        });
+        self.pending = decision.pending.iter().copied().collect();
+        decision
+    }
+
+    /// Transition for a [`DispatchRecord`]: the index at `plan_offset` in the
+    /// pending suffix enters `slot`. The build is priced against the
+    /// completed set, `failure` maps (index, cost) to its failure spec —
+    /// `(retries, waste_per_failure)`: that many attempts waste that much
+    /// clock each before the build succeeds, all inside this slot — and the
+    /// slot stays occupied until completion. The failed attempts' records
+    /// are [`InFlight::failed_attempts`] of the new in-flight build.
+    pub(crate) fn dispatch(
+        &mut self,
+        stepper: &mut ObjectiveStepper<'_>,
+        plan_offset: usize,
+        slot: usize,
+        failure: impl FnOnce(IndexId, f64) -> (u32, f64),
+    ) -> DispatchRecord {
+        let index = self
+            .pending
+            .remove(plan_offset)
+            .expect("plan offset within the pending suffix");
+        if plan_offset > 0 {
+            self.report.out_of_order_dispatches += 1;
+        }
+        let cost = stepper.begin_build(index);
+        let (retries, waste_per_failure) = failure(index, cost);
+        let mut wasted = 0.0;
+        for _ in 0..retries {
+            wasted += waste_per_failure;
+        }
+        let start = self.clock;
+        let finish = start + (wasted + cost);
+        let position = self.committed.len();
+        self.report.builds.push(ExecutedBuild {
+            position,
+            index,
+            slot,
+            start,
+            finish,
+            cost,
+            wasted,
+            retries,
+            plan_offset,
+            runtime_before: stepper.runtime(),
+            runtime_after: f64::NAN, // filled at completion
+        });
+        self.report.total_build_time += cost;
+        self.report.total_wasted += wasted;
+        self.report.retries += retries;
+        self.in_flight.push(InFlight {
+            index,
+            slot,
+            build_pos: position,
+            start,
+            finish,
+            cost,
+            waste_per_failure,
+            retries,
+        });
+        self.committed.push(index);
+        DispatchRecord {
+            clock: start,
+            slot,
+            position,
+            index,
+            plan_offset,
+            cost,
+            retries,
+            waste_per_failure,
+        }
+    }
+
+    /// Transition for a [`CompleteRecord`]: the in-flight build at `at`
+    /// finishes. The workload cost of `[clock, finish]` accrues at the
+    /// current runtime level, the clock advances, and the index lands.
+    pub(crate) fn complete(
+        &mut self,
+        stepper: &mut ObjectiveStepper<'_>,
+        at: usize,
+    ) -> CompleteRecord {
+        let fl = self.in_flight.remove(at);
+        // When nothing has been accrued since this build started (always
+        // true with one slot), split the span into the serial per-attempt
+        // products so the one-slot runtime reproduces the serial arithmetic
+        // bit-for-bit; otherwise accrue the remaining span in one piece (the
+        // runtime level is constant over it — every earlier completion has
+        // already been processed).
+        let (attempts, last) = if self.clock.to_bits() == fl.start.to_bits() {
+            (fl.retries as usize, fl.cost)
+        } else {
+            (0, fl.finish - self.clock)
+        };
+        let runtime = stepper.runtime();
+        for span in std::iter::repeat_n(fl.waste_per_failure, attempts).chain([last]) {
+            self.realized.add_prod(runtime, span);
+            stepper.accrue(span);
+        }
+        self.clock = fl.finish;
+
+        let (_, runtime_after) = stepper.complete_build(fl.index);
+        self.report.builds[fl.build_pos].runtime_after = runtime_after;
+        self.built[fl.index.raw()] = true;
+        self.completed_order.push(fl.index);
+        CompleteRecord {
+            clock: fl.finish,
+            slot: fl.slot,
+            index: fl.index,
+            realized: self.realized.value(),
+        }
+    }
+
+    /// The run's single append point: every journal record the live
+    /// runtime takes passes through here and, when telemetry is on, is
+    /// projected onto the `deploy` / `slot<j>` tracks as it is appended.
+    fn append(&mut self, record: JournalRecord) {
+        if let Some(tracks) = &mut self.tracks {
+            tracks.project(&record, self.pending.len());
+        }
+        self.journal.push(record);
+    }
+
+    /// The closing step: the final runtime is the completion order replayed
+    /// on the final (drifted / revised) instance — the offline evaluator's
+    /// own arithmetic — the exact realized cost is rounded once, and each
+    /// slot track gets its idle spans.
+    pub(crate) fn finish(mut self) -> (DeploymentReport, DeploymentJournal) {
+        self.report.final_runtime = self.stepper(&self.instance).runtime();
+        self.report.realized_cost = self.realized.value();
+        self.report.total_clock = self.clock;
+        if let Some(tracks) = &mut self.tracks {
+            tracks.finish(self.clock);
+        }
+        debug_assert!(self.report.prefixes_respected());
+        debug_assert!(self.report.in_flight_respected());
+        (self.report, DeploymentJournal::new(self.journal))
+    }
+}
+
+/// The scenario's failure spec for `index`, priced at its dispatch `cost`:
+/// `(failed attempts, clock wasted per failed attempt)`.
+fn failure_spec(scenario: &EvolutionScenario, index: IndexId, cost: f64) -> (u32, f64) {
+    scenario.failure_for(index).map_or((0, 0.0), |failure| {
+        (
+            failure.failures,
+            cost * failure.waste_fraction.clamp(0.0, 1.0),
+        )
+    })
 }
 
 impl DeployRuntime {
@@ -634,9 +867,9 @@ impl DeployRuntime {
     /// event-loop track (`deploy`: event / debounce / replan marks and a
     /// `pending` queue-depth gauge) plus one track per build slot
     /// (`slot<j>`: dispatch / fail / complete marks, `busy` spans per
-    /// build, and `idle` spans covering the gaps) — every stamp on the
-    /// logical deployment clock, cross-referenced to the journal records
-    /// by position and clock.
+    /// build, and `idle` spans covering the gaps). The tracks are the
+    /// projection of the run's journal records, made live as each record
+    /// is appended: every stamp is the record's own logical clock.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -677,6 +910,10 @@ impl DeployRuntime {
     /// debounce deferral), stamped with the exact clock and slot.
     /// [`crate::journal::replay`] reconstructs the identical report from the
     /// journal bit-for-bit.
+    ///
+    /// This loop only *decides* — which pending position goes into which
+    /// slot, which failure spec a build gets, whether to replan now or
+    /// defer; the run state's transitions do the rest (see the module docs).
     pub fn execute_journaled(
         &self,
         instance: &ProblemInstance,
@@ -697,16 +934,13 @@ impl DeployRuntime {
             0.0
         };
         let mut state = RunState::new(instance, initial);
-        let mut trace = RuntimeTrace::new(&self.telemetry, &self.trace_scope, slots);
+        state.tracks = Tracks::register(&self.telemetry, &self.trace_scope, slots);
+        // Replan triggers accumulated but not yet acted on (debouncing).
+        let mut deferred: Vec<&'static str> = Vec::new();
 
         // Earliest event last, so `pop` yields events in time order.
         let mut queue = scenario.sorted_events();
         queue.reverse();
-
-        // The completion priority queue and the free-slot pool (lowest slot
-        // id first, so slot assignment is deterministic).
-        let mut completions: BinaryHeap<Reverse<Completion>> = BinaryHeap::new();
-        let mut free_slots: BinaryHeap<Reverse<usize>> = (0..slots).map(Reverse).collect();
 
         loop {
             // 1. Land every event due at this completion boundary. (Once
@@ -715,18 +949,12 @@ impl DeployRuntime {
             while queue.last().is_some_and(|e| {
                 e.at <= state.clock || (state.pending.is_empty() && state.in_flight.is_empty())
             }) {
-                let event = queue.pop().expect("peeked");
-                state.clock = state.clock.max(event.at);
-                let label = state.apply_event(&event)?;
-                if !state.deferred_triggers.contains(&label) {
-                    state.deferred_triggers.push(label);
+                let landed = state.land_event(queue.pop().expect("peeked"))?;
+                let label = trigger_label(&landed.event.kind);
+                if !deferred.contains(&label) {
+                    deferred.push(label);
                 }
-                state.report.events_applied += 1;
-                trace.event_landed(state.clock, label, state.pending.len());
-                state.journal.push(JournalRecord::EventLanded(EventRecord {
-                    clock: state.clock,
-                    event,
-                }));
+                state.append(JournalRecord::EventLanded(landed));
             }
 
             // 2. Act on accumulated triggers, unless another event is close
@@ -737,214 +965,82 @@ impl DeployRuntime {
             //    act now and let replan validation surface whatever the
             //    events broke (e.g. an addition behind a retracted
             //    prerequisite).
-            if !state.deferred_triggers.is_empty() {
+            if !deferred.is_empty() {
                 let next_within_window =
                     queue.last().is_some_and(|e| e.at <= state.clock + debounce);
                 let can_progress = !state.in_flight.is_empty()
                     || state.next_dispatchable(self.config.dispatch).is_some();
                 if next_within_window && can_progress {
-                    let next_event_at = queue.last().expect("within window").at;
-                    trace.debounce(
-                        state.clock,
-                        &state.deferred_triggers.join("+"),
-                        next_event_at,
-                    );
-                    state.journal.push(JournalRecord::Debounce(DebounceRecord {
+                    let deferral = DebounceRecord {
                         clock: state.clock,
-                        deferred: state.deferred_triggers.join("+"),
-                        next_event_at,
-                    }));
+                        deferred: deferred.join("+"),
+                        next_event_at: queue.last().expect("within window").at,
+                    };
+                    state.append(JournalRecord::Debounce(deferral));
                 } else {
-                    let trigger = state.deferred_triggers.join("+");
-                    state.deferred_triggers.clear();
-                    self.replan(&mut state, &trigger, &mut trace)?;
+                    let trigger = deferred.join("+");
+                    deferred.clear();
+                    if let Some(decision) = self.replan(&mut state, &trigger)? {
+                        state.append(JournalRecord::Replan(decision));
+                    }
                     state.validate_plan()?;
                 }
             }
 
-            // 3. Nothing pending, in flight, or queued: done. The final
-            //    runtime is re-derived by replaying the completions on the
-            //    *current* instance — the same arithmetic the offline
-            //    evaluator uses.
+            // 3. Nothing pending, in flight, or queued: done.
             if state.pending.is_empty() && state.in_flight.is_empty() && queue.is_empty() {
-                let evaluator = ObjectiveEvaluator::new(&state.instance);
-                let mut replay = evaluator.stepper();
-                for &i in &state.completed_order {
-                    replay.step(i);
-                }
-                state.report.final_runtime = replay.runtime();
-                break;
+                return Ok(state.finish());
             }
 
-            // The stepper tracks the workload runtime over the *completed*
-            // set. It is a pure function of (instance, completion order,
-            // in-flight set), so rebuilding it after every instance
-            // mutation — replaying completions and re-marking the in-flight
-            // builds — yields bit-identical state. Events and replans only
-            // happen in the outer loop, so one rebuild serves the whole
-            // dispatch/complete inner loop below (and keeps the borrow of
-            // the event-mutable instance scoped to this iteration).
-            let evaluator = ObjectiveEvaluator::new(&state.instance);
-            let mut stepper = evaluator.stepper();
-            for &i in &state.completed_order {
-                stepper.step(i);
-            }
-            for fl in &state.in_flight {
-                stepper.begin_build(fl.index);
-            }
+            // Events and replans only happen in this outer loop, so one
+            // stepper serves the whole dispatch/complete inner loop below.
+            // It is rebuilt here because a landed event may have changed
+            // the instance.
+            let current = Rc::clone(&state.instance);
+            let mut stepper = state.stepper(&current);
 
             loop {
-                // 4. Dispatch pending work into free slots until the slots
-                //    are full or the policy admits nothing more: under
-                //    head-of-line that is a blocked (or exhausted) plan
-                //    head; under work-conserving it means *no* pending
-                //    index has all prerequisites completed. No event can
-                //    be due here: the outer loop drained everything at or
-                //    before this clock, and the inner loop breaks at the
-                //    completion that makes the next one due.
+                // 4. Dispatch pending work into free slots (lowest slot id
+                //    first) until the slots are full or the policy admits
+                //    nothing more: under head-of-line that is a blocked (or
+                //    exhausted) plan head; under work-conserving it means
+                //    *no* pending index has all prerequisites completed. No
+                //    event can be due here: the outer loop drained
+                //    everything at or before this clock, and the inner loop
+                //    breaks at the completion that makes the next one due.
                 debug_assert!(!queue.last().is_some_and(|e| e.at <= state.clock));
-                while !free_slots.is_empty() {
+                while let Some(slot) = (0..slots).find(|&slot| state.slot_is_free(slot)) {
                     let Some(pos) = state.next_dispatchable(self.config.dispatch) else {
                         break;
                     };
-                    let next = state.pending.remove(pos).expect("position from scan");
-                    if pos > 0 {
-                        state.report.out_of_order_dispatches += 1;
-                    }
-                    let slot = free_slots.pop().expect("checked non-empty").0;
-                    let cost = stepper.begin_build(next);
-
-                    // Failure spec: attempts waste `waste_per_failure`
-                    // clock each before the build succeeds, all inside
-                    // this slot.
-                    let mut wasted = 0.0;
-                    let mut retries = 0u32;
-                    let mut waste_per_failure = 0.0;
-                    if let Some(failure) = scenario.failure_for(next) {
-                        waste_per_failure = cost * failure.waste_fraction.clamp(0.0, 1.0);
-                        for _ in 0..failure.failures {
-                            wasted += waste_per_failure;
-                            retries += 1;
-                        }
-                    }
-
-                    let start = state.clock;
-                    let finish = start + (wasted + cost);
-                    let seq = state.committed.len();
-                    state.report.builds.push(ExecutedBuild {
-                        position: seq,
-                        index: next,
-                        slot,
-                        start,
-                        finish,
-                        cost,
-                        wasted,
-                        retries,
-                        plan_offset: pos,
-                        runtime_before: stepper.runtime(),
-                        runtime_after: f64::NAN, // filled at completion
+                    let dispatched = state.dispatch(&mut stepper, pos, slot, |index, cost| {
+                        failure_spec(scenario, index, cost)
                     });
-                    state.report.total_build_time += cost;
-                    state.report.total_wasted += wasted;
-                    state.report.retries += retries;
-                    state.in_flight.push(InFlight {
-                        index: next,
-                        slot,
-                        build_pos: state.report.builds.len() - 1,
-                        start,
-                        finish,
-                        cost,
-                        waste_per_failure,
-                        retries,
-                    });
-                    completions.push(Reverse(Completion {
-                        finish,
-                        seq,
-                        index: next,
-                    }));
-                    state.committed.push(next);
-                    trace.dispatch(start, slot, next, seq);
-                    state.journal.push(JournalRecord::Dispatch(DispatchRecord {
-                        clock: start,
-                        slot,
-                        position: seq,
-                        index: next,
-                        plan_offset: pos,
-                        cost,
-                        retries,
-                        waste_per_failure,
-                    }));
-                    let mut attempt_start = start;
-                    for attempt in 1..=retries {
-                        trace.fail(attempt_start, slot, next, attempt);
-                        state.journal.push(JournalRecord::Fail(FailRecord {
-                            clock: attempt_start,
-                            slot,
-                            index: next,
-                            attempt,
-                            wasted: waste_per_failure,
-                        }));
-                        attempt_start += waste_per_failure;
+                    let build = *state.in_flight.last().expect("just dispatched");
+                    state.append(JournalRecord::Dispatch(dispatched));
+                    for failed in build.failed_attempts() {
+                        state.append(JournalRecord::Fail(failed));
                     }
                 }
 
-                // 5. Advance: pop the earliest completion, accrue the
-                //    workload cost of the elapsed span, and land the
-                //    finished index. With nothing in flight, hand back to
-                //    the outer loop (which lands the due — or, with an
-                //    empty plan, the next future — event, or finishes).
-                let Some(Reverse(completion)) = completions.pop() else {
+                // 5. Advance: complete the earliest in-flight build. With
+                //    nothing in flight, hand back to the outer loop (which
+                //    lands the due — or, with an empty plan, the next
+                //    future — event, or finishes).
+                let Some(at) = state.next_completion() else {
                     break;
                 };
-                let pos = state
-                    .in_flight
-                    .iter()
-                    .position(|f| f.index == completion.index)
-                    .expect("completion queue tracks in-flight builds");
-                let fl = state.in_flight.remove(pos);
-
-                // Integrate runtime · wall-clock over [clock, finish]. When
-                // nothing has been accrued since this build started (always
-                // true with one slot), split the span into the serial per-
-                // attempt products so the one-slot runtime reproduces the
-                // serial arithmetic bit-for-bit; otherwise accrue the
-                // remaining span in one piece (the runtime level is
-                // constant over it — every earlier completion has already
-                // been processed).
-                let runtime = stepper.runtime();
-                if state.clock.to_bits() == fl.start.to_bits() {
-                    for _ in 0..fl.retries {
-                        state.realized.add_prod(runtime, fl.waste_per_failure);
-                        stepper.accrue(fl.waste_per_failure);
-                    }
-                    state.realized.add_prod(runtime, fl.cost);
-                    stepper.accrue(fl.cost);
-                } else {
-                    state.realized.add_prod(runtime, fl.finish - state.clock);
-                    stepper.accrue(fl.finish - state.clock);
-                }
-                state.clock = fl.finish;
-
-                let (_, runtime_after) = stepper.complete_build(fl.index);
-                state.report.builds[fl.build_pos].runtime_after = runtime_after;
-                state.built[fl.index.raw()] = true;
-                state.completed_order.push(fl.index);
-                free_slots.push(Reverse(fl.slot));
-                trace.complete(fl.slot, fl.index, fl.start, fl.finish, state.pending.len());
-                state.journal.push(JournalRecord::Complete(CompleteRecord {
-                    clock: fl.finish,
-                    slot: fl.slot,
-                    index: fl.index,
-                    realized: state.realized.value(),
-                }));
+                let failed = state.in_flight[at].retries > 0;
+                let completed = state.complete(&mut stepper, at);
+                state.append(JournalRecord::Complete(completed));
 
                 // A failure-triggered replan fires at the failing build's
                 // completion boundary (subject to the same debouncing).
                 let failure_trigger = self.config.trigger == ReplanTrigger::OnFailure
-                    && fl.retries > 0
-                    && !state.deferred_triggers.contains(&"failure");
+                    && failed
+                    && !deferred.contains(&"failure");
                 if failure_trigger {
-                    state.deferred_triggers.push("failure");
+                    deferred.push("failure");
                 }
 
                 // Hand back to the outer loop when this completion made an
@@ -955,26 +1051,21 @@ impl DeployRuntime {
                 }
             }
         }
-
-        state.report.realized_cost = state.realized.value();
-        state.report.total_clock = state.clock;
-        trace.finish(state.clock);
-        debug_assert!(state.report.prefixes_respected());
-        debug_assert!(state.report.in_flight_respected());
-        Ok((state.report, DeploymentJournal::new(state.journal)))
     }
 
-    /// Freezes the commitment (built prefix + in-flight set), derives the
-    /// residual instance, re-optimizes it warm-started from the pending
-    /// order, and splices the result back behind the commitment.
+    /// Decides a replan and adopts it: freezes the commitment (the built
+    /// prefix and the in-flight set), derives the residual instance,
+    /// re-optimizes it warm-started from the pending order, checks the
+    /// splice behind the commitment, and hands the decision to
+    /// [`RunState::adopt_replan`]. Returns the adopted decision (the journal
+    /// record), or `None` when nothing is pending.
     fn replan(
         &self,
         state: &mut RunState,
         trigger: &str,
-        trace: &mut RuntimeTrace,
-    ) -> Result<(), DeployError> {
+    ) -> Result<Option<ReplanDecision>, DeployError> {
         if state.pending.is_empty() {
-            return Ok(());
+            return Ok(None);
         }
         let in_flight_order: Vec<IndexId> = state.in_flight.iter().map(|f| f.index).collect();
         let residual =
@@ -1028,29 +1119,15 @@ impl DeployRuntime {
             ));
         }
 
-        trace.replan(state.clock, trigger, &outcome.solver, outcome.improved);
-        state.journal.push(JournalRecord::Replan(ReplanDecision {
+        Ok(Some(state.adopt_replan(ReplanDecision {
             clock: state.clock,
             trigger: trigger.to_string(),
-            pending: new_pending.clone(),
-            warm_start_objective: outcome.warm_start_objective,
-            objective: outcome.objective,
-            solver: outcome.solver.clone(),
-            improved: outcome.improved,
-        }));
-        state.report.replans.push(ReplanRecord {
-            clock: state.clock,
-            trigger: trigger.to_string(),
-            frozen_prefix: state.committed.clone(),
-            in_flight: in_flight_order,
-            suffix_len: new_pending.len(),
+            pending: new_pending,
             warm_start_objective: outcome.warm_start_objective,
             objective: outcome.objective,
             solver: outcome.solver,
             improved: outcome.improved,
-        });
-        state.pending = new_pending.into();
-        Ok(())
+        })))
     }
 
     /// The serial executor exactly as shipped before concurrent build slots
@@ -1096,11 +1173,7 @@ impl DeployRuntime {
                 state.report.events_applied += 1;
             }
             if !triggers.is_empty() {
-                self.replan(
-                    &mut state,
-                    &triggers.join("+"),
-                    &mut RuntimeTrace::disabled(),
-                )?;
+                self.replan(&mut state, &triggers.join("+"))?;
                 state.validate_plan()?;
             }
 

@@ -4,12 +4,19 @@
 //! and the span-derived totals must agree with the report's
 //! `slot_busy()` / `slot_idle(k)` accessors, so the report methods are
 //! anchored to the timeline rather than being a restatement of themselves.
+//!
+//! Over the same grid, the telemetry must be the projection of the run's
+//! journal: every slot track's dispatch / fail / complete marks are that
+//! slot's records in order and clock, each `busy` span is one build's
+//! [dispatch, completion], and the `deploy` track carries one event /
+//! debounce / replan mark per record.
 
 mod common;
 
 use common::{initial_plan, instance, policy, scenario};
-use idd_deploy::DeployRuntime;
-use idd_telemetry::Telemetry;
+use idd_core::JournalRecord;
+use idd_deploy::{DeployRuntime, DeploymentJournal};
+use idd_telemetry::{EventKind, Telemetry, TraceStream, TrackId};
 
 /// Tolerance for slot-seconds sums: the spans are re-derived from
 /// `finish − start` differences, which can differ from the report's
@@ -28,10 +35,14 @@ fn busy_plus_idle_tiles_every_slot_timeline() {
                     let telemetry = Telemetry::recording();
                     let config = policy(policy_choice).with_build_slots(slots);
                     let runtime = DeployRuntime::new(config).with_telemetry(telemetry.clone());
-                    let report = runtime
-                        .execute(&inst, &plan, &scenario)
+                    let (report, journal) = runtime
+                        .execute_journaled(&inst, &plan, &scenario)
                         .expect("grid scenarios must execute");
                     let stream = telemetry.drain();
+                    let context = format!(
+                        "seed {inst_seed} kind {kind} policy {policy_choice} slots {slots}"
+                    );
+                    assert_projection_of_journal(&stream, &journal, slots, &context);
 
                     // Track 0 is the event loop; tracks 1..=slots are the
                     // build slots.
@@ -77,6 +88,87 @@ fn busy_plus_idle_tiles_every_slot_timeline() {
                 }
             }
         }
+    }
+}
+
+/// The slot a record happened in: dispatch, fail and complete records.
+fn slot_of(record: &JournalRecord) -> Option<usize> {
+    match record {
+        JournalRecord::Dispatch(r) => Some(r.slot),
+        JournalRecord::Fail(r) => Some(r.slot),
+        JournalRecord::Complete(r) => Some(r.slot),
+        JournalRecord::EventLanded(_) | JournalRecord::Replan(_) | JournalRecord::Debounce(_) => {
+            None
+        }
+    }
+}
+
+/// `(name, clock bits)` of the marks on `track`, in emission order.
+fn marks(stream: &TraceStream, track: TrackId) -> Vec<(String, u64)> {
+    stream
+        .events_for(track)
+        .filter_map(|e| match &e.kind {
+            EventKind::Mark { name, .. } => {
+                Some((name.clone(), e.clock.expect("logical clock").to_bits()))
+            }
+            _ => None,
+        })
+        .collect()
+}
+
+/// `(tag, clock bits)` of `records`, in journal order. A record's tag is
+/// the name of the mark it projects to.
+fn tagged<'a>(records: impl Iterator<Item = &'a JournalRecord>) -> Vec<(String, u64)> {
+    records
+        .map(|r| (r.tag().to_string(), r.clock().to_bits()))
+        .collect()
+}
+
+/// Asserts that the runtime telemetry in `stream` is the projection of
+/// `journal`: marks match records one to one, in order and clock, and busy
+/// spans are the dispatch/complete pairs.
+fn assert_projection_of_journal(
+    stream: &TraceStream,
+    journal: &DeploymentJournal,
+    slots: usize,
+    context: &str,
+) {
+    let records = journal.records();
+    let event_loop = tagged(records.iter().filter(|r| slot_of(r).is_none()));
+    assert_eq!(marks(stream, 0), event_loop, "{context}: deploy track");
+    for slot in 0..slots {
+        let track = 1 + slot;
+        let own = || records.iter().filter(move |r| slot_of(r) == Some(slot));
+        assert_eq!(
+            marks(stream, track),
+            tagged(own()),
+            "{context}: slot {slot}"
+        );
+
+        let busy: Vec<(u64, u64)> = stream
+            .events_for(track)
+            .filter_map(|e| match &e.kind {
+                EventKind::Span { name, start, end } if name == "busy" => {
+                    Some((start.to_bits(), end.to_bits()))
+                }
+                _ => None,
+            })
+            .collect();
+        let dispatched = own().filter_map(|r| match r {
+            JournalRecord::Dispatch(d) => Some(d.clock.to_bits()),
+            _ => None,
+        });
+        let completed = own().filter_map(|r| match r {
+            JournalRecord::Complete(c) => Some(c.clock.to_bits()),
+            _ => None,
+        });
+        let builds: Vec<(u64, u64)> = dispatched.zip(completed).collect();
+        assert_eq!(busy, builds, "{context}: slot {slot} busy spans");
+        assert_eq!(
+            builds.len(),
+            own().filter(|r| r.tag() == "dispatch").count(),
+            "{context}: slot {slot}: one busy span per build"
+        );
     }
 }
 

@@ -31,6 +31,14 @@ pub enum CoreError {
         /// The offending value.
         value: f64,
     },
+    /// A numeric field (costs, runtimes, weights, speed-ups) was NaN or
+    /// infinite.
+    NonFiniteValue {
+        /// Human-readable description of the field.
+        what: String,
+        /// The offending value.
+        value: f64,
+    },
     /// A plan's speed-up exceeds the original runtime of its query, which
     /// would imply a negative query runtime.
     SpeedupExceedsRuntime {
@@ -90,6 +98,9 @@ impl fmt::Display for CoreError {
             }
             CoreError::NegativeValue { what, value } => {
                 write!(f, "{what} must be non-negative, got {value}")
+            }
+            CoreError::NonFiniteValue { what, value } => {
+                write!(f, "{what} must be finite, got {value}")
             }
             CoreError::SpeedupExceedsRuntime {
                 plan,

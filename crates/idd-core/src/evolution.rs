@@ -281,6 +281,17 @@ mod tests {
     }
 
     #[test]
+    fn infinite_drift_weight_is_an_error() {
+        let drift = WorkloadDrift {
+            weights: vec![(QueryId::new(0), f64::INFINITY)],
+        };
+        assert!(matches!(
+            drift.apply_to(&base()),
+            Err(CoreError::NonFiniteValue { .. })
+        ));
+    }
+
+    #[test]
     fn revision_appends_indexes_with_stable_existing_ids() {
         let inst = base();
         let revision = DesignRevision {

@@ -400,38 +400,20 @@ impl InstanceBuilder {
         }
 
         for idx in &self.indexes {
-            if idx.creation_cost < 0.0 {
-                return Err(CoreError::NegativeValue {
-                    what: format!("creation cost of {}", idx.id),
-                    value: idx.creation_cost,
-                });
-            }
+            check_value(idx.creation_cost, || format!("creation cost of {}", idx.id))?;
         }
         for q in &self.queries {
-            if q.original_runtime < 0.0 {
-                return Err(CoreError::NegativeValue {
-                    what: format!("original runtime of {}", q.id),
-                    value: q.original_runtime,
-                });
-            }
-            if q.weight < 0.0 {
-                return Err(CoreError::NegativeValue {
-                    what: format!("weight of {}", q.id),
-                    value: q.weight,
-                });
-            }
+            check_value(q.original_runtime, || {
+                format!("original runtime of {}", q.id)
+            })?;
+            check_value(q.weight, || format!("weight of {}", q.id))?;
         }
 
         for plan in &self.plans {
             if plan.query.raw() >= self.queries.len() {
                 return Err(CoreError::UnknownQuery(plan.query));
             }
-            if plan.speedup < 0.0 {
-                return Err(CoreError::NegativeValue {
-                    what: format!("speed-up of {}", plan.id),
-                    value: plan.speedup,
-                });
-            }
+            check_value(plan.speedup, || format!("speed-up of {}", plan.id))?;
             let qtime = self.queries[plan.query.raw()].original_runtime;
             if plan.speedup > qtime + 1e-9 {
                 return Err(CoreError::SpeedupExceedsRuntime {
@@ -465,12 +447,9 @@ impl InstanceBuilder {
             if bi.target == bi.helper {
                 return Err(CoreError::SelfInteraction(bi.target));
             }
-            if bi.speedup < 0.0 {
-                return Err(CoreError::NegativeValue {
-                    what: format!("build interaction speed-up on {}", bi.target),
-                    value: bi.speedup,
-                });
-            }
+            check_value(bi.speedup, || {
+                format!("build interaction speed-up on {}", bi.target)
+            })?;
             let cost = self.indexes[bi.target.raw()].creation_cost;
             if bi.speedup > cost + 1e-9 {
                 return Err(CoreError::InteractionExceedsBuildCost {
@@ -522,6 +501,24 @@ impl InstanceBuilder {
             helpers_by_target,
             targets_by_helper,
         })
+    }
+}
+
+/// Checks that a numeric field (cost, runtime, weight, speed-up) is finite
+/// and non-negative. `what` names the field; it is only built on error.
+fn check_value(value: f64, what: impl FnOnce() -> String) -> Result<()> {
+    if !value.is_finite() {
+        Err(CoreError::NonFiniteValue {
+            what: what(),
+            value,
+        })
+    } else if value < 0.0 {
+        Err(CoreError::NegativeValue {
+            what: what(),
+            value,
+        })
+    } else {
+        Ok(())
     }
 }
 
@@ -678,6 +675,42 @@ mod tests {
         let i0 = b.add_index(1.0);
         b.add_build_interaction(i0, i0, 0.5);
         assert!(matches!(b.build(), Err(CoreError::SelfInteraction(_))));
+    }
+
+    #[test]
+    fn rejects_non_finite_values() {
+        let mut b = ProblemInstance::builder("nan");
+        b.add_index(f64::NAN);
+        let err = b.build().unwrap_err();
+        assert!(matches!(err, CoreError::NonFiniteValue { .. }), "{err}");
+        assert!(err.to_string().contains("must be finite"), "{err}");
+
+        // (weight, plan speed-up, build interaction speed-up)
+        let build = |weight: f64, speedup: f64, interaction: f64| {
+            let mut b = ProblemInstance::builder("values");
+            let i0 = b.add_index(4.0);
+            let i1 = b.add_index(6.0);
+            let mut q = QueryMeta::simple(QueryId::new(0), 30.0);
+            q.weight = weight;
+            let q = b.push_query(q);
+            b.add_plan(q, vec![i0], speedup);
+            b.add_build_interaction(i1, i0, interaction);
+            b.build()
+        };
+        assert!(build(1.0, 5.0, 2.0).is_ok());
+        for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            for values in [(bad, 5.0, 2.0), (1.0, bad, 2.0), (1.0, 5.0, bad)] {
+                let err = build(values.0, values.1, values.2).unwrap_err();
+                assert!(
+                    matches!(err, CoreError::NonFiniteValue { .. }),
+                    "{values:?}: {err}"
+                );
+            }
+        }
+        assert!(matches!(
+            build(-1.0, 5.0, 2.0),
+            Err(CoreError::NegativeValue { .. })
+        ));
     }
 
     #[test]

@@ -66,8 +66,8 @@ pub use journal::{
 };
 pub use matrix::{MatrixFile, SoaView};
 pub use objective::{
-    DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, PrefixEvaluator,
-    StepMetrics, SuffixReplayEvaluator,
+    DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, StepMetrics,
+    SuffixReplayEvaluator,
 };
 pub use plan::QueryPlan;
 pub use query::QueryMeta;

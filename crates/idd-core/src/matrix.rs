@@ -326,6 +326,17 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_json_number_is_rejected() {
+        // `1e999` parses to infinity; the builder behind the JSON path must
+        // refuse it instead of loading an infinite creation cost.
+        let json = MatrixFile::new(instance(), "unit-test").to_json().unwrap();
+        let overflowed = json.replacen("\"creation_cost\": 3", "\"creation_cost\": 1e999", 1);
+        assert_ne!(overflowed, json);
+        let err = MatrixFile::from_json(&overflowed).unwrap_err();
+        assert!(err.to_string().contains("must be finite"), "{err}");
+    }
+
+    #[test]
     fn invalid_instance_fails_deserialization() {
         // Hand-craft JSON whose plan references a missing index.
         let json = r#"{

@@ -20,7 +20,6 @@
 //!   rewrites the span `[a, b)` of a *base* order in `O(b - a)` — `O(1)` for
 //!   an adjacent swap — over the [`SoaView`] layout,
 //!   *bit-identical* to re-running [`ObjectiveEvaluator::evaluate`].
-//!   [`PrefixEvaluator`] is a thin compatibility wrapper over it.
 //! * [`SuffixReplayEvaluator`] — the previous checkpoint-and-replay
 //!   incremental evaluator, kept as the easily-auditable reference the delta
 //!   path is differentially tested against (and as the "before" baseline of
@@ -1040,69 +1039,6 @@ impl<'a> DeltaEvaluator<'a> {
     }
 }
 
-/// Incremental evaluator for local search over a *base* deployment order.
-///
-/// Since the delta-evaluation rework this is a thin wrapper over
-/// [`DeltaEvaluator`] kept for call-site compatibility: moves cost
-/// `O(span)` instead of `O(suffix)`, and committing no longer clones
-/// per-position state checkpoints.
-#[derive(Debug, Clone)]
-pub struct PrefixEvaluator<'a> {
-    inner: DeltaEvaluator<'a>,
-}
-
-impl<'a> PrefixEvaluator<'a> {
-    /// Creates an incremental evaluator with the given base order.
-    pub fn new(instance: &'a ProblemInstance, base: Deployment) -> Self {
-        Self {
-            inner: DeltaEvaluator::new(instance, base),
-        }
-    }
-
-    /// The underlying full evaluator.
-    pub fn evaluator(&self) -> &ObjectiveEvaluator<'a> {
-        self.inner.evaluator()
-    }
-
-    /// The current base order.
-    pub fn base(&self) -> &Deployment {
-        self.inner.base()
-    }
-
-    /// The objective area of the current base order.
-    pub fn base_area(&self) -> f64 {
-        self.inner.base_area()
-    }
-
-    /// Replaces the base order and rebuilds the per-position state.
-    pub fn set_base(&mut self, base: Deployment) {
-        self.inner.set_base(base);
-    }
-
-    /// Evaluates the area of `order`, walking only the window where it
-    /// differs from the base order.
-    pub fn evaluate_order(&mut self, order: &Deployment) -> f64 {
-        self.inner.evaluate_order(order)
-    }
-
-    /// Evaluates the area of the base order with positions `a` and `b`
-    /// swapped, without materializing the swapped order.
-    pub fn evaluate_swap(&mut self, a: usize, b: usize) -> f64 {
-        self.inner.evaluate_swap(a, b)
-    }
-
-    /// Applies a swap to the base order.
-    pub fn commit_swap(&mut self, a: usize, b: usize) {
-        self.inner.commit_swap(a, b);
-    }
-
-    /// Replaces the whole base order (alias of [`PrefixEvaluator::set_base`]
-    /// kept for readability at call sites that accept arbitrary moves).
-    pub fn commit_order(&mut self, order: Deployment) {
-        self.inner.commit_order(order);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1326,11 +1262,11 @@ mod tests {
     }
 
     #[test]
-    fn prefix_evaluator_matches_full_evaluation_on_swaps() {
+    fn delta_evaluator_matches_full_evaluation_on_swaps() {
         let inst = competing_example();
         let eval = ObjectiveEvaluator::new(&inst);
         let base = Deployment::from_raw([0, 1]);
-        let mut pe = PrefixEvaluator::new(&inst, base.clone());
+        let mut pe = DeltaEvaluator::new(&inst, base.clone());
         assert_eq!(pe.base_area(), eval.evaluate_area(&base));
         let swapped = base.with_swap(0, 1);
         assert_eq!(pe.evaluate_swap(0, 1), eval.evaluate_area(&swapped));
@@ -1338,9 +1274,9 @@ mod tests {
     }
 
     #[test]
-    fn prefix_evaluator_commit_updates_base() {
+    fn delta_evaluator_commit_updates_base() {
         let inst = competing_example();
-        let mut pe = PrefixEvaluator::new(&inst, Deployment::from_raw([0, 1]));
+        let mut pe = DeltaEvaluator::new(&inst, Deployment::from_raw([0, 1]));
         let swapped_area = pe.evaluate_swap(0, 1);
         pe.commit_swap(0, 1);
         assert_eq!(pe.base_area(), swapped_area);
@@ -1385,7 +1321,7 @@ mod tests {
         let inst = b.build().unwrap();
         let eval = ObjectiveEvaluator::new(&inst);
         let base = Deployment::identity(n);
-        let mut pe = PrefixEvaluator::new(&inst, base.clone());
+        let mut pe = DeltaEvaluator::new(&inst, base.clone());
         for a in 0..n {
             for bpos in (a + 1)..n {
                 let full = eval.evaluate_area(&base.with_swap(a, bpos));

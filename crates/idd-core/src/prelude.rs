@@ -12,8 +12,8 @@ pub use crate::instance::{InstanceBuilder, ProblemInstance};
 pub use crate::interaction::{BuildInteraction, Precedence};
 pub use crate::matrix::{MatrixFile, SoaView};
 pub use crate::objective::{
-    DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, PrefixEvaluator,
-    StepMetrics, SuffixReplayEvaluator,
+    DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, StepMetrics,
+    SuffixReplayEvaluator,
 };
 pub use crate::plan::QueryPlan;
 pub use crate::query::QueryMeta;

@@ -17,8 +17,8 @@
 //!   would expose any stale per-position cache left behind by `commit_*`.
 
 use idd_core::{
-    DeltaEvaluator, Deployment, IndexId, InstanceBuilder, ObjectiveEvaluator, PrefixEvaluator,
-    ProblemInstance, SuffixReplayEvaluator,
+    DeltaEvaluator, Deployment, IndexId, InstanceBuilder, ObjectiveEvaluator, ProblemInstance,
+    SuffixReplayEvaluator,
 };
 use proptest::prelude::*;
 
@@ -308,31 +308,6 @@ proptest! {
             assert_bits("episode base", delta.base_area(), want);
             assert_bits("episode oracle base", oracle.base_area(), want);
             prop_assert_eq!(delta.base().order(), current.order());
-        }
-    }
-
-    /// The `PrefixEvaluator` facade (now a thin wrapper over the delta
-    /// evaluator) stays bit-identical too.
-    #[test]
-    fn prefix_evaluator_facade_stays_exact(
-        ((inst, base), pairs) in (
-            arb_instance_and_base(8),
-            proptest::collection::vec((0usize..8, 0usize..8), 1..12),
-        )
-    ) {
-        let n = inst.num_indexes();
-        let full = ObjectiveEvaluator::new(&inst);
-        let mut prefix = PrefixEvaluator::new(&inst, base.clone());
-        let mut current = base;
-        for (a, b) in pairs {
-            let (a, b) = (a.min(n - 1), b.min(n - 1));
-            let mut next = current.clone();
-            next.swap(a, b);
-            let want = full.evaluate_area(&next);
-            assert_bits("prefix swap probe", prefix.evaluate_swap(a, b), want);
-            prefix.commit_swap(a, b);
-            current = next;
-            assert_bits("prefix base", prefix.base_area(), full.evaluate_area(&current));
         }
     }
 }

@@ -11,7 +11,7 @@
 //! * instance (de)serialization is lossless with respect to evaluation.
 
 use idd::core::{
-    Deployment, ImprovementCurve, InstanceBuilder, MatrixFile, ObjectiveEvaluator, PrefixEvaluator,
+    DeltaEvaluator, Deployment, ImprovementCurve, InstanceBuilder, MatrixFile, ObjectiveEvaluator,
     ProblemInstance,
 };
 use idd::prelude::*;
@@ -107,15 +107,15 @@ proptest! {
     }
 
     #[test]
-    fn prefix_evaluator_agrees_on_all_swaps((inst, order) in arb_instance_and_order(8)) {
+    fn delta_evaluator_agrees_on_all_swaps((inst, order) in arb_instance_and_order(8)) {
         let evaluator = ObjectiveEvaluator::new(&inst);
         let base = Deployment::from_raw(order);
-        let mut prefix = PrefixEvaluator::new(&inst, base.clone());
+        let mut delta = DeltaEvaluator::new(&inst, base.clone());
         let n = inst.num_indexes();
         for a in 0..n {
             for b in (a + 1)..n {
                 let expected = evaluator.evaluate_area(&base.with_swap(a, b));
-                let got = prefix.evaluate_swap(a, b);
+                let got = delta.evaluate_swap(a, b);
                 // The delta path is exact, not merely close.
                 prop_assert!(expected.to_bits() == got.to_bits(),
                     "swap {a},{b}: {expected} vs {got}");

@@ -111,10 +111,11 @@ impl TabuSolver {
         let mut clock = self.config.budget.start_cancellable(ctx.cancel_token());
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
 
-        // Best-swap scans are the delta evaluator's home turf: every
-        // adjacent pair is O(1) and a general pair is O(hi - lo), so one
-        // full scan costs O(n²) *positions touched*, not O(n²) evaluations
-        // of O(n) each.
+        // Best-swap scans run on the delta evaluator: an adjacent pair is
+        // O(1), but a general pair walks its span, O(hi - lo). One full scan
+        // therefore touches Σ(hi - lo) = (n³ - n)/6 = O(n³) positions — the
+        // same order as O(n²) from-scratch evaluations of O(n) each; the
+        // delta path only wins on the constant factor.
         let mut evaluator = DeltaEvaluator::new(instance, initial.clone());
         let mut best_order = initial;
         let mut best_area = evaluator.base_area();
