@@ -26,7 +26,6 @@ fn bench_constructive(c: &mut Criterion) {
             |b, inst| {
                 let solver = GreedySolver::with_config(GreedyConfig {
                     interaction_credit: false,
-                    ..GreedyConfig::default()
                 });
                 b.iter(|| solver.construct(std::hint::black_box(inst)))
             },

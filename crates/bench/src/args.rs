@@ -27,18 +27,23 @@ impl Default for HarnessArgs {
 impl HarnessArgs {
     /// Parses `--time-limit`, `--runs`, `--samples` and `--seed` from an
     /// iterator of arguments (unknown arguments are ignored so binaries can
-    /// add their own).
+    /// add their own). A value that does not parse — or, for
+    /// `--time-limit`, is negative, NaN or infinite — keeps its default.
     pub fn parse_from<I: IntoIterator<Item = String>>(args: I, defaults: HarnessArgs) -> Self {
         let mut out = defaults;
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
-            let mut take = |target: &mut f64| {
-                if let Some(v) = iter.next().and_then(|s| s.parse::<f64>().ok()) {
-                    *target = v;
-                }
-            };
             match arg.as_str() {
-                "--time-limit" => take(&mut out.time_limit),
+                // A limit must be a finite, non-negative number of seconds.
+                "--time-limit" => {
+                    if let Some(v) = iter
+                        .next()
+                        .and_then(|s| s.parse::<f64>().ok())
+                        .filter(|v| v.is_finite() && *v >= 0.0)
+                    {
+                        out.time_limit = v;
+                    }
+                }
                 "--runs" => {
                     if let Some(v) = iter.next().and_then(|s| s.parse::<usize>().ok()) {
                         out.runs = v.max(1);
@@ -110,6 +115,20 @@ mod tests {
         );
         assert_eq!(args.runs, HarnessArgs::default().runs);
         assert_eq!(args.time_limit, HarnessArgs::default().time_limit);
+    }
+
+    #[test]
+    fn keeps_the_default_for_non_finite_or_negative_time_limits() {
+        for bad in ["-1", "nan", "NaN", "inf", "-inf", "infinity", "-0.5"] {
+            let args = HarnessArgs::parse_from(
+                strs(&["--time-limit", bad, "--runs", "4"]),
+                HarnessArgs::default(),
+            );
+            assert_eq!(args.time_limit, HarnessArgs::default().time_limit, "{bad}");
+            assert_eq!(args.runs, 4, "{bad}: later flags still parse");
+        }
+        let zero = HarnessArgs::parse_from(strs(&["--time-limit", "0"]), HarnessArgs::default());
+        assert_eq!(zero.time_limit, 0.0);
     }
 
     #[test]

@@ -21,11 +21,22 @@ impl Default for SearchBudget {
     }
 }
 
+/// `secs` as a time limit, for every `f64`: +∞ (or a limit too large for a
+/// [`Duration`]) is no limit, NaN or a negative value a zero limit.
+fn time_limit(secs: f64) -> Option<Duration> {
+    if secs.is_nan() || secs <= 0.0 {
+        Some(Duration::ZERO)
+    } else {
+        Duration::try_from_secs_f64(secs).ok()
+    }
+}
+
 impl SearchBudget {
-    /// Budget limited only by wall-clock seconds.
+    /// Budget limited only by wall-clock seconds (see [`SearchBudget::bounded`]
+    /// for how non-finite and negative values are read).
     pub fn seconds(secs: f64) -> Self {
         Self {
-            time_limit: Some(Duration::from_secs_f64(secs)),
+            time_limit: time_limit(secs),
             node_limit: None,
         }
     }
@@ -38,10 +49,11 @@ impl SearchBudget {
         }
     }
 
-    /// Budget limited by both time and nodes.
+    /// Budget limited by both time and nodes. Total over `secs`: +∞ means
+    /// no time limit, and NaN or a negative value a zero one.
     pub fn bounded(secs: f64, nodes: u64) -> Self {
         Self {
-            time_limit: Some(Duration::from_secs_f64(secs)),
+            time_limit: time_limit(secs),
             node_limit: Some(nodes),
         }
     }
@@ -174,6 +186,33 @@ mod tests {
         assert!(clock.exhausted());
         // A plain clock is never cancelled.
         assert!(!SearchBudget::unlimited().start().is_cancelled());
+    }
+
+    #[test]
+    fn non_finite_and_negative_seconds_never_panic() {
+        assert_eq!(SearchBudget::seconds(f64::INFINITY).time_limit, None);
+        assert_eq!(SearchBudget::seconds(1e300).time_limit, None);
+        for secs in [f64::NAN, -1.0, f64::NEG_INFINITY, -0.0, 0.0] {
+            assert_eq!(
+                SearchBudget::seconds(secs).time_limit,
+                Some(Duration::ZERO),
+                "{secs}"
+            );
+            assert!(SearchBudget::seconds(secs).start().exhausted(), "{secs}");
+        }
+        let unlimited = SearchBudget::bounded(f64::INFINITY, 7);
+        assert_eq!(
+            (unlimited.time_limit, unlimited.node_limit),
+            (None, Some(7))
+        );
+        assert_eq!(
+            SearchBudget::bounded(f64::NAN, 7).time_limit,
+            Some(Duration::ZERO)
+        );
+        assert_eq!(
+            SearchBudget::seconds(2.5).time_limit,
+            Some(Duration::from_millis(2500))
+        );
     }
 
     #[test]

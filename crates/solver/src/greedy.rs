@@ -22,15 +22,12 @@ pub struct GreedyConfig {
     /// Algorithm 1). Disabling it yields the naive density greedy and is used
     /// by the ablation bench.
     pub interaction_credit: bool,
-    /// Respect hard precedence constraints while constructing the order.
-    pub respect_precedences: bool,
 }
 
 impl Default for GreedyConfig {
     fn default() -> Self {
         Self {
             interaction_credit: true,
-            respect_precedences: true,
         }
     }
 }
@@ -52,15 +49,12 @@ impl GreedySolver {
         Self { config }
     }
 
-    /// Builds a deployment order for `instance`.
+    /// Builds a deployment order for `instance`, honouring its hard
+    /// precedence constraints.
     pub fn construct(&self, instance: &ProblemInstance) -> Deployment {
         let n = instance.num_indexes();
         let evaluator = ObjectiveEvaluator::new(instance);
-        let constraints = if self.config.respect_precedences {
-            Some(OrderConstraints::from_instance(instance))
-        } else {
-            None
-        };
+        let constraints = OrderConstraints::from_instance(instance);
 
         let mut order: Vec<IndexId> = Vec::with_capacity(n);
         let mut built = vec![false; n];
@@ -79,10 +73,8 @@ impl GreedySolver {
                     continue;
                 }
                 let candidate = IndexId::new(raw);
-                if let Some(c) = &constraints {
-                    if !c.can_place(candidate, &built) {
-                        continue;
-                    }
+                if !constraints.can_place(candidate, &built) {
+                    continue;
                 }
 
                 // Immediate benefit of adding the candidate.
@@ -131,13 +123,7 @@ impl GreedySolver {
             let chosen = best_index.unwrap_or_else(|| {
                 (0..n)
                     .map(IndexId::new)
-                    .find(|&i| {
-                        !built[i.raw()]
-                            && constraints
-                                .as_ref()
-                                .map(|c| c.can_place(i, &built))
-                                .unwrap_or(true)
-                    })
+                    .find(|&i| !built[i.raw()] && constraints.can_place(i, &built))
                     .expect("no placeable index left; precedence constraints are cyclic")
             });
             built[chosen.raw()] = true;
@@ -240,7 +226,6 @@ mod tests {
         let with_credit = GreedySolver::new().construct(&inst);
         let naive = GreedySolver::with_config(GreedyConfig {
             interaction_credit: false,
-            ..GreedyConfig::default()
         })
         .construct(&inst);
 

@@ -7,6 +7,13 @@
 //! neighbourhood contains an improvement it becomes the new current solution;
 //! otherwise a new random relaxation is drawn.
 //!
+//! VNS is this loop with a self-tuning schedule, so both solvers run one
+//! loop ([`VnsSolver`]'s): LNS runs it with a schedule that never fires and
+//! no polish. When a reinsertion hits its failure limit, LNS salvages the
+//! destroy set with a delta-scored greedy repair. The clock starts on
+//! entry, so a run's `elapsed_seconds` includes the property analysis and,
+//! under [`Solver::run`], the greedy seed.
+//!
 //! Inside a cooperative portfolio
 //! ([`CooperationPolicy`](crate::solver::CooperationPolicy)) the LNS member
 //! additionally (a) re-seeds from the shared best deployment when it stalls,
@@ -14,18 +21,13 @@
 //! produced improvements in *other* members — from the portfolio's
 //! work-stealing deque before falling back to a random draw.
 
-use crate::anytime::Trajectory;
 use crate::budget::SearchBudget;
-use crate::constraints::OrderConstraints;
-use crate::exact::bounds::LowerBound;
 use crate::greedy::GreedySolver;
-use crate::local::{reinsert, sanitize_hint, shift_is_feasible, Cooperator};
-use crate::properties::{self, AnalysisOptions};
-use crate::result::{SolveOutcome, SolveResult};
+use crate::local::{VnsConfig, VnsSolver, Walk};
+use crate::properties::AnalysisOptions;
+use crate::result::SolveResult;
 use crate::solver::{SolveContext, Solver};
-use idd_core::{DeltaEvaluator, Deployment, IndexId, ProblemInstance};
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
+use idd_core::{Deployment, ProblemInstance};
 
 /// Configuration of the LNS solver.
 #[derive(Debug, Clone)]
@@ -105,182 +107,29 @@ impl LnsSolver {
         initial: Deployment,
         ctx: &SolveContext,
     ) -> SolveResult {
-        let n = instance.num_indexes();
-        let analysis = properties::analyze(instance, self.config.analysis);
-        let constraints: &OrderConstraints = &analysis.constraints;
-        let bound = LowerBound::new(instance);
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut clock = self.config.budget.start_cancellable(ctx.cancel_token());
+        let walk = Walk::start(ctx, &self.config.budget, self.config.stall_iterations);
+        self.search(instance, initial, walk)
+    }
 
-        // Canonicalizes every objective this member publishes and scores the
-        // greedy-repair insertions below.
-        let mut delta = DeltaEvaluator::new(instance, initial.clone());
-        let mut current = initial;
-        let mut current_area = delta.base_area();
-        let mut trajectory = Trajectory::new();
-        trajectory.record(clock.elapsed_seconds(), current_area);
-        ctx.publish(current_area);
-
-        let relax_count =
-            ((n as f64 * self.config.relax_fraction).ceil() as usize).clamp(2.min(n), n);
-
-        let stall = self
-            .config
-            .stall_iterations
-            .unwrap_or_else(|| crate::local::derived_stall_iterations(&self.config.budget));
-        let mut coop = Cooperator::new(ctx, stall);
-        let mut iterations = 0u64;
-        while !clock.exhausted() && n >= 2 {
-            iterations += 1;
-            clock.count_node();
-
-            // Cooperative warm-start: when stalled, jump to the portfolio's
-            // best deployment instead of grinding on our own local optimum.
-            if let Some(snapshot) = coop.stalled_adoption(ctx, current_area, constraints) {
-                current = Deployment::new(snapshot.order);
-                delta.set_base(current.clone());
-                // Re-derive canonically: the publisher may have computed the
-                // objective with different (naive) arithmetic.
-                current_area = delta.base_area();
-                trajectory.record(clock.elapsed_seconds(), current_area);
-            }
-
-            // Destroy set: prefer a stolen hint (a relaxation that recently
-            // paid off in another member), else draw uniformly at random.
-            let stolen = if coop.policy().steals() {
-                ctx.hints()
-                    .steal()
-                    .map(|hint| sanitize_hint(hint, n))
-                    .filter(|hint| hint.len() >= 2)
-            } else {
-                None
-            };
-            let relaxed: Vec<IndexId> = match stolen {
-                Some(hint) => {
-                    coop.stats.hints_stolen += 1;
-                    idd_telemetry::mark("hint-steal", format!("size={}", hint.len()));
-                    hint
-                }
-                None => {
-                    let mut ids: Vec<usize> = (0..n).collect();
-                    ids.shuffle(&mut rng);
-                    ids[..relax_count]
-                        .iter()
-                        .map(|&r| IndexId::new(r))
-                        .collect()
-                }
-            };
-            let fixed: Vec<IndexId> = current
-                .order()
-                .iter()
-                .copied()
-                .filter(|i| !relaxed.contains(i))
-                .collect();
-
-            let result = reinsert(
-                instance,
-                constraints,
-                &bound,
-                &fixed,
-                &relaxed,
-                current_area,
-                self.config.failure_limit,
-            );
-            if let Some(order) = result.order {
-                let area_before = current_area;
-                current = Deployment::new(order);
-                delta.set_base(current.clone());
-                // The reinsertion search's running sum is naive; publish the
-                // canonical evaluation instead.
-                current_area = delta.base_area();
-                debug_assert!(
-                    (result.area - current_area).abs() <= 1e-6 * current_area.abs().max(1.0),
-                    "naive reinsertion sum drifted from the canonical area"
-                );
-                trajectory.record(clock.elapsed_seconds(), current_area);
-                ctx.publish_deployment(current_area, current.order());
-                if coop.policy().steals() {
-                    // This destroy set just paid off — share it, valued at
-                    // what it paid.
-                    idd_telemetry::mark(
-                        "hint-publish",
-                        format!(
-                            "size={} gain={:.4}",
-                            relaxed.len(),
-                            area_before - current_area
-                        ),
-                    );
-                    ctx.hints().push_scored(relaxed, area_before - current_area);
-                    coop.stats.hints_published += 1;
-                }
-                coop.note_improvement();
-            } else if self.config.delta_repair && !result.proved && !clock.exhausted() {
-                // The CP search hit its failure limit before exhausting the
-                // neighbourhood. Salvage the destroy set with a greedy
-                // repair: relocate each destroyed index to its best
-                // position, every candidate scored on the delta path.
-                delta.set_base(current.clone());
-                let mut area = current_area;
-                for &r in &relaxed {
-                    let from = delta
-                        .base()
-                        .order()
-                        .iter()
-                        .position(|&i| i == r)
-                        .expect("destroy set is drawn from the current order");
-                    let mut best: Option<(usize, f64)> = None;
-                    for to in 0..n {
-                        if to == from
-                            || !shift_is_feasible(constraints, delta.base().order(), from, to)
-                        {
-                            continue;
-                        }
-                        let candidate = delta.evaluate_shift(from, to);
-                        if candidate < area - 1e-12
-                            && best.map(|(_, v)| candidate < v).unwrap_or(true)
-                        {
-                            best = Some((to, candidate));
-                        }
-                    }
-                    if let Some((to, v)) = best {
-                        delta.commit_shift(from, to);
-                        area = v;
-                    }
-                }
-                if area < current_area - 1e-12 {
-                    let gain = current_area - area;
-                    current = delta.base().clone();
-                    current_area = area;
-                    trajectory.record(clock.elapsed_seconds(), current_area);
-                    ctx.publish_deployment(current_area, current.order());
-                    if coop.policy().steals() {
-                        idd_telemetry::mark(
-                            "hint-publish",
-                            format!("size={} gain={gain:.4}", relaxed.len()),
-                        );
-                        ctx.hints().push_scored(relaxed, gain);
-                        coop.stats.hints_published += 1;
-                    }
-                    coop.note_improvement();
-                } else {
-                    coop.note_no_improvement();
-                }
-            } else {
-                coop.note_no_improvement();
-            }
-        }
-
-        coop.emit_counters(iterations);
-        SolveResult {
-            solver: "lns".into(),
-            deployment: Some(current),
-            objective: current_area,
-            outcome: SolveOutcome::Feasible,
-            elapsed_seconds: clock.elapsed_seconds(),
-            nodes: iterations,
-            trajectory,
-            coop: coop.stats,
-        }
+    /// The VNS loop with a schedule that never fires and no polish, plus
+    /// hint stealing and (per the config) delta repair.
+    fn search(
+        &self,
+        instance: &ProblemInstance,
+        initial: Deployment,
+        walk: Walk<'_>,
+    ) -> SolveResult {
+        let c = &self.config;
+        let never_adapts = VnsSolver::with_config(VnsConfig {
+            initial_relax_fraction: c.relax_fraction,
+            initial_failure_limit: c.failure_limit,
+            group_size: usize::MAX,
+            seed: c.seed,
+            analysis: c.analysis,
+            shift_descent: false,
+            ..VnsConfig::default()
+        });
+        never_adapts.search("lns", instance, initial, walk, true, c.delta_repair)
     }
 }
 
@@ -290,24 +139,22 @@ impl Solver for LnsSolver {
     }
 
     /// Starts from the interaction-guided greedy order and improves it under
-    /// `budget`.
+    /// `budget`; the clock starts before the greedy runs.
     fn run(
         &self,
         instance: &ProblemInstance,
         budget: SearchBudget,
         ctx: &SolveContext,
     ) -> SolveResult {
-        let initial = GreedySolver::new().construct(instance);
-        let mut config = self.config.clone();
-        config.budget = budget;
-        LnsSolver::with_config(config).solve_in(instance, initial, ctx)
+        let walk = Walk::start(ctx, &budget, self.config.stall_iterations);
+        self.search(instance, GreedySolver::new().construct(instance), walk)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idd_core::ObjectiveEvaluator;
+    use idd_core::{IndexId, ObjectiveEvaluator};
 
     fn instance() -> ProblemInstance {
         let mut b = ProblemInstance::builder("lns");

@@ -1,11 +1,20 @@
 //! Local search methods (Section 7): Tabu search, LNS and VNS.
 //!
 //! All three start from an initial solution (normally the greedy order of
-//! Algorithm 1) and improve it within a wall-clock budget, recording the
-//! incumbent trajectory used by Figures 11–13. LNS and VNS share the
-//! CP-powered *reinsertion search* in this module: a subset of indexes is
-//! removed from the current order and optimally re-inserted by a small
-//! branch-and-prune search with a failure (backtrack) limit.
+//! Algorithm 1) and improve it within a budget, recording the incumbent
+//! trajectory used by Figures 11–13. VNS is the LNS loop with a self-tuning
+//! schedule: both run one large-neighbourhood loop
+//! ([`VnsSolver`] with its schedule and shift-descent polish; [`LnsSolver`]
+//! with a schedule that never fires, plus hint stealing and delta repair),
+//! built on the CP-powered *reinsertion search* in this module: a subset of
+//! indexes is removed from the current order and optimally re-inserted by a
+//! small branch-and-prune search with a failure (backtrack) limit.
+//!
+//! All three share one `Walk`: the budget clock, the trajectory, incumbent
+//! publication and the cooperative warm-start machinery. The clock starts
+//! on entry, so a member's `elapsed_seconds` includes its seeding (the
+//! greedy order built by [`Solver::run`](crate::solver::Solver::run)) and
+//! its per-instance set-up.
 
 pub mod lns;
 pub mod tabu;
@@ -15,13 +24,15 @@ pub use lns::{LnsConfig, LnsSolver};
 pub use tabu::{SwapStrategy, TabuConfig, TabuSolver};
 pub use vns::{VnsConfig, VnsSolver};
 
-use crate::budget::SearchBudget;
+use crate::anytime::Trajectory;
+use crate::budget::{BudgetClock, SearchBudget};
 use crate::constraints::OrderConstraints;
 use crate::exact::bounds::LowerBound;
 use crate::exact::state::SearchState;
-use crate::result::CoopStats;
-use crate::solver::{CooperationPolicy, IncumbentSnapshot, SolveContext};
-use idd_core::{IndexId, ProblemInstance};
+use crate::result::{CoopStats, SolveOutcome, SolveResult};
+use crate::solver::SolveContext;
+use idd_core::{DeltaEvaluator, Deployment, IndexId, ProblemInstance};
+use std::ops::RangeInclusive;
 
 /// Derives a stall threshold (iterations without improvement before a
 /// member re-seeds from the shared best) as a *slice of the budget*, so the
@@ -47,123 +58,225 @@ pub fn derived_stall_iterations(budget: &SearchBudget) -> u64 {
     }
 }
 
-/// Shared stall-detection / warm-start machinery for the three local
-/// searches (tabu, LNS, VNS).
+/// The bookkeeping every local search shares: the budget clock (started on
+/// solver entry, so seeding and set-up count against the budget), the
+/// incumbent trajectory, publication to the [`SolveContext`], and the
+/// stall-detection / warm-start machinery of a cooperative portfolio.
 ///
-/// Tracks iterations since the member's own last improvement; once that
-/// exceeds the configured stall threshold the member is *stalled* and (under
-/// a warm-start policy) re-seeds from the portfolio's shared best deployment
-/// instead of grinding on its own local optimum. Every decision is gated on
-/// the context's [`CooperationPolicy`], so under
-/// [`CooperationPolicy::Off`] this struct is inert and the search loops are
-/// bit-identical to their non-cooperative selves.
+/// Once the member goes the stall threshold without improving its own best
+/// it is *stalled* and (under a warm-start policy) re-seeds from the
+/// portfolio's shared best deployment instead of grinding on its own local
+/// optimum. Every cooperative decision is gated on the context's
+/// [`CooperationPolicy`](crate::solver::CooperationPolicy), so with
+/// cooperation off the search loops are bit-identical to their
+/// non-cooperative selves.
 #[derive(Debug)]
-pub(crate) struct Cooperator {
-    policy: CooperationPolicy,
+pub(crate) struct Walk<'c> {
+    ctx: &'c SolveContext,
+    /// Counts one node per iteration.
+    pub clock: BudgetClock,
+    trajectory: Trajectory,
+    best: f64,
     stall_iterations: u64,
     since_improvement: u64,
     last_seen_epoch: u64,
-    /// Counters reported through [`SolveResult::coop`](crate::result::SolveResult).
-    pub stats: CoopStats,
+    stats: CoopStats,
 }
 
-impl Cooperator {
-    pub fn new(ctx: &SolveContext, stall_iterations: u64) -> Self {
+impl<'c> Walk<'c> {
+    /// Starts the clock. `stall_iterations` overrides the threshold derived
+    /// from `budget` ([`derived_stall_iterations`]).
+    pub fn start(
+        ctx: &'c SolveContext,
+        budget: &SearchBudget,
+        stall_iterations: Option<u64>,
+    ) -> Self {
+        let stall = stall_iterations.unwrap_or_else(|| derived_stall_iterations(budget));
         Self {
-            policy: ctx.cooperation(),
+            ctx,
+            clock: budget.start_cancellable(ctx.cancel_token()),
+            trajectory: Trajectory::new(),
+            best: f64::INFINITY,
             // A threshold of 0 would re-seed on every iteration; clamp to 1.
-            stall_iterations: stall_iterations.max(1),
+            stall_iterations: stall.max(1),
             since_improvement: 0,
             last_seen_epoch: 0,
             stats: CoopStats::default(),
         }
     }
 
-    /// The policy this member runs under.
-    pub fn policy(&self) -> CooperationPolicy {
-        self.policy
+    /// Records and publishes the objective of the order the walk starts at.
+    pub fn begin(&mut self, area: f64) {
+        self.set_best(area);
+        self.ctx.publish(area);
     }
 
-    /// The member improved its own incumbent: reset the stall counter.
-    pub fn note_improvement(&mut self) {
-        self.since_improvement = 0;
+    /// Objective of the member's own best order.
+    pub fn best(&self) -> f64 {
+        self.best
     }
 
-    /// The member finished an iteration without improving.
-    pub fn note_no_improvement(&mut self) {
-        self.since_improvement += 1;
+    fn set_best(&mut self, area: f64) {
+        self.best = area;
+        self.trajectory.record(self.clock.elapsed_seconds(), area);
     }
 
-    /// Called at the top of each search iteration. Returns a snapshot of the
-    /// shared best deployment when the member (a) is allowed to warm-start,
-    /// (b) has stalled, and (c) a *strictly better* foreign deployment that
-    /// satisfies the member's own constraint closure has been published
-    /// since it last looked. The caller must re-seed from the returned
-    /// order.
+    /// Counts the next iteration, or returns `false` once the budget is
+    /// spent (or the order has nothing to rearrange).
+    pub fn next_iteration(&mut self, n: usize) -> bool {
+        if self.clock.exhausted() || n < 2 {
+            return false;
+        }
+        self.clock.count_node();
+        true
+    }
+
+    /// Cooperative warm start, called at the top of each iteration. When
+    /// the member (a) may warm-start, (b) has stalled, and (c) a *strictly
+    /// better* foreign deployment that satisfies its own constraint closure
+    /// was published since it last looked, re-anchors `delta` at that
+    /// deployment and returns `true`.
     ///
     /// Every stall event counts as a restart; only successful adoptions
     /// count as adoptions (so `adoptions <= restarts` always holds).
-    pub fn stalled_adoption(
+    pub fn adopt(
         &mut self,
-        ctx: &SolveContext,
-        current_area: f64,
+        delta: &mut DeltaEvaluator<'_>,
         constraints: &OrderConstraints,
-    ) -> Option<IncumbentSnapshot> {
-        if !self.policy.warm_starts() || self.since_improvement < self.stall_iterations {
-            return None;
+    ) -> bool {
+        if !self.ctx.cooperation().warm_starts() || self.since_improvement < self.stall_iterations {
+            return false;
         }
         self.since_improvement = 0;
         self.stats.restarts += 1;
         idd_telemetry::mark("restart", format!("stall={}", self.stall_iterations));
         // Lock-free pre-check: nothing new published since the last look
         // (the member's own publications bump the epoch too, but they can
-        // never be strictly better than its current incumbent).
-        let epoch = ctx.incumbent().epoch();
+        // never be strictly better than its own best).
+        let epoch = self.ctx.incumbent().epoch();
         if epoch == self.last_seen_epoch {
-            return None;
+            return false;
         }
         self.last_seen_epoch = epoch;
-        let snapshot = ctx.incumbent().best_deployment()?;
+        let Some(snapshot) = self.ctx.incumbent().best_deployment() else {
+            return false;
+        };
         // Only adopt orders the member's own neighbourhood machinery can
         // work with: the closure may be stronger than the instance's hard
         // precedences when property analysis is enabled.
-        if snapshot.objective < current_area - 1e-12 && constraints.is_satisfied_by(&snapshot.order)
-        {
-            self.stats.adoptions += 1;
-            idd_telemetry::mark_epoch(
-                "adoption",
-                format!("objective={:.4}", snapshot.objective),
-                epoch,
-            );
-            Some(snapshot)
-        } else {
-            None
+        let adoptable =
+            snapshot.objective < self.best - 1e-12 && constraints.is_satisfied_by(&snapshot.order);
+        if !adoptable {
+            return false;
         }
+        self.stats.adoptions += 1;
+        idd_telemetry::mark_epoch(
+            "adoption",
+            format!("objective={:.4}", snapshot.objective),
+            epoch,
+        );
+        delta.set_base(Deployment::new(snapshot.order));
+        // Re-derive canonically: the publisher may have computed the
+        // objective with different (naive) arithmetic.
+        self.set_best(delta.base_area());
+        true
     }
 
-    /// Emits this member's end-of-run totals — the iteration count plus
-    /// every [`CoopStats`] counter — onto the calling thread's telemetry
-    /// track. Called once, right before the search builds its
-    /// [`SolveResult`](crate::result::SolveResult); a no-op without an
-    /// installed recorder.
-    pub fn emit_counters(&self, iterations: u64) {
+    /// Under a stealing policy, takes a destroy-neighbourhood hint from the
+    /// shared deque — a relaxation that recently paid off in another member.
+    /// Hints always come from the same instance inside one portfolio run,
+    /// but the deque is a public surface: a hint is filtered down to
+    /// distinct, in-range ids and discarded if fewer than two remain.
+    pub fn steal(&mut self, n: usize) -> Option<Vec<IndexId>> {
+        if !self.ctx.cooperation().steals() {
+            return None;
+        }
+        let stolen = self.ctx.hints().steal()?;
+        let mut seen = vec![false; n];
+        let hint: Vec<IndexId> = stolen
+            .into_iter()
+            .filter(|i| i.raw() < n && !std::mem::replace(&mut seen[i.raw()], true))
+            .collect();
+        if hint.len() < 2 {
+            return None;
+        }
+        self.stats.hints_stolen += 1;
+        idd_telemetry::mark("hint-steal", format!("size={}", hint.len()));
+        Some(hint)
+    }
+
+    /// The walk reached a new best `order` of objective `area`: records and
+    /// publishes it and, under a stealing policy, shares `hint` — the index
+    /// set whose move paid off — valued at the improvement it bought.
+    pub fn improved(&mut self, area: f64, order: &[IndexId], hint: Vec<IndexId>) {
+        let gain = self.best - area;
+        self.set_best(area);
+        self.ctx.publish_deployment(area, order);
+        if self.ctx.cooperation().steals() {
+            idd_telemetry::mark(
+                "hint-publish",
+                format!("size={} gain={gain:.4}", hint.len()),
+            );
+            self.ctx.hints().push_scored(hint, gain);
+            self.stats.hints_published += 1;
+        }
+        self.since_improvement = 0;
+    }
+
+    /// The iteration ended without a new best.
+    pub fn no_improvement(&mut self) {
+        self.since_improvement += 1;
+    }
+
+    /// Ends the walk at `deployment` (the member's best order): emits the
+    /// iteration count and every [`CoopStats`] counter onto the calling
+    /// thread's telemetry track (a no-op without an installed recorder) and
+    /// builds the result.
+    pub fn finish(self, solver: &str, deployment: Deployment) -> SolveResult {
+        let iterations = self.clock.nodes();
         idd_telemetry::counter("iterations", iterations);
         idd_telemetry::counter("restarts", self.stats.restarts);
         idd_telemetry::counter("adoptions", self.stats.adoptions);
         idd_telemetry::counter("hints_stolen", self.stats.hints_stolen);
         idd_telemetry::counter("hints_published", self.stats.hints_published);
+        SolveResult {
+            solver: solver.into(),
+            deployment: Some(deployment),
+            objective: self.best,
+            outcome: SolveOutcome::Feasible,
+            elapsed_seconds: self.clock.elapsed_seconds(),
+            nodes: iterations,
+            trajectory: self.trajectory,
+            coop: self.stats,
+        }
     }
 }
 
-/// Filters a stolen destroy-neighbourhood hint down to distinct, in-range
-/// index ids. Hints always originate from the same instance inside one
-/// portfolio run, but the deque is a public surface — never trust a hint to
-/// index into per-instance arrays unchecked.
-pub(crate) fn sanitize_hint(hint: Vec<IndexId>, n: usize) -> Vec<IndexId> {
-    let mut seen = vec![false; n];
-    hint.into_iter()
-        .filter(|i| i.raw() < n && !std::mem::replace(&mut seen[i.raw()], true))
-        .collect()
+/// Relocates the index at `from` to the best feasible position in `window`
+/// (scored on the delta path, `O(|from - to|)` per probe) when that strictly
+/// improves the evaluator's base order. Returns whether it moved. The VNS
+/// polish and the LNS repair are both sweeps of this move.
+pub(crate) fn relocate_best(
+    delta: &mut DeltaEvaluator<'_>,
+    constraints: &OrderConstraints,
+    from: usize,
+    window: RangeInclusive<usize>,
+) -> bool {
+    let threshold = delta.base_area() - 1e-12;
+    let mut best: Option<(usize, f64)> = None;
+    for to in window {
+        if to == from || !shift_is_feasible(constraints, delta.base().order(), from, to) {
+            continue;
+        }
+        let area = delta.evaluate_shift(from, to);
+        if area < threshold && best.is_none_or(|(_, v)| area < v) {
+            best = Some((to, area));
+        }
+    }
+    if let Some((to, _)) = best {
+        delta.commit_shift(from, to);
+    }
+    best.is_some()
 }
 
 /// Result of one reinsertion search.

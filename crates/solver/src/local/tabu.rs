@@ -19,12 +19,11 @@
 //! which refers to the abandoned walk) and publishes the index pairs of
 //! improving swaps as destroy-neighbourhood hints for LNS workers.
 
-use crate::anytime::Trajectory;
 use crate::budget::SearchBudget;
 use crate::constraints::OrderConstraints;
 use crate::greedy::GreedySolver;
-use crate::local::{swap_is_feasible, Cooperator};
-use crate::result::{SolveOutcome, SolveResult};
+use crate::local::{swap_is_feasible, Walk};
+use crate::result::SolveResult;
 use crate::solver::{SolveContext, Solver};
 use idd_core::{DeltaEvaluator, Deployment, ProblemInstance};
 use rand::prelude::*;
@@ -106,52 +105,42 @@ impl TabuSolver {
         initial: Deployment,
         ctx: &SolveContext,
     ) -> SolveResult {
+        let walk = Walk::start(ctx, &self.config.budget, self.config.stall_iterations);
+        self.search(instance, initial, walk)
+    }
+
+    fn search(
+        &self,
+        instance: &ProblemInstance,
+        initial: Deployment,
+        mut walk: Walk<'_>,
+    ) -> SolveResult {
         let n = instance.num_indexes();
         let constraints = OrderConstraints::from_instance(instance);
-        let mut clock = self.config.budget.start_cancellable(ctx.cancel_token());
         let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
 
         // Best-swap scans run on the delta evaluator: an adjacent pair is
         // O(1), but a general pair walks its span, O(hi - lo). One full scan
         // therefore touches Σ(hi - lo) = (n³ - n)/6 = O(n³) positions — the
         // same order as O(n²) from-scratch evaluations of O(n) each; the
-        // delta path only wins on the constant factor.
-        let mut evaluator = DeltaEvaluator::new(instance, initial.clone());
-        let mut best_order = initial;
-        let mut best_area = evaluator.base_area();
-        let mut trajectory = Trajectory::new();
-        trajectory.record(clock.elapsed_seconds(), best_area);
-        ctx.publish(best_area);
+        // delta path only wins on the constant factor. The evaluator's base
+        // is the walk's current position; `best_order` its best.
+        let mut evaluator = DeltaEvaluator::new(instance, initial);
+        let mut best_order = evaluator.base().clone();
+        walk.begin(evaluator.base_area());
 
         // tabu_until[i] = first iteration at which index i may move again.
         let mut tabu_until = vec![0usize; n];
-        let mut iteration = 0usize;
 
-        let name = match self.config.strategy {
-            SwapStrategy::Best => "ts-bswap",
-            SwapStrategy::First => "ts-fswap",
-        };
-
-        let stall = self
-            .config
-            .stall_iterations
-            .unwrap_or_else(|| crate::local::derived_stall_iterations(&self.config.budget));
-        let mut coop = Cooperator::new(ctx, stall);
-        while !clock.exhausted() && n >= 2 {
-            iteration += 1;
-            clock.count_node();
+        while walk.next_iteration(n) {
+            let iteration = walk.clock.nodes() as usize;
 
             // Cooperative warm-start: when stalled, restart the walk from
             // the portfolio's best deployment. The tabu list describes the
             // abandoned walk, so it is cleared alongside.
-            if let Some(snapshot) = coop.stalled_adoption(ctx, best_area, &constraints) {
-                best_order = Deployment::new(snapshot.order);
-                evaluator.set_base(best_order.clone());
-                // Re-derive canonically: the publisher may have computed the
-                // objective with different (naive) arithmetic.
-                best_area = evaluator.base_area();
-                tabu_until.iter_mut().for_each(|t| *t = 0);
-                trajectory.record(clock.elapsed_seconds(), best_area);
+            if walk.adopt(&mut evaluator, &constraints) {
+                best_order = evaluator.base().clone();
+                tabu_until.fill(0);
             }
 
             let current_area = evaluator.base_area();
@@ -169,7 +158,7 @@ impl TabuSolver {
 
             let mut chosen: Option<(usize, usize, f64)> = None;
             for &(a, b) in &pairs {
-                if clock.exhausted() {
+                if walk.clock.exhausted() {
                     break;
                 }
                 let order = evaluator.base().order();
@@ -181,7 +170,7 @@ impl TabuSolver {
                 let area = evaluator.evaluate_swap(a, b);
                 let is_tabu = tabu_until[ia.raw()] > iteration || tabu_until[ib.raw()] > iteration;
                 // Aspiration: a tabu move is allowed if it beats the best.
-                if is_tabu && area >= best_area - 1e-12 {
+                if is_tabu && area >= walk.best() - 1e-12 {
                     continue;
                 }
                 let better_than_chosen = chosen.map(|(_, _, v)| area < v).unwrap_or(true);
@@ -194,9 +183,8 @@ impl TabuSolver {
                 }
             }
 
-            let (a, b, area) = match chosen {
-                Some(c) => c,
-                None => break, // every move tabu and none aspirates: stuck
+            let Some((a, b, area)) = chosen else {
+                break; // every move tabu and none aspirates: stuck
             };
             let ia = evaluator.base().order()[a];
             let ib = evaluator.base().order()[b];
@@ -204,36 +192,16 @@ impl TabuSolver {
             tabu_until[ia.raw()] = iteration + self.config.tabu_length;
             tabu_until[ib.raw()] = iteration + self.config.tabu_length;
 
-            if area < best_area - 1e-12 {
-                let gain = best_area - area;
-                best_area = area;
+            if area < walk.best() - 1e-12 {
                 best_order = evaluator.base().clone();
-                trajectory.record(clock.elapsed_seconds(), best_area);
-                ctx.publish_deployment(best_area, best_order.order());
-                if coop.policy().steals() {
-                    // The improving pair is a natural 2-index destroy set,
-                    // valued at the improvement it just bought.
-                    idd_telemetry::mark("hint-publish", format!("size=2 gain={gain:.4}"));
-                    ctx.hints().push_scored(vec![ia, ib], gain);
-                    coop.stats.hints_published += 1;
-                }
-                coop.note_improvement();
+                // The improving pair is a natural 2-index destroy set.
+                walk.improved(area, best_order.order(), vec![ia, ib]);
             } else {
-                coop.note_no_improvement();
+                walk.no_improvement();
             }
         }
 
-        coop.emit_counters(iteration as u64);
-        SolveResult {
-            solver: name.to_string(),
-            deployment: Some(best_order),
-            objective: best_area,
-            outcome: SolveOutcome::Feasible,
-            elapsed_seconds: clock.elapsed_seconds(),
-            nodes: iteration as u64,
-            trajectory,
-            coop: coop.stats,
-        }
+        walk.finish(self.name(), best_order)
     }
 }
 
@@ -246,17 +214,16 @@ impl Solver for TabuSolver {
     }
 
     /// Starts from the interaction-guided greedy order (the paper's setup
-    /// for every local search) and improves it under `budget`.
+    /// for every local search) and improves it under `budget`; the clock
+    /// starts before the greedy runs.
     fn run(
         &self,
         instance: &ProblemInstance,
         budget: SearchBudget,
         ctx: &SolveContext,
     ) -> SolveResult {
-        let initial = GreedySolver::new().construct(instance);
-        let mut config = self.config.clone();
-        config.budget = budget;
-        TabuSolver::with_config(config).solve_in(instance, initial, ctx)
+        let walk = Walk::start(ctx, &budget, self.config.stall_iterations);
+        self.search(instance, GreedySolver::new().construct(instance), walk)
     }
 }
 

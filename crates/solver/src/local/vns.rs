@@ -1,14 +1,22 @@
 //! Variable Neighborhood Search (Section 7.3).
 //!
-//! VNS is LNS with self-tuning parameters. Relaxations are processed in
-//! groups of 20; if more than 75% of a group's reinsertion searches ended
-//! with a *proof* (the CP search exhausted the neighbourhood without finding
-//! a better solution — i.e. we are stuck in a local minimum of that
-//! neighbourhood size), the relaxation size grows by 1% of the indexes;
-//! otherwise the failure limit grows by 20% so the same-size neighbourhood is
-//! explored more thoroughly. The paper finds this adaptive rule both faster
-//! to improve and more stable than fixed-parameter LNS, and it is the method
-//! recommended for large instances (Figures 11–13).
+//! VNS is the LNS loop with a self-tuning schedule, and this module holds
+//! that one large-neighbourhood loop for both solvers. Relaxations are
+//! processed in groups of 20; if more than 75% of a group's reinsertion
+//! searches ended with a *proof* (the CP search exhausted the neighbourhood
+//! without finding a better solution — i.e. we are stuck in a local minimum
+//! of that neighbourhood size), the relaxation size grows by 1% of the
+//! indexes; otherwise the failure limit grows by 20% so the same-size
+//! neighbourhood is explored more thoroughly. Each accepted reinsertion is
+//! polished by a bounded-radius shift descent. The paper finds this
+//! adaptive rule both faster to improve and more stable than
+//! fixed-parameter LNS, and it is the method recommended for large
+//! instances (Figures 11–13). [`LnsSolver`](crate::local::LnsSolver) runs
+//! the same loop with a schedule that never fires, no polish, and its own
+//! hint stealing and delta repair.
+//!
+//! The clock starts on entry, so a run's `elapsed_seconds` includes the
+//! property analysis and, under [`Solver::run`], the greedy seed.
 //!
 //! Inside a cooperative portfolio
 //! ([`CooperationPolicy`](crate::solver::CooperationPolicy)) the VNS member
@@ -16,14 +24,12 @@
 //! relaxation sets that produced improvements as destroy-neighbourhood hints
 //! for LNS workers to steal.
 
-use crate::anytime::Trajectory;
 use crate::budget::SearchBudget;
-use crate::constraints::OrderConstraints;
 use crate::exact::bounds::LowerBound;
 use crate::greedy::GreedySolver;
-use crate::local::{reinsert, shift_is_feasible, Cooperator};
+use crate::local::{reinsert, relocate_best, Walk};
 use crate::properties::{self, AnalysisOptions};
-use crate::result::{SolveOutcome, SolveResult};
+use crate::result::SolveResult;
 use crate::solver::{SolveContext, Solver};
 use idd_core::{DeltaEvaluator, Deployment, IndexId, ProblemInstance};
 use rand::prelude::*;
@@ -121,56 +127,62 @@ impl VnsSolver {
         initial: Deployment,
         ctx: &SolveContext,
     ) -> SolveResult {
-        let n = instance.num_indexes();
-        let analysis = properties::analyze(instance, self.config.analysis);
-        let constraints: &OrderConstraints = &analysis.constraints;
-        let bound = LowerBound::new(instance);
-        let mut rng = ChaCha8Rng::seed_from_u64(self.config.seed);
-        let mut clock = self.config.budget.start_cancellable(ctx.cancel_token());
+        let walk = Walk::start(ctx, &self.config.budget, self.config.stall_iterations);
+        self.search("vns", instance, initial, walk, false, false)
+    }
 
-        // The delta evaluator both canonicalizes every objective this member
-        // publishes and powers the shift-descent polish below.
-        let mut delta = DeltaEvaluator::new(instance, initial.clone());
-        let mut current = initial;
-        let mut current_area = delta.base_area();
-        let mut trajectory = Trajectory::new();
-        trajectory.record(clock.elapsed_seconds(), current_area);
-        ctx.publish(current_area);
+    /// The large-neighbourhood loop of LNS and VNS, run under `walk` (which
+    /// carries the budget and stall threshold; the config's own are not
+    /// read). `steal_hints` draws destroy sets from the shared hint deque
+    /// before falling back to a random draw; `delta_repair` salvages a
+    /// reinsertion that hit its failure limit. VNS sets neither, LNS both
+    /// (the repair per its config).
+    pub(crate) fn search(
+        &self,
+        name: &str,
+        instance: &ProblemInstance,
+        initial: Deployment,
+        mut walk: Walk<'_>,
+        steal_hints: bool,
+        delta_repair: bool,
+    ) -> SolveResult {
+        let config = &self.config;
+        let n = instance.num_indexes();
+        let analysis = properties::analyze(instance, config.analysis);
+        let constraints = &analysis.constraints;
+        let bound = LowerBound::new(instance);
+        let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
+
+        // The evaluator's base is the current order. It canonicalizes every
+        // objective this member publishes and scores the relocations of the
+        // polish and the repair below.
+        let mut delta = DeltaEvaluator::new(instance, initial);
+        walk.begin(delta.base_area());
 
         let mut relax_count =
-            ((n as f64 * self.config.initial_relax_fraction).ceil() as usize).clamp(2.min(n), n);
-        let mut failure_limit = self.config.initial_failure_limit;
+            ((n as f64 * config.initial_relax_fraction).ceil() as usize).clamp(2.min(n), n);
+        let mut failure_limit = config.initial_failure_limit;
         let mut proofs_in_group = 0usize;
         let mut group_progress = 0usize;
 
-        let stall = self
-            .config
-            .stall_iterations
-            .unwrap_or_else(|| crate::local::derived_stall_iterations(&self.config.budget));
-        let mut coop = Cooperator::new(ctx, stall);
-        let mut iterations = 0u64;
-        while !clock.exhausted() && n >= 2 {
-            iterations += 1;
-            clock.count_node();
-
+        while walk.next_iteration(n) {
             // Cooperative warm-start: when stalled, jump to the portfolio's
             // best deployment instead of grinding on our own local optimum.
-            if let Some(snapshot) = coop.stalled_adoption(ctx, current_area, constraints) {
-                current = Deployment::new(snapshot.order);
-                delta.set_base(current.clone());
-                // Re-derive canonically: the publisher may have computed the
-                // objective with different (naive) arithmetic.
-                current_area = delta.base_area();
-                trajectory.record(clock.elapsed_seconds(), current_area);
-            }
+            walk.adopt(&mut delta, constraints);
 
-            let mut ids: Vec<usize> = (0..n).collect();
-            ids.shuffle(&mut rng);
-            let relaxed: Vec<IndexId> = ids[..relax_count.min(n)]
-                .iter()
-                .map(|&r| IndexId::new(r))
-                .collect();
-            let fixed: Vec<IndexId> = current
+            // Destroy set: prefer a stolen hint, else draw uniformly at
+            // random.
+            let stolen = if steal_hints { walk.steal(n) } else { None };
+            let relaxed: Vec<IndexId> = stolen.unwrap_or_else(|| {
+                let mut ids: Vec<usize> = (0..n).collect();
+                ids.shuffle(&mut rng);
+                ids[..relax_count]
+                    .iter()
+                    .map(|&r| IndexId::new(r))
+                    .collect()
+            });
+            let fixed: Vec<IndexId> = delta
+                .base()
                 .order()
                 .iter()
                 .copied()
@@ -183,116 +195,76 @@ impl VnsSolver {
                 &bound,
                 &fixed,
                 &relaxed,
-                current_area,
+                walk.best(),
                 failure_limit,
             );
-            if let Some(order) = result.order {
-                let area_before = current_area;
-                current = Deployment::new(order);
-                delta.set_base(current.clone());
+            let improved = if let Some(order) = result.order {
                 // The reinsertion search's running sum is naive; publish the
                 // canonical evaluation instead.
-                current_area = delta.base_area();
+                delta.set_base(Deployment::new(order));
                 debug_assert!(
-                    (result.area - current_area).abs() <= 1e-6 * current_area.abs().max(1.0),
+                    (result.area - delta.base_area()).abs()
+                        <= 1e-6 * delta.base_area().abs().max(1.0),
                     "naive reinsertion sum drifted from the canonical area"
                 );
-
-                // Polish: bounded-radius shift descent on the delta path.
-                // Each probe is O(|from - to|); each commit re-anchors the
-                // evaluator at the improved order.
-                if self.config.shift_descent && self.config.shift_radius > 0 {
-                    let radius = self.config.shift_radius;
-                    let mut improved = true;
-                    while improved && !clock.exhausted() {
-                        improved = false;
-                        for from in 0..n {
-                            let lo = from.saturating_sub(radius);
-                            let hi = (from + radius).min(n - 1);
-                            let mut best: Option<(usize, f64)> = None;
-                            for to in lo..=hi {
-                                if to == from
-                                    || !shift_is_feasible(
-                                        constraints,
-                                        delta.base().order(),
-                                        from,
-                                        to,
-                                    )
-                                {
-                                    continue;
-                                }
-                                let area = delta.evaluate_shift(from, to);
-                                if area < current_area - 1e-12
-                                    && best.map(|(_, v)| area < v).unwrap_or(true)
-                                {
-                                    best = Some((to, area));
-                                }
-                            }
-                            if let Some((to, area)) = best {
-                                delta.commit_shift(from, to);
-                                current_area = area;
-                                improved = true;
-                            }
-                        }
+                // Polish: a bounded-radius shift descent. The reinsertion
+                // explores *subset* neighbourhoods; this cheap pass catches
+                // the orthogonal "one index sits a few slots off" moves.
+                let radius = config.shift_radius;
+                let mut moved = config.shift_descent && radius > 0;
+                while moved && !walk.clock.exhausted() {
+                    moved = false;
+                    for from in 0..n {
+                        let window = from.saturating_sub(radius)..=(from + radius).min(n - 1);
+                        moved |= relocate_best(&mut delta, constraints, from, window);
                     }
-                    current = delta.base().clone();
                 }
-
-                trajectory.record(clock.elapsed_seconds(), current_area);
-                ctx.publish_deployment(current_area, current.order());
-                if coop.policy().steals() {
-                    // Feed the deque: this relaxation just paid off, so an
-                    // LNS worker on another thread may profit from it too —
-                    // valued at the improvement it produced (polish
-                    // included).
-                    idd_telemetry::mark(
-                        "hint-publish",
-                        format!(
-                            "size={} gain={:.4}",
-                            relaxed.len(),
-                            area_before - current_area
-                        ),
-                    );
-                    ctx.hints().push_scored(relaxed, area_before - current_area);
-                    coop.stats.hints_published += 1;
+                true
+            } else if delta_repair && !result.proved && !walk.clock.exhausted() {
+                // The CP search hit its failure limit before exhausting the
+                // neighbourhood. Salvage the destroy set with a greedy
+                // repair: relocate each destroyed index to its best position.
+                for &r in &relaxed {
+                    let from = delta
+                        .base()
+                        .position_of(r)
+                        .expect("destroy set is drawn from the current order");
+                    relocate_best(&mut delta, constraints, from, 0..=n - 1);
                 }
-                coop.note_improvement();
+                delta.base_area() < walk.best() - 1e-12
             } else {
-                coop.note_no_improvement();
+                false
+            };
+            if improved {
+                // This destroy set just paid off: publish the order, and
+                // share the set for other members to steal.
+                walk.improved(delta.base_area(), delta.base().order(), relaxed);
+            } else {
+                walk.no_improvement();
             }
+
             if result.proved {
                 proofs_in_group += 1;
             }
             group_progress += 1;
 
             // Adapt parameters after each group of relaxations.
-            if group_progress >= self.config.group_size {
+            if group_progress >= config.group_size {
                 let proof_ratio = proofs_in_group as f64 / group_progress as f64;
-                if proof_ratio > self.config.proof_threshold {
+                if proof_ratio > config.proof_threshold {
                     // Stuck in small neighbourhoods: widen them.
-                    let inc = ((n as f64 * self.config.relax_increment).ceil() as usize).max(1);
+                    let inc = ((n as f64 * config.relax_increment).ceil() as usize).max(1);
                     relax_count = (relax_count + inc).min(n);
                 } else {
                     // Still hitting the failure limit: search deeper instead.
-                    failure_limit =
-                        ((failure_limit as f64) * self.config.failure_growth).ceil() as u64;
+                    failure_limit = ((failure_limit as f64) * config.failure_growth).ceil() as u64;
                 }
                 proofs_in_group = 0;
                 group_progress = 0;
             }
         }
 
-        coop.emit_counters(iterations);
-        SolveResult {
-            solver: "vns".into(),
-            deployment: Some(current),
-            objective: current_area,
-            outcome: SolveOutcome::Feasible,
-            elapsed_seconds: clock.elapsed_seconds(),
-            nodes: iterations,
-            trajectory,
-            coop: coop.stats,
-        }
+        walk.finish(name, delta.base().clone())
     }
 }
 
@@ -302,17 +274,16 @@ impl Solver for VnsSolver {
     }
 
     /// Starts from the interaction-guided greedy order and improves it under
-    /// `budget`.
+    /// `budget`; the clock starts before the greedy runs.
     fn run(
         &self,
         instance: &ProblemInstance,
         budget: SearchBudget,
         ctx: &SolveContext,
     ) -> SolveResult {
+        let walk = Walk::start(ctx, &budget, self.config.stall_iterations);
         let initial = GreedySolver::new().construct(instance);
-        let mut config = self.config.clone();
-        config.budget = budget;
-        VnsSolver::with_config(config).solve_in(instance, initial, ctx)
+        self.search("vns", instance, initial, walk, false, false)
     }
 }
 
