@@ -18,7 +18,8 @@
 //! stamp a transition derives (dispatch costs, attempt clocks, completion
 //! clocks, running realized cost) is cross-checked against the recorded
 //! one, so a truncated, reordered, or hand-edited journal surfaces as
-//! [`ReplayError::Diverged`] instead of a quietly different report.
+//! [`ReplayError::Diverged`] instead of a quietly different report, and a
+//! record carrying a non-finite number as [`ReplayError::InvalidRecord`].
 //!
 //! What replay does *not* need is exactly what makes the journal a faithful
 //! record: no scenario (events are embedded verbatim, failure specs ride on
@@ -28,7 +29,7 @@
 
 use crate::report::DeploymentReport;
 use crate::runtime::{DeployError, RunState};
-use idd_core::{Deployment, JournalRecord, ProblemInstance};
+use idd_core::{CoreError, Deployment, IndexId, JournalRecord, ProblemInstance};
 use std::rc::Rc;
 
 /// An ordered, append-only record of one deployment run.
@@ -110,6 +111,15 @@ pub enum ReplayError {
     /// nothing in flight, an occupied slot), or a replanned plan fails
     /// validation. The journal and the seed do not describe the same run.
     Diverged(String),
+    /// A record breaks the finite-value contract
+    /// ([`JournalRecord::check_finite`]): a run never writes a non-finite
+    /// number, so the journal was edited or corrupted.
+    InvalidRecord {
+        /// 1-based position of the record in the journal.
+        record: usize,
+        /// The contract violation.
+        error: CoreError,
+    },
     /// Re-applying a recorded event failed the same way it would have
     /// failed live (e.g. a revision referencing unknown structure).
     Run(DeployError),
@@ -122,6 +132,9 @@ impl std::fmt::Display for ReplayError {
                 write!(f, "malformed journal: line {line}: {message}")
             }
             ReplayError::Diverged(msg) => write!(f, "replay diverged from journal: {msg}"),
+            ReplayError::InvalidRecord { record, error } => {
+                write!(f, "invalid journal record {record}: {error}")
+            }
             ReplayError::Run(e) => write!(f, "replay failed: {e}"),
         }
     }
@@ -149,6 +162,28 @@ fn check_bits(what: &str, recorded: f64, derived: f64) -> Result<(), ReplayError
     Ok(())
 }
 
+/// Position in the in-flight list of the build of `index`, which a `what`
+/// record says occupies `slot`.
+fn in_flight_at(
+    state: &RunState,
+    what: &str,
+    index: IndexId,
+    slot: usize,
+) -> Result<usize, ReplayError> {
+    let in_flight = state.schedule.in_flight();
+    let at = in_flight
+        .iter()
+        .position(|f| f.index == index)
+        .ok_or_else(|| diverged(format!("{what} of {index} with no such build in flight")))?;
+    if in_flight[at].slot != slot {
+        return Err(diverged(format!(
+            "{what} of {index} in slot {slot} but the build occupies slot {}",
+            in_flight[at].slot
+        )));
+    }
+    Ok(at)
+}
+
 /// Reconstructs the [`DeploymentReport`] of the run that produced `journal`,
 /// given the run's seed: the original instance and the initial plan.
 ///
@@ -174,7 +209,13 @@ pub fn replay(
     let mut current = Rc::clone(&state.instance);
     let mut stepper = state.stepper(&current);
 
-    for record in journal.records() {
+    for (k, record) in journal.records().iter().enumerate() {
+        record
+            .check_finite()
+            .map_err(|error| ReplayError::InvalidRecord {
+                record: k + 1,
+                error,
+            })?;
         match record {
             JournalRecord::EventLanded(r) => {
                 let landed = state.land_event(r.event.clone())?;
@@ -196,23 +237,20 @@ pub fn replay(
             }
 
             JournalRecord::Dispatch(d) => {
-                if state.pending.get(d.plan_offset) != Some(&d.index) {
-                    return Err(diverged(format!(
-                        "dispatch of {} at plan offset {} does not match the pending suffix",
-                        d.index, d.plan_offset
-                    )));
-                }
-                if !state.eligible(d.index) {
-                    return Err(diverged(format!(
-                        "dispatch of {} before its precedence prerequisites completed",
-                        d.index
-                    )));
-                }
-                if !state.slot_is_free(d.slot) {
-                    return Err(diverged(format!(
-                        "dispatch of {} into occupied slot {}",
-                        d.index, d.slot
-                    )));
+                let refused = if state.schedule.pending.get(d.plan_offset) != Some(&d.index) {
+                    Some(format!(
+                        "at plan offset {} does not match the pending suffix",
+                        d.plan_offset
+                    ))
+                } else if !state.schedule.eligible(&state.instance, d.index) {
+                    Some("before its precedence prerequisites completed".to_string())
+                } else if !state.schedule.slot_is_free(d.slot) {
+                    Some(format!("into occupied slot {}", d.slot))
+                } else {
+                    None
+                };
+                if let Some(why) = refused {
+                    return Err(diverged(format!("dispatch of {} {why}", d.index)));
                 }
                 let derived = state.dispatch(&mut stepper, d.plan_offset, d.slot, |_, _| {
                     (d.retries, d.waste_per_failure)
@@ -228,22 +266,8 @@ pub fn replay(
             }
 
             JournalRecord::Fail(f) => {
-                let build = state
-                    .in_flight
-                    .iter()
-                    .find(|x| x.index == f.index)
-                    .ok_or_else(|| {
-                        diverged(format!(
-                            "failed attempt of {} with no such build in flight",
-                            f.index
-                        ))
-                    })?;
-                if f.slot != build.slot {
-                    return Err(diverged(format!(
-                        "failed attempt of {} in slot {} but the build occupies slot {}",
-                        f.index, f.slot, build.slot
-                    )));
-                }
+                let at = in_flight_at(&state, "failed attempt", f.index, f.slot)?;
+                let build = state.schedule.in_flight()[at];
                 let derived = f
                     .attempt
                     .checked_sub(1)
@@ -259,23 +283,7 @@ pub fn replay(
             }
 
             JournalRecord::Complete(c) => {
-                let at = state
-                    .in_flight
-                    .iter()
-                    .position(|f| f.index == c.index)
-                    .ok_or_else(|| {
-                        diverged(format!(
-                            "completion of {} with no such build in flight",
-                            c.index
-                        ))
-                    })?;
-                let slot = state.in_flight[at].slot;
-                if c.slot != slot {
-                    return Err(diverged(format!(
-                        "completion of {} in slot {} but the build occupies slot {slot}",
-                        c.index, c.slot
-                    )));
-                }
+                let at = in_flight_at(&state, "completion", c.index, c.slot)?;
                 let derived = state.complete(&mut stepper, at);
                 check_bits("completion clock", c.clock, derived.clock)?;
                 check_bits("realized cost at completion", c.realized, derived.realized)?;
@@ -283,11 +291,11 @@ pub fn replay(
         }
     }
 
-    if !state.pending.is_empty() || !state.in_flight.is_empty() {
+    if !state.schedule.is_idle() {
         return Err(diverged(format!(
             "journal ended with {} pending and {} in-flight builds",
-            state.pending.len(),
-            state.in_flight.len()
+            state.schedule.pending.len(),
+            state.schedule.in_flight().len()
         )));
     }
     Ok(state.finish().0)

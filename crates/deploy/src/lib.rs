@@ -6,18 +6,17 @@
 //! against a simulated query stream — on one or several concurrent build
 //! slots — and reacts to the world changing underneath it.
 //!
-//! * [`DeployRuntime`] — the executor. Builds are dispatched into
-//!   `build_slots` slots under a [`DispatchPolicy`] — head-of-line (the
-//!   default: strictly in plan order, a blocked head idles the slots
-//!   behind it) or work-conserving (the first pending index whose
-//!   precedence prerequisites have *completed* runs, without reordering
-//!   the plan; overtakes are recorded in the report) — and the event loop
-//!   advances a priority queue over build-*completion* times; at every completion
-//!   boundary the runtime lands due
-//!   [`EvolutionScenario`](idd_core::EvolutionScenario) events (workload
-//!   drift, design revisions; build failures are handled in-line), freezes
-//!   the built prefix **and the in-flight set**, derives a residual
-//!   instance for the unbuilt suffix
+//! * [`DeployRuntime`] — the executor. Its scheduling is
+//!   [`idd_core::SlotSchedule`], the one k-slot list scheduler the
+//!   slot-aware replan scorer runs too: builds enter `build_slots` slots
+//!   under a [`DispatchPolicy`] (defined in `idd-core`, re-exported here)
+//!   — head-of-line by default, or work-conserving, whose overtakes the
+//!   report records — and the event loop steps from one build
+//!   *completion* to the next. At every completion boundary the runtime
+//!   lands due [`EvolutionScenario`](idd_core::EvolutionScenario) events
+//!   (workload drift, design revisions; build failures are handled
+//!   in-line), freezes the built prefix **and the in-flight set**, derives
+//!   a residual instance for the unbuilt suffix
 //!   ([`idd_core::ProblemInstance::residual_for_replan`]), re-optimizes it
 //!   with the configured [`Replanner`](idd_solver::replan::Replanner) —
 //!   warm-started from the pending order — and splices the result back

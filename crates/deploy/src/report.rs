@@ -82,7 +82,7 @@ pub struct ReplanRecord {
 }
 
 /// The complete report of one deployment run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DeploymentReport {
     /// Every executed build, in dispatch order (equal to completion order
     /// with one build slot).

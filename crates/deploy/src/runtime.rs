@@ -1,23 +1,18 @@
 //! The deterministic discrete-event deployment runtime.
 //!
 //! [`DeployRuntime::execute`] runs a deployment order against a simulated
-//! query stream on `k = build_slots` concurrent build slots. Builds are
-//! dispatched into free slots under the configured [`DispatchPolicy`]:
+//! query stream on `k = build_slots` concurrent build slots. The scheduling
+//! is [`idd_core::SlotSchedule`], the one k-slot list scheduler the
+//! slot-aware replan scorer ([`idd_core::SlotScheduleEvaluator`]) runs
+//! too: builds enter the lowest free slot under the configured
+//! [`DispatchPolicy`] (defined in `idd-core`, re-exported here) —
+//! head-of-line by default, or work-conserving, whose overtakes are
+//! recorded as [`ExecutedBuild::plan_offset`] and counted in
+//! [`DeploymentReport::out_of_order_dispatches`]. A slot holds its build
+//! (failed attempts included) until the index becomes available, and the
+//! event loop steps from one build *completion* to the next (earliest
+//! finish first, dispatch order breaking ties).
 //!
-//! * [`DispatchPolicy::HeadOfLine`] (the default) admits only the planned
-//!   head — a head blocked behind an incomplete precedence prerequisite
-//!   idles every free slot behind it, and dispatch order always equals plan
-//!   order;
-//! * [`DispatchPolicy::WorkConserving`] scans the pending suffix for the
-//!   *first eligible* index (every precedence prerequisite completed) and
-//!   runs it without reordering the plan — no free slot ever idles while
-//!   eligible work is pending. Each overtake is recorded as the build's
-//!   [`ExecutedBuild::plan_offset`] and counted in
-//!   [`DeploymentReport::out_of_order_dispatches`].
-//!
-//! A slot holds its build (failed attempts included) until the index
-//! becomes available, and the event loop advances a priority queue over
-//! build-*completion* times.
 //! Evolution events land at completion boundaries (an in-flight attempt is
 //! atomic), and — under a replanning policy — the runtime re-optimizes the
 //! unbuilt suffix whenever the world changes:
@@ -49,10 +44,10 @@
 //!
 //! # One state machine, one event stream
 //!
-//! The run state has one *transition* per journal record kind — an event
-//! landing, an adopted replan, a dispatch (its failed attempts follow from
-//! it) and a completion — plus the closing step that rounds the realized
-//! cost. A transition derives every stamp its record carries (cost, clocks,
+//! The run state drives the shared schedule and has one *transition* per
+//! journal record kind — an event landing, an adopted replan, a dispatch
+//! (its failed attempts follow from it) and a completion — plus the closing
+//! step that rounds the realized cost. A transition derives every stamp its record carries (cost, clocks,
 //! realized cost, runtime levels), updates the report and returns the
 //! record. The event loop of [`DeployRuntime::execute_journaled`] only
 //! *decides*: which pending position goes into which slot, which failure
@@ -63,10 +58,7 @@
 //!
 //! Every record passes through one append point, which also projects it
 //! onto the telemetry tracks when telemetry is on
-//! ([`DeployRuntime::with_telemetry`]): `deploy` gets the event / debounce /
-//! replan marks and the `pending` gauge, `slot<j>` the dispatch / fail /
-//! complete marks, a `busy` span per dispatch/complete pair, and, at
-//! finish, `idle` spans over the gaps. Runtime telemetry is the projection
+//! ([`DeployRuntime::with_telemetry`]). Runtime telemetry is the projection
 //! of the journal, so the two cannot disagree; it is still emitted live, so
 //! its wall-clock stamps show where a run spent its time.
 //!
@@ -79,29 +71,34 @@
 //! priced against the indexes completed when it starts — dispatching an
 //! index before its build-interaction helper completes forfeits the
 //! discount, which is exactly the trade-off `table10` measures against the
-//! shorter makespan. [`idd_core::SlotScheduleEvaluator`] reproduces this
-//! model offline (quiet-run bit-for-bit), which is what a slot-aware
-//! replan ([`DeployConfig::with_slot_aware_replan`]) scores candidate
-//! suffixes with instead of the serial proxy.
+//! shorter makespan. [`idd_core::SlotScheduleEvaluator`] runs the same
+//! scheduler on a quiet tail, so it reproduces this model offline
+//! (bit-for-bit on a quiet run); a slot-aware replan
+//! ([`DeployConfig::with_slot_aware_replan`]) scores candidate suffixes
+//! with it instead of the serial proxy.
 
 use crate::journal::DeploymentJournal;
 use crate::report::{DeploymentReport, ExecutedBuild, ReplanRecord};
 use idd_core::{
     CompleteRecord, CoreError, DebounceRecord, Deployment, DispatchRecord, EventKind, EventRecord,
-    EvolutionEvent, EvolutionScenario, ExactSum, FailRecord, IndexId, JournalRecord,
-    ObjectiveEvaluator, ObjectiveStepper, ProblemInstance, ReplanDecision,
+    EvolutionEvent, EvolutionScenario, IndexId, JournalRecord, ObjectiveEvaluator,
+    ObjectiveStepper, ProblemInstance, ReplanDecision, SlotSchedule,
 };
 use idd_solver::replan::{ReplanStrategy, Replanner, SuffixScoring};
 use idd_solver::SearchBudget;
 use idd_telemetry::{Telemetry, TrackRecorder};
-use std::collections::VecDeque;
 use std::rc::Rc;
+
+pub use idd_core::DispatchPolicy;
 
 /// Errors a deployment run can hit.
 #[derive(Debug)]
 pub enum DeployError {
     /// The initial plan is not a valid deployment of the instance.
     InvalidInitialPlan(CoreError),
+    /// The scenario breaks the finite-value contract: a non-finite event
+    /// time or waste fraction ([`EvolutionScenario::check_finite`]).
+    InvalidScenario(CoreError),
     /// An evolution event produced an inconsistent instance.
     InfeasibleEvent(CoreError),
     /// A replanned (or event-maintained) plan failed validation — a bug in
@@ -113,6 +110,7 @@ impl std::fmt::Display for DeployError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             DeployError::InvalidInitialPlan(e) => write!(f, "invalid initial plan: {e}"),
+            DeployError::InvalidScenario(e) => write!(f, "invalid scenario: {e}"),
             DeployError::InfeasibleEvent(e) => write!(f, "infeasible evolution event: {e}"),
             DeployError::InvalidPlan(msg) => write!(f, "invalid in-flight plan: {msg}"),
         }
@@ -142,35 +140,14 @@ pub enum ReplanTrigger {
     OnFailure,
 }
 
-/// How pending builds are admitted into free slots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchPolicy {
-    /// Only the planned head may dispatch: a head blocked behind an
-    /// incomplete precedence prerequisite idles every free slot behind it.
-    /// The default — dispatch order equals plan order, which keeps
-    /// multi-slot runs predictable and is what the serial model degenerates
-    /// to at one slot.
-    #[default]
-    HeadOfLine,
-    /// The first *eligible* pending index dispatches: the scan walks the
-    /// pending suffix in plan order and admits the earliest index whose
-    /// precedence prerequisites have all completed, without reordering the
-    /// plan. No free slot ever idles while eligible work is pending (work
-    /// conservation); every overtake is recorded in the report
-    /// ([`ExecutedBuild::plan_offset`],
-    /// [`DeploymentReport::out_of_order_dispatches`]). With one slot this
-    /// degenerates to head-of-line: when the single slot is free nothing is
-    /// in flight, and a validated plan's head is then always eligible.
-    WorkConserving,
-}
-
 /// Configuration of a deployment run.
 #[derive(Debug, Clone)]
 pub struct DeployConfig {
     /// How (and whether) to re-optimize the suffix when a replan fires.
     /// [`ReplanStrategy::KeepOrder`] is the static baseline: events are
     /// *applied* (weights drift, indexes appear/disappear) but the suffix
-    /// order is kept.
+    /// order is kept. Its [`Replanner::scoring`] is replaced at every
+    /// replan by the one `slot_aware_replan` selects.
     pub replanner: Replanner,
     /// Number of concurrent build slots. `1` (the default) reproduces the
     /// serial runtime bit-for-bit; `0` is treated as `1`
@@ -182,9 +159,9 @@ pub struct DeployConfig {
     pub dispatch: DispatchPolicy,
     /// Score replan candidates with the k-slot list-schedule objective
     /// ([`idd_core::SlotScheduleEvaluator`], `k = build_slots`, matching
-    /// this config's dispatch policy) instead of the serial proxy. With one
-    /// slot the two objectives coincide bit-for-bit, so this is a no-op
-    /// there. Defaults to `false`.
+    /// this config's dispatch policy) instead of the serial proxy
+    /// ([`SuffixScoring::Serial`]). With one slot the two objectives
+    /// coincide bit-for-bit, so this is a no-op there. Defaults to `false`.
     pub slot_aware_replan: bool,
     /// What fires a replan. Defaults to [`ReplanTrigger::OnEvent`].
     pub trigger: ReplanTrigger,
@@ -271,17 +248,23 @@ impl DeployConfig {
         self
     }
 
-    /// Sets the replan debounce window. NaN and negative windows are
-    /// normalized to `0.0` (replan at every trigger boundary): a NaN
-    /// window would otherwise poison every "is the next event close
-    /// enough to batch with?" comparison.
+    /// Sets the replan debounce window. NaN, infinite and negative windows
+    /// are normalized to `0.0` (replan at every trigger boundary).
     pub fn with_debounce(mut self, debounce: f64) -> Self {
-        self.debounce = if debounce.is_finite() && debounce > 0.0 {
-            debounce
-        } else {
-            0.0
-        };
+        self.debounce = debounce_window(debounce);
         self
+    }
+}
+
+/// A debounce window as the runtime uses it: NaN, infinite and negative
+/// windows are `0.0` (replan at every trigger boundary) — a NaN window
+/// would otherwise poison every "is the next event close enough to batch
+/// with?" comparison.
+fn debounce_window(debounce: f64) -> f64 {
+    if debounce.is_finite() && debounce > 0.0 {
+        debounce
+    } else {
+        0.0
     }
 }
 
@@ -293,41 +276,6 @@ pub struct DeployRuntime {
     /// Prefix for telemetry track names, so one collector can hold several
     /// runs side by side (e.g. `"quiet x2/"` in the `trace` bench bin).
     trace_scope: String,
-}
-
-/// A build occupying a slot: dispatched, not yet completed.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct InFlight {
-    pub(crate) index: IndexId,
-    pub(crate) slot: usize,
-    /// Position of this build's record in `report.builds`.
-    build_pos: usize,
-    start: f64,
-    /// `start + (wasted + cost)`, the completion time.
-    finish: f64,
-    cost: f64,
-    waste_per_failure: f64,
-    pub(crate) retries: u32,
-}
-
-impl InFlight {
-    /// The journal records of this build's failed attempts, in order. The
-    /// attempts run back to back from the build's start: attempt `k` starts
-    /// after `k − 1` wasted attempts, accumulated one at a time.
-    pub(crate) fn failed_attempts(self) -> impl Iterator<Item = FailRecord> {
-        let mut clock = self.start;
-        (1..=self.retries).map(move |attempt| {
-            let record = FailRecord {
-                clock,
-                slot: self.slot,
-                index: self.index,
-                attempt,
-                wasted: self.waste_per_failure,
-            };
-            clock += self.waste_per_failure;
-            record
-        })
-    }
 }
 
 /// The replan-trigger label of an event.
@@ -431,45 +379,33 @@ impl Tracks {
 }
 
 /// The run's state machine, shared by the live runtime and the journal
-/// replayer (`crate::journal`).
+/// replayer (`crate::journal`). The scheduling itself is the shared
+/// [`SlotSchedule`]; this state adds what belongs to a run: the instance as
+/// events change it, the committed order, the report, the journal and the
+/// telemetry tracks.
 ///
 /// Each journal record kind has one *transition* —
 /// [`RunState::land_event`], [`RunState::adopt_replan`],
-/// [`RunState::dispatch`] (whose failed attempts follow from the dispatch)
-/// and [`RunState::complete`] — plus the closing [`RunState::finish`]. A
-/// transition is the state update for one record: it derives the record's
-/// stamps (cost, clocks, realized cost, runtime levels), updates the report
-/// and returns the record. The live loop supplies the decisions from the
-/// scenario, the replanner and the dispatch policy; replay supplies the
-/// recorded ones.
+/// [`RunState::dispatch`] and [`RunState::complete`] — plus the closing
+/// [`RunState::finish`] (see the module docs). The live loop supplies the
+/// decisions from the scenario, the replanner and the dispatch policy;
+/// replay supplies the recorded ones.
 pub(crate) struct RunState {
     /// The current (drifted / revised) instance. Shared, so that an
     /// [`ObjectiveStepper`] can borrow one version of it while the
     /// transitions update the rest of the state.
     pub(crate) instance: Rc<ProblemInstance>,
+    /// The k-slot schedule, in parent ids; its exact accumulator is
+    /// `report.realized_cost`, rounded once at the end of the run.
+    pub(crate) schedule: SlotSchedule,
     /// Parent-id dispatch order of every committed build — completed *and*
     /// in-flight (append-only; the frozen commitment at any moment).
     committed: Vec<IndexId>,
     /// Parent-id completion order of finished builds (used to replay the
     /// stepper after the instance changes).
     completed_order: Vec<IndexId>,
-    /// Parent-id bitmap of *completed* indexes.
-    built: Vec<bool>,
     /// Parent-id bitmap of retracted (dropped, unbuilt) indexes.
     excluded: Vec<bool>,
-    /// Builds currently occupying slots, in dispatch order.
-    pub(crate) in_flight: Vec<InFlight>,
-    /// The planned unbuilt suffix, in execution order (parent ids). A
-    /// `VecDeque` so head dispatch is O(1) (and a work-conserving overtake
-    /// at position `p` costs `O(min(p, n − p))`, not a full shift).
-    pub(crate) pending: VecDeque<IndexId>,
-    clock: f64,
-    /// Exact accumulator behind `report.realized_cost`: every
-    /// `runtime · duration` product lands here error-free and is rounded
-    /// once at the end of the run, so a quiet run reproduces the offline
-    /// objective area bit-for-bit (the offline evaluator sums the same
-    /// products the same way).
-    realized: ExactSum,
     report: DeploymentReport,
     /// Every record passed to [`RunState::append`], in order. Only the live
     /// runtime appends (replay checks records, the serial reference
@@ -485,27 +421,11 @@ impl RunState {
         let n = instance.num_indexes();
         RunState {
             instance: Rc::new(instance.clone()),
+            schedule: SlotSchedule::new(n, initial.order().iter().copied()),
             committed: Vec::with_capacity(n),
             completed_order: Vec::with_capacity(n),
-            built: vec![false; n],
             excluded: vec![false; n],
-            in_flight: Vec::new(),
-            pending: initial.order().iter().copied().collect(),
-            clock: 0.0,
-            realized: ExactSum::new(),
-            report: DeploymentReport {
-                builds: Vec::new(),
-                replans: Vec::new(),
-                realized_cost: 0.0,
-                final_runtime: 0.0,
-                total_clock: 0.0,
-                total_build_time: 0.0,
-                total_wasted: 0.0,
-                retries: 0,
-                out_of_order_dispatches: 0,
-                events_applied: 0,
-                ineffective_drops: 0,
-            },
+            report: DeploymentReport::default(),
             journal: Vec::new(),
             tracks: None,
         }
@@ -513,7 +433,12 @@ impl RunState {
 
     /// `true` when `raw` is committed: completed or occupying a slot.
     fn is_committed(&self, raw: usize) -> bool {
-        self.built[raw] || self.in_flight.iter().any(|f| f.index.raw() == raw)
+        self.schedule.built[raw]
+            || self
+                .schedule
+                .in_flight()
+                .iter()
+                .any(|f| f.index.raw() == raw)
     }
 
     /// Validates the in-flight plan: `committed ++ pending` must cover
@@ -522,7 +447,8 @@ impl RunState {
     pub(crate) fn validate_plan(&self) -> Result<(), DeployError> {
         let n = self.instance.num_indexes();
         let mut position = vec![usize::MAX; n];
-        for (p, &i) in self.committed.iter().chain(self.pending.iter()).enumerate() {
+        let plan = self.committed.iter().chain(&self.schedule.pending);
+        for (p, &i) in plan.enumerate() {
             if i.raw() >= n {
                 return Err(DeployError::InvalidPlan(format!("{i} is out of range")));
             }
@@ -576,11 +502,11 @@ impl RunState {
                 let (revised, new_ids) = revision.apply_additions(&self.instance)?;
                 self.instance = Rc::new(revised);
                 let n = self.instance.num_indexes();
-                self.built.resize(n, false);
+                self.schedule.built.resize(n, false);
                 self.excluded.resize(n, false);
                 // New indexes join the plan at the end (a replan will place
                 // them properly; the static baseline keeps them there).
-                self.pending.extend(new_ids);
+                self.schedule.pending.extend(new_ids);
                 for &dropped in &revision.drop {
                     if dropped.raw() >= n || self.is_committed(dropped.raw()) {
                         // Already built — or mid-build: a slot cannot
@@ -600,7 +526,7 @@ impl RunState {
                         self.excluded[dropped.raw()] = false;
                         self.report.ineffective_drops += 1;
                     } else {
-                        self.pending.retain(|&i| i != dropped);
+                        self.schedule.pending.retain(|&i| i != dropped);
                     }
                 }
             }
@@ -608,59 +534,18 @@ impl RunState {
         Ok(trigger_label(&event.kind))
     }
 
-    /// `true` when `index` may be dispatched: every precedence prerequisite
-    /// has *completed* (an in-flight prerequisite blocks dispatch — the
-    /// dependency is on the built artifact, not on the commitment).
-    pub(crate) fn eligible(&self, index: IndexId) -> bool {
-        self.instance
-            .precedences()
-            .iter()
-            .all(|pr| pr.after != index || self.built[pr.before.raw()])
-    }
-
-    /// Position in `pending` of the next index `policy` admits into a free
-    /// slot, if any. Head-of-line admits only an eligible head;
-    /// work-conserving admits the first eligible index. Eligibility depends
-    /// only on the *completed* set, so the answer is stable across the
-    /// dispatches of one completion boundary.
-    fn next_dispatchable(&self, policy: DispatchPolicy) -> Option<usize> {
-        let limit = match policy {
-            DispatchPolicy::HeadOfLine => self.pending.len().min(1),
-            DispatchPolicy::WorkConserving => self.pending.len(),
-        };
-        (0..limit).find(|&pos| self.eligible(self.pending[pos]))
-    }
-
-    /// `true` when no in-flight build occupies `slot`.
-    pub(crate) fn slot_is_free(&self, slot: usize) -> bool {
-        self.in_flight.iter().all(|f| f.slot != slot)
-    }
-
-    /// Position in `in_flight` of the build that completes next: earliest
-    /// finish first, dispatch order breaking ties (`in_flight` is in
-    /// dispatch order, and `min_by` keeps the first of equal elements), so
-    /// the event loop is deterministic.
-    fn next_completion(&self) -> Option<usize> {
-        self.in_flight
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.finish.total_cmp(&b.finish))
-            .map(|(at, _)| at)
-    }
-
     /// An [`ObjectiveStepper`] over `instance` — the current version of
     /// `self.instance` — in this state: the completions stepped in order,
-    /// the in-flight builds begun. It is a pure function of (instance,
-    /// completion order, in-flight set), so rebuilding it after the
-    /// instance changes yields bit-identical state; in between, the
-    /// dispatch and complete transitions keep it in step.
+    /// the in-flight builds begun. A pure function of (instance, completion
+    /// order, in-flight set); the dispatch and complete transitions keep it
+    /// in step until the instance changes.
     pub(crate) fn stepper<'i>(&self, instance: &'i ProblemInstance) -> ObjectiveStepper<'i> {
         debug_assert!(std::ptr::eq(instance, &*self.instance), "stale instance");
         let mut stepper = ObjectiveEvaluator::new(instance).stepper();
         for &i in &self.completed_order {
             stepper.step(i);
         }
-        for fl in &self.in_flight {
+        for fl in self.schedule.in_flight() {
             stepper.begin_build(fl.index);
         }
         stepper
@@ -671,11 +556,11 @@ impl RunState {
     /// advances the clock, with no idle cost in between — and is applied.
     /// The caller rebuilds its stepper on the changed instance.
     pub(crate) fn land_event(&mut self, event: EvolutionEvent) -> Result<EventRecord, DeployError> {
-        self.clock = self.clock.max(event.at);
+        self.schedule.clock = self.schedule.clock.max(event.at);
         self.apply_event(&event)?;
         self.report.events_applied += 1;
         Ok(EventRecord {
-            clock: self.clock,
+            clock: self.schedule.clock,
             event,
         })
     }
@@ -687,31 +572,29 @@ impl RunState {
     /// the caller runs next. Returns the decision stamped with the clock.
     pub(crate) fn adopt_replan(&mut self, decision: ReplanDecision) -> ReplanDecision {
         let decision = ReplanDecision {
-            clock: self.clock,
+            clock: self.schedule.clock,
             ..decision
         };
         self.report.replans.push(ReplanRecord {
             clock: decision.clock,
             trigger: decision.trigger.clone(),
             frozen_prefix: self.committed.clone(),
-            in_flight: self.in_flight.iter().map(|f| f.index).collect(),
+            in_flight: self.schedule.in_flight().iter().map(|f| f.index).collect(),
             suffix_len: decision.pending.len(),
             warm_start_objective: decision.warm_start_objective,
             objective: decision.objective,
             solver: decision.solver.clone(),
             improved: decision.improved,
         });
-        self.pending = decision.pending.iter().copied().collect();
+        self.schedule.pending = decision.pending.iter().copied().collect();
         decision
     }
 
     /// Transition for a [`DispatchRecord`]: the index at `plan_offset` in the
-    /// pending suffix enters `slot`. The build is priced against the
-    /// completed set, `failure` maps (index, cost) to its failure spec —
-    /// `(retries, waste_per_failure)`: that many attempts waste that much
-    /// clock each before the build succeeds, all inside this slot — and the
-    /// slot stays occupied until completion. The failed attempts' records
-    /// are [`InFlight::failed_attempts`] of the new in-flight build.
+    /// pending suffix enters `slot` ([`SlotSchedule::dispatch`], which
+    /// prices it and applies the failure spec `failure` returns). The failed
+    /// attempts' records are [`idd_core::SlotBuild::failed_attempts`] of the
+    /// new in-flight build.
     pub(crate) fn dispatch(
         &mut self,
         stepper: &mut ObjectiveStepper<'_>,
@@ -719,97 +602,52 @@ impl RunState {
         slot: usize,
         failure: impl FnOnce(IndexId, f64) -> (u32, f64),
     ) -> DispatchRecord {
-        let index = self
-            .pending
-            .remove(plan_offset)
-            .expect("plan offset within the pending suffix");
-        if plan_offset > 0 {
-            self.report.out_of_order_dispatches += 1;
-        }
-        let cost = stepper.begin_build(index);
-        let (retries, waste_per_failure) = failure(index, cost);
-        let mut wasted = 0.0;
-        for _ in 0..retries {
-            wasted += waste_per_failure;
-        }
-        let start = self.clock;
-        let finish = start + (wasted + cost);
-        let position = self.committed.len();
+        let build = self.schedule.dispatch(stepper, plan_offset, slot, failure);
+        debug_assert_eq!(build.position, self.committed.len());
         self.report.builds.push(ExecutedBuild {
-            position,
-            index,
+            position: build.position,
+            index: build.index,
             slot,
-            start,
-            finish,
-            cost,
-            wasted,
-            retries,
+            start: build.start,
+            finish: build.finish,
+            cost: build.cost,
+            wasted: build.wasted,
+            retries: build.retries,
             plan_offset,
             runtime_before: stepper.runtime(),
             runtime_after: f64::NAN, // filled at completion
         });
-        self.report.total_build_time += cost;
-        self.report.total_wasted += wasted;
-        self.report.retries += retries;
-        self.in_flight.push(InFlight {
-            index,
-            slot,
-            build_pos: position,
-            start,
-            finish,
-            cost,
-            waste_per_failure,
-            retries,
-        });
-        self.committed.push(index);
+        self.report.total_build_time += build.cost;
+        self.report.total_wasted += build.wasted;
+        self.report.retries += build.retries;
+        self.committed.push(build.index);
         DispatchRecord {
-            clock: start,
+            clock: build.start,
             slot,
-            position,
-            index,
+            position: build.position,
+            index: build.index,
             plan_offset,
-            cost,
-            retries,
-            waste_per_failure,
+            cost: build.cost,
+            retries: build.retries,
+            waste_per_failure: build.waste_per_failure,
         }
     }
 
     /// Transition for a [`CompleteRecord`]: the in-flight build at `at`
-    /// finishes. The workload cost of `[clock, finish]` accrues at the
-    /// current runtime level, the clock advances, and the index lands.
+    /// finishes ([`SlotSchedule::complete`] accrues its span and lands it).
     pub(crate) fn complete(
         &mut self,
         stepper: &mut ObjectiveStepper<'_>,
         at: usize,
     ) -> CompleteRecord {
-        let fl = self.in_flight.remove(at);
-        // When nothing has been accrued since this build started (always
-        // true with one slot), split the span into the serial per-attempt
-        // products so the one-slot runtime reproduces the serial arithmetic
-        // bit-for-bit; otherwise accrue the remaining span in one piece (the
-        // runtime level is constant over it — every earlier completion has
-        // already been processed).
-        let (attempts, last) = if self.clock.to_bits() == fl.start.to_bits() {
-            (fl.retries as usize, fl.cost)
-        } else {
-            (0, fl.finish - self.clock)
-        };
-        let runtime = stepper.runtime();
-        for span in std::iter::repeat_n(fl.waste_per_failure, attempts).chain([last]) {
-            self.realized.add_prod(runtime, span);
-            stepper.accrue(span);
-        }
-        self.clock = fl.finish;
-
-        let (_, runtime_after) = stepper.complete_build(fl.index);
-        self.report.builds[fl.build_pos].runtime_after = runtime_after;
-        self.built[fl.index.raw()] = true;
-        self.completed_order.push(fl.index);
+        let build = self.schedule.complete(stepper, at);
+        self.report.builds[build.position].runtime_after = stepper.runtime();
+        self.completed_order.push(build.index);
         CompleteRecord {
-            clock: fl.finish,
-            slot: fl.slot,
-            index: fl.index,
-            realized: self.realized.value(),
+            clock: build.finish,
+            slot: build.slot,
+            index: build.index,
+            realized: self.schedule.realized.value(),
         }
     }
 
@@ -818,7 +656,7 @@ impl RunState {
     /// projected onto the `deploy` / `slot<j>` tracks as it is appended.
     fn append(&mut self, record: JournalRecord) {
         if let Some(tracks) = &mut self.tracks {
-            tracks.project(&record, self.pending.len());
+            tracks.project(&record, self.schedule.pending.len());
         }
         self.journal.push(record);
     }
@@ -829,10 +667,11 @@ impl RunState {
     /// slot track gets its idle spans.
     pub(crate) fn finish(mut self) -> (DeploymentReport, DeploymentJournal) {
         self.report.final_runtime = self.stepper(&self.instance).runtime();
-        self.report.realized_cost = self.realized.value();
-        self.report.total_clock = self.clock;
+        self.report.realized_cost = self.schedule.realized.value();
+        self.report.total_clock = self.schedule.clock;
+        self.report.out_of_order_dispatches = self.schedule.overtakes();
         if let Some(tracks) = &mut self.tracks {
-            tracks.finish(self.clock);
+            tracks.finish(self.schedule.clock);
         }
         debug_assert!(self.report.prefixes_respected());
         debug_assert!(self.report.in_flight_respected());
@@ -892,8 +731,7 @@ impl DeployRuntime {
     /// slots. See the module docs for the execution model and invariants.
     ///
     /// Equivalent to [`DeployRuntime::execute_journaled`] with the journal
-    /// dropped — the journal is recorded either way; this accessor just
-    /// keeps the common call sites simple.
+    /// dropped (it is recorded either way).
     pub fn execute(
         &self,
         instance: &ProblemInstance,
@@ -923,16 +761,14 @@ impl DeployRuntime {
         initial
             .validate(instance)
             .map_err(DeployError::InvalidInitialPlan)?;
+        scenario
+            .check_finite()
+            .map_err(DeployError::InvalidScenario)?;
         let slots = self.config.build_slots.max(1);
-        // Re-clamp for configs assembled by hand (the builders normalize
-        // eagerly): a NaN window would make `next_within_window` false and
-        // so never livelock, but a *negative* one is equally meaningless,
-        // and one normalization point keeps the semantics obvious.
-        let debounce = if self.config.debounce.is_finite() && self.config.debounce > 0.0 {
-            self.config.debounce
-        } else {
-            0.0
-        };
+        let policy = self.config.dispatch;
+        // Re-normalize for configs assembled by hand (the builder does it
+        // eagerly).
+        let debounce = debounce_window(self.config.debounce);
         let mut state = RunState::new(instance, initial);
         state.tracks = Tracks::register(&self.telemetry, &self.trace_scope, slots);
         // Replan triggers accumulated but not yet acted on (debouncing).
@@ -946,9 +782,10 @@ impl DeployRuntime {
             // 1. Land every event due at this completion boundary. (Once
             //    nothing is pending or in flight, future events land too —
             //    they start a new tail, with no idle cost in between.)
-            while queue.last().is_some_and(|e| {
-                e.at <= state.clock || (state.pending.is_empty() && state.in_flight.is_empty())
-            }) {
+            while queue
+                .last()
+                .is_some_and(|e| e.at <= state.schedule.clock || state.schedule.is_idle())
+            {
                 let landed = state.land_event(queue.pop().expect("peeked"))?;
                 let label = trigger_label(&landed.event.kind);
                 if !deferred.contains(&label) {
@@ -966,13 +803,17 @@ impl DeployRuntime {
             //    events broke (e.g. an addition behind a retracted
             //    prerequisite).
             if !deferred.is_empty() {
-                let next_within_window =
-                    queue.last().is_some_and(|e| e.at <= state.clock + debounce);
-                let can_progress = !state.in_flight.is_empty()
-                    || state.next_dispatchable(self.config.dispatch).is_some();
+                let next_within_window = queue
+                    .last()
+                    .is_some_and(|e| e.at <= state.schedule.clock + debounce);
+                let can_progress = !state.schedule.in_flight().is_empty()
+                    || state
+                        .schedule
+                        .next_dispatchable(&state.instance, policy)
+                        .is_some();
                 if next_within_window && can_progress {
                     let deferral = DebounceRecord {
-                        clock: state.clock,
+                        clock: state.schedule.clock,
                         deferred: deferred.join("+"),
                         next_event_at: queue.last().expect("within window").at,
                     };
@@ -988,14 +829,13 @@ impl DeployRuntime {
             }
 
             // 3. Nothing pending, in flight, or queued: done.
-            if state.pending.is_empty() && state.in_flight.is_empty() && queue.is_empty() {
+            if state.schedule.is_idle() && queue.is_empty() {
                 return Ok(state.finish());
             }
 
             // Events and replans only happen in this outer loop, so one
-            // stepper serves the whole dispatch/complete inner loop below.
-            // It is rebuilt here because a landed event may have changed
-            // the instance.
+            // stepper serves the dispatch/complete inner loop below; it is
+            // rebuilt because a landed event may have changed the instance.
             let current = Rc::clone(&state.instance);
             let mut stepper = state.stepper(&current);
 
@@ -1008,15 +848,16 @@ impl DeployRuntime {
                 //    event can be due here: the outer loop drained
                 //    everything at or before this clock, and the inner loop
                 //    breaks at the completion that makes the next one due.
-                debug_assert!(!queue.last().is_some_and(|e| e.at <= state.clock));
-                while let Some(slot) = (0..slots).find(|&slot| state.slot_is_free(slot)) {
-                    let Some(pos) = state.next_dispatchable(self.config.dispatch) else {
+                debug_assert!(!queue.last().is_some_and(|e| e.at <= state.schedule.clock));
+                while let Some(slot) = state.schedule.free_slot(slots) {
+                    let Some(pos) = state.schedule.next_dispatchable(&state.instance, policy)
+                    else {
                         break;
                     };
                     let dispatched = state.dispatch(&mut stepper, pos, slot, |index, cost| {
                         failure_spec(scenario, index, cost)
                     });
-                    let build = *state.in_flight.last().expect("just dispatched");
+                    let build = *state.schedule.in_flight().last().expect("just dispatched");
                     state.append(JournalRecord::Dispatch(dispatched));
                     for failed in build.failed_attempts() {
                         state.append(JournalRecord::Fail(failed));
@@ -1027,10 +868,10 @@ impl DeployRuntime {
                 //    nothing in flight, hand back to the outer loop (which
                 //    lands the due — or, with an empty plan, the next
                 //    future — event, or finishes).
-                let Some(at) = state.next_completion() else {
+                let Some(at) = state.schedule.next_completion() else {
                     break;
                 };
-                let failed = state.in_flight[at].retries > 0;
+                let failed = state.schedule.in_flight()[at].retries > 0;
                 let completed = state.complete(&mut stepper, at);
                 state.append(JournalRecord::Complete(completed));
 
@@ -1046,7 +887,7 @@ impl DeployRuntime {
                 // Hand back to the outer loop when this completion made an
                 // event due or raised a trigger — landing and replanning
                 // mutate the instance, which invalidates the stepper.
-                if failure_trigger || queue.last().is_some_and(|e| e.at <= state.clock) {
+                if failure_trigger || queue.last().is_some_and(|e| e.at <= state.schedule.clock) {
                     break;
                 }
             }
@@ -1064,45 +905,37 @@ impl DeployRuntime {
         state: &mut RunState,
         trigger: &str,
     ) -> Result<Option<ReplanDecision>, DeployError> {
-        if state.pending.is_empty() {
+        if state.schedule.pending.is_empty() {
             return Ok(None);
         }
-        let in_flight_order: Vec<IndexId> = state.in_flight.iter().map(|f| f.index).collect();
-        let residual =
-            state
-                .instance
-                .residual_for_replan(&state.built, &in_flight_order, &state.excluded)?;
+        let in_flight: Vec<IndexId> = state.schedule.in_flight().iter().map(|f| f.index).collect();
+        let residual = state.instance.residual_for_replan(
+            &state.schedule.built,
+            &in_flight,
+            &state.excluded,
+        )?;
         // Score candidates with what this runtime will actually realize:
         // the k-slot list-schedule objective when slot-aware replanning is
-        // on (matching slot count and dispatch policy), the serial proxy
+        // on (same slot count and dispatch policy), the serial proxy
         // otherwise.
-        let replanner = if self.config.slot_aware_replan {
-            self.config
-                .replanner
-                .clone()
-                .with_scoring(SuffixScoring::SlotAware {
-                    slots: self.config.build_slots.max(1),
-                    work_conserving: self.config.dispatch == DispatchPolicy::WorkConserving,
-                })
+        let scoring = if self.config.slot_aware_replan {
+            SuffixScoring::SlotAware {
+                slots: self.config.build_slots.max(1),
+                dispatch: self.config.dispatch,
+            }
         } else {
-            self.config.replanner.clone()
+            SuffixScoring::Serial
         };
-        let pending: Vec<IndexId> = state.pending.iter().copied().collect();
-        // In-flight builds keep their slots until they finish: a slot-aware
-        // scorer that assumed every slot free at the replan point would rank
-        // candidates against schedules that cannot happen. Serial scoring
-        // ignores the offsets (it has no slots to occupy).
-        let busy_until: Vec<f64> = state
-            .in_flight
-            .iter()
-            .map(|f| f.finish - state.clock)
-            .collect();
-        // Mechanical plan maintenance (appends on addition, removals on
-        // drop) must keep the suffix a permutation of the residual indexes.
-        // If it ever does not, surface the bug — a silent fallback would
-        // turn the static baseline into a replanning policy.
+        let replanner = self.config.replanner.clone().with_scoring(scoring);
+        let pending: Vec<IndexId> = state.schedule.pending.iter().copied().collect();
+        // In-flight builds keep their slots until they finish, so the
+        // scorer sees them as busy. Mechanical plan maintenance (appends on
+        // addition, removals on drop) must keep the suffix a permutation of
+        // the residual indexes; if it ever does not, surface the bug — a
+        // silent fallback would turn the static baseline into a replanning
+        // policy.
         let (outcome, new_pending) = replanner
-            .replan_around_occupied(&residual, &pending, &busy_until)
+            .replan_around(&residual, &pending, &state.schedule.busy_until())
             .ok_or_else(|| {
                 DeployError::InvalidPlan(
                     "in-flight suffix is not a permutation of the residual indexes".into(),
@@ -1120,7 +953,7 @@ impl DeployRuntime {
         }
 
         Ok(Some(state.adopt_replan(ReplanDecision {
-            clock: state.clock,
+            clock: state.schedule.clock,
             trigger: trigger.to_string(),
             pending: new_pending,
             warm_start_objective: outcome.warm_start_objective,
@@ -1160,12 +993,12 @@ impl DeployRuntime {
             let mut triggers: Vec<&'static str> = Vec::new();
             while queue
                 .last()
-                .is_some_and(|e| e.at <= state.clock || state.pending.is_empty())
+                .is_some_and(|e| e.at <= state.schedule.clock || state.schedule.pending.is_empty())
             {
                 let event = queue.pop().expect("peeked");
                 // Post-completion events take effect when they land, not
                 // retroactively: idle time between builds accrues no cost.
-                state.clock = state.clock.max(event.at);
+                state.schedule.clock = state.schedule.clock.max(event.at);
                 let label = state.apply_event(&event)?;
                 if !triggers.contains(&label) {
                     triggers.push(label);
@@ -1178,7 +1011,7 @@ impl DeployRuntime {
             }
 
             // 2. Nothing pending and nothing queued: done.
-            if state.pending.is_empty() && queue.is_empty() {
+            if state.schedule.pending.is_empty() && queue.is_empty() {
                 let evaluator = ObjectiveEvaluator::new(&state.instance);
                 let mut stepper = evaluator.stepper();
                 for &i in &state.committed {
@@ -1195,12 +1028,16 @@ impl DeployRuntime {
             for &i in &state.committed {
                 stepper.step(i);
             }
-            while !state.pending.is_empty() {
-                if queue.last().is_some_and(|e| e.at <= state.clock) {
+            while !state.schedule.pending.is_empty() {
+                if queue.last().is_some_and(|e| e.at <= state.schedule.clock) {
                     break; // event boundary: back to step 1
                 }
-                let next = state.pending.pop_front().expect("checked non-empty");
-                let start = state.clock;
+                let next = state
+                    .schedule
+                    .pending
+                    .pop_front()
+                    .expect("checked non-empty");
+                let start = state.schedule.clock;
 
                 // Failed attempts waste clock at the current runtime.
                 let mut wasted = 0.0;
@@ -1209,7 +1046,7 @@ impl DeployRuntime {
                     let cost = state.instance.effective_build_cost(next, stepper.built());
                     let waste = cost * failure.waste_fraction.clamp(0.0, 1.0);
                     for _ in 0..failure.failures {
-                        state.realized.add_prod(stepper.runtime(), waste);
+                        state.schedule.realized.add_prod(stepper.runtime(), waste);
                         wasted += waste;
                         retries += 1;
                     }
@@ -1217,15 +1054,16 @@ impl DeployRuntime {
 
                 let step = stepper.step(next);
                 state
+                    .schedule
                     .realized
                     .add_prod(step.runtime_before, step.build_cost);
-                state.clock += wasted + step.build_cost;
+                state.schedule.clock += wasted + step.build_cost;
                 state.report.builds.push(ExecutedBuild {
                     position: state.committed.len(),
                     index: next,
                     slot: 0,
                     start,
-                    finish: state.clock,
+                    finish: state.schedule.clock,
                     cost: step.build_cost,
                     wasted,
                     retries,
@@ -1238,12 +1076,12 @@ impl DeployRuntime {
                 state.report.retries += retries;
                 state.committed.push(next);
                 state.completed_order.push(next);
-                state.built[next.raw()] = true;
+                state.schedule.built[next.raw()] = true;
             }
         }
 
-        state.report.realized_cost = state.realized.value();
-        state.report.total_clock = state.clock;
+        state.report.realized_cost = state.schedule.realized.value();
+        state.report.total_clock = state.schedule.clock;
         debug_assert!(state.report.prefixes_respected());
         Ok(state.report)
     }

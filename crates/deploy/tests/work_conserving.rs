@@ -335,11 +335,7 @@ proptest! {
         .execute(&inst, &plan, &EvolutionScenario::quiet("quiet"))
         .expect("quiet scenarios always execute");
 
-        let evaluator = if work_conserving {
-            SlotScheduleEvaluator::new(&inst, slots)
-        } else {
-            SlotScheduleEvaluator::new(&inst, slots).head_of_line()
-        };
+        let evaluator = SlotScheduleEvaluator::new(&inst, slots, dispatch);
         let predicted = evaluator.evaluate(&plan);
         prop_assert_eq!(
             predicted.area.to_bits(),

@@ -6,6 +6,20 @@ use std::fmt;
 /// Result alias used throughout `idd-core`.
 pub type Result<T> = std::result::Result<T, CoreError>;
 
+/// The finite-value contract: `Ok` when `value` is finite, else
+/// [`CoreError::NonFiniteValue`]. `what` names the field; it is only built
+/// on error.
+pub(crate) fn check_finite(value: f64, what: impl FnOnce() -> String) -> Result<()> {
+    if value.is_finite() {
+        Ok(())
+    } else {
+        Err(CoreError::NonFiniteValue {
+            what: what(),
+            value,
+        })
+    }
+}
+
 /// Errors raised while building, validating or (de)serializing problem
 /// instances and deployments.
 #[derive(Debug, Clone, PartialEq)]

@@ -12,7 +12,7 @@
 //! runtime or solver. Generators for realistic scenarios live in
 //! `idd-workloads`.
 
-use crate::error::{CoreError, Result};
+use crate::error::{check_finite, CoreError, Result};
 use crate::instance::ProblemInstance;
 use crate::types::{IndexId, QueryId};
 use serde::{Deserialize, Serialize};
@@ -231,6 +231,21 @@ impl EvolutionScenario {
     /// `true` when the scenario contains no events and no failures.
     pub fn is_quiet(&self) -> bool {
         self.events.is_empty() && self.failures.is_empty()
+    }
+
+    /// The finite-value contract: every event time and every failure's
+    /// waste fraction is finite. (A drift weight or a revision's costs are
+    /// checked where they enter an instance, by its builder.)
+    pub fn check_finite(&self) -> Result<()> {
+        for (k, event) in self.events.iter().enumerate() {
+            check_finite(event.at, || format!("time of event {k}"))?;
+        }
+        for failure in &self.failures {
+            check_finite(failure.waste_fraction, || {
+                format!("waste fraction of {}", failure.index)
+            })?;
+        }
+        Ok(())
     }
 
     /// The events sorted by time (stable: ties keep their listed order).

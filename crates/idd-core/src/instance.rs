@@ -1,6 +1,6 @@
 //! The problem instance: everything the solvers need, nothing more.
 
-use crate::error::{CoreError, Result};
+use crate::error::{check_finite, CoreError, Result};
 use crate::index::IndexMeta;
 use crate::interaction::{BuildInteraction, Precedence};
 use crate::plan::QueryPlan;
@@ -506,20 +506,15 @@ impl InstanceBuilder {
 
 /// Checks that a numeric field (cost, runtime, weight, speed-up) is finite
 /// and non-negative. `what` names the field; it is only built on error.
-fn check_value(value: f64, what: impl FnOnce() -> String) -> Result<()> {
-    if !value.is_finite() {
-        Err(CoreError::NonFiniteValue {
+fn check_value(value: f64, what: impl Fn() -> String) -> Result<()> {
+    check_finite(value, &what)?;
+    if value < 0.0 {
+        return Err(CoreError::NegativeValue {
             what: what(),
             value,
-        })
-    } else if value < 0.0 {
-        Err(CoreError::NegativeValue {
-            what: what(),
-            value,
-        })
-    } else {
-        Ok(())
+        });
     }
+    Ok(())
 }
 
 /// Verifies the precedence graph has no cycle via Kahn's algorithm.

@@ -23,6 +23,7 @@
 //! strict: unknown tags, multi-key or non-object payloads, and duplicate
 //! fields are errors, never defaults.
 
+use crate::error::{check_finite, Result};
 use crate::evolution::EvolutionEvent;
 use crate::types::IndexId;
 use serde::{Deserialize, Serialize};
@@ -171,6 +172,34 @@ impl JournalRecord {
             JournalRecord::Replan(r) => r.clock,
             JournalRecord::Debounce(r) => r.clock,
         }
+    }
+
+    /// The finite-value contract: every number the record carries is
+    /// finite, as in every record a run writes.
+    pub fn check_finite(&self) -> Result<()> {
+        let numbers: &[(&str, f64)] = match self {
+            JournalRecord::Dispatch(r) => &[
+                ("clock", r.clock),
+                ("cost", r.cost),
+                ("waste_per_failure", r.waste_per_failure),
+            ],
+            JournalRecord::Fail(r) => &[("clock", r.clock), ("wasted", r.wasted)],
+            JournalRecord::Complete(r) => &[("clock", r.clock), ("realized", r.realized)],
+            JournalRecord::EventLanded(r) => &[("clock", r.clock), ("at", r.event.at)],
+            JournalRecord::Replan(r) => &[
+                ("clock", r.clock),
+                ("objective", r.objective),
+                (
+                    "warm_start_objective",
+                    r.warm_start_objective.unwrap_or(0.0),
+                ),
+            ],
+            JournalRecord::Debounce(r) => &[("clock", r.clock), ("next_event_at", r.next_event_at)],
+        };
+        for &(field, value) in numbers {
+            check_finite(value, || format!("{} record's {field}", self.tag()))?;
+        }
+        Ok(())
     }
 
     /// The record's tag, as serialized ("dispatch", "fail", "complete",

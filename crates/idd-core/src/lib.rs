@@ -74,7 +74,9 @@ pub use query::QueryMeta;
 pub use reduce::{reduce, Density, ReduceOptions};
 pub use residual::ResidualInstance;
 pub use schedule::{DeploymentSchedule, ScheduledBuild};
-pub use slotsched::{SlotScheduleEvaluator, SlotScheduleValue};
+pub use slotsched::{
+    DispatchPolicy, SlotBuild, SlotSchedule, SlotScheduleEvaluator, SlotScheduleValue,
+};
 pub use solution::Deployment;
 pub use stats::InstanceStats;
 pub use types::{IndexId, PlanId, QueryId};

@@ -20,7 +20,7 @@ pub use crate::query::QueryMeta;
 pub use crate::reduce::{reduce, Density, ReduceOptions};
 pub use crate::residual::ResidualInstance;
 pub use crate::schedule::{DeploymentSchedule, ScheduledBuild};
-pub use crate::slotsched::{SlotScheduleEvaluator, SlotScheduleValue};
+pub use crate::slotsched::{DispatchPolicy, SlotScheduleEvaluator, SlotScheduleValue};
 pub use crate::solution::Deployment;
 pub use crate::stats::InstanceStats;
 pub use crate::types::{IndexId, PlanId, QueryId};

@@ -1,52 +1,295 @@
-//! The slot-aware suffix objective: what a candidate order *really* costs
-//! on `k` concurrent build slots.
+//! The k-slot list scheduler, written once: the deploy runtime, its
+//! journal replay and the slot-aware replan scorer all drive
+//! [`SlotSchedule`].
 //!
 //! [`ObjectiveEvaluator::evaluate_area`](crate::ObjectiveEvaluator::evaluate_area)
-//! scores an order under the paper's serial model — one build at a time,
-//! every build enjoying the interaction discounts of everything before it.
-//! A concurrent runtime realizes a different cost: builds overlap, an index
-//! dispatched before its helper *completes* forfeits the discount, and the
-//! workload runtime integrates over the (shorter) overlapped wall-clock.
-//! Ranking candidate suffixes by the serial area is therefore a proxy that
-//! can disagree with the k-slot cost the runtime will actually pay.
+//! scores an order under the paper's serial model. On `k` concurrent slots
+//! builds overlap, an index dispatched before its helper *completes*
+//! forfeits the discount, and the workload runtime integrates over the
+//! shorter overlapped wall-clock — so the serial area is only a proxy for
+//! what a concurrent runtime pays. [`SlotSchedule`] holds the pending
+//! suffix, the builds in flight, the completed set, the clock and the exact
+//! realized cost, and applies the rules:
 //!
-//! [`SlotScheduleEvaluator`] closes that gap: it list-schedules an order
-//! onto `k` slots with exactly the deploy runtime's dispatch rules and
-//! exactly the [`ObjectiveStepper`](crate::objective::ObjectiveStepper)
-//! begin/accrue/complete arithmetic,
-//! accumulating the realized area in an [`ExactSum`]. The result is not an
-//! approximation of the runtime — on a quiet run (no events, no failures)
-//! it *is* the runtime, bit for bit:
-//!
-//! * dispatch fills the lowest-numbered free slot first;
-//! * under [`head-of-line`](SlotScheduleEvaluator::head_of_line) rules a
-//!   pending head whose precedence prerequisite has not *completed* blocks
-//!   every free slot behind it; under
-//!   [`work-conserving`](SlotScheduleEvaluator::work_conserving) rules (the
-//!   default) the first *eligible* pending index runs instead, without
-//!   reordering the plan;
-//! * each build is priced against the indexes completed at its start
-//!   ([`ObjectiveStepper::begin_build`](crate::objective::ObjectiveStepper::begin_build)):
-//!   an in-flight helper discounts
-//!   nothing;
+//! * an index is *eligible* once every precedence prerequisite has
+//!   *completed*, and the [`DispatchPolicy`] scan picks the next index to
+//!   run ([`SlotSchedule::next_dispatchable`]);
+//! * dispatch fills the lowest-numbered free slot and prices the build
+//!   against the completed set, so an in-flight helper discounts nothing
+//!   ([`SlotSchedule::dispatch`]);
 //! * completions land earliest-finish-first, dispatch order breaking ties,
-//!   and each elapsed span accrues `runtime · duration` into the same
-//!   [`ExactSum`] the runtime uses.
+//!   each elapsed span accruing `runtime · duration` into one [`ExactSum`]
+//!   ([`SlotSchedule::complete`]).
 //!
+//! The deploy runtime (`idd-deploy`) drives the schedule through its
+//! journal transitions, adding events, replans and failures.
+//! [`SlotScheduleEvaluator`] runs it on a quiet tail, so on a quiet run it
+//! *is* the runtime, bit for bit; it adds only the slots a mid-flight
+//! replan sees still occupied ([`SlotScheduleEvaluator::with_busy_until`]).
 //! With `k = 1` every order degenerates to the serial schedule and the
-//! evaluator reproduces
-//! [`ObjectiveEvaluator::evaluate_area`](crate::ObjectiveEvaluator::evaluate_area)
-//! bit-for-bit — which is what lets a replanner switch between the serial
-//! and slot-aware objectives without perturbing single-slot behavior.
+//! evaluator reproduces the serial area bit-for-bit, which lets a
+//! replanner switch objectives without perturbing single-slot behavior.
 
 use crate::accsum::ExactSum;
 use crate::instance::ProblemInstance;
-use crate::objective::ObjectiveEvaluator;
+use crate::journal::FailRecord;
+use crate::objective::{ObjectiveEvaluator, ObjectiveStepper};
 use crate::solution::Deployment;
 use crate::types::IndexId;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::collections::VecDeque;
+
+/// How pending builds are admitted into free slots.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum DispatchPolicy {
+    /// Only the planned head may dispatch: a head blocked behind an
+    /// incomplete precedence prerequisite idles every free slot behind it.
+    /// The default — dispatch order equals plan order, which keeps
+    /// multi-slot runs predictable.
+    #[default]
+    HeadOfLine,
+    /// The first *eligible* pending index in plan order dispatches, without
+    /// reordering the plan, so no free slot idles while eligible work is
+    /// pending; every dispatch past the head is an overtake. With one slot
+    /// this is head-of-line: when the slot is free nothing is in flight,
+    /// and a valid plan's head is then always eligible.
+    WorkConserving,
+}
+
+/// A build occupying a slot: dispatched, not yet completed.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SlotBuild {
+    /// The index being built.
+    pub index: IndexId,
+    /// The slot it occupies.
+    pub slot: usize,
+    /// Dispatch sequence number: the builds dispatched before this one.
+    pub position: usize,
+    /// Clock at dispatch, when the first attempt starts.
+    pub start: f64,
+    /// `start + (wasted + cost)`, the completion time.
+    pub finish: f64,
+    /// Effective build cost of the successful attempt, priced against the
+    /// indexes completed at `start`.
+    pub cost: f64,
+    /// Failed attempts before the successful one.
+    pub retries: u32,
+    /// Clock each failed attempt wastes.
+    pub waste_per_failure: f64,
+    /// Clock all failed attempts waste, accumulated one at a time.
+    pub wasted: f64,
+}
+
+impl SlotBuild {
+    /// The journal records of this build's failed attempts, in order. The
+    /// attempts run back to back from the build's start: attempt `k` starts
+    /// after `k − 1` wasted attempts, accumulated one at a time.
+    pub fn failed_attempts(self) -> impl Iterator<Item = FailRecord> {
+        let mut clock = self.start;
+        (1..=self.retries).map(move |attempt| {
+            let record = FailRecord {
+                clock,
+                slot: self.slot,
+                index: self.index,
+                attempt,
+                wasted: self.waste_per_failure,
+            };
+            clock += self.waste_per_failure;
+            record
+        })
+    }
+}
+
+/// The state of a k-slot list schedule and its rules (see the module docs).
+/// The pending suffix, the completed set, the clock and the realized sum are
+/// plain data the deploy runtime edits between boundaries (events land,
+/// replans adopt a new suffix); the builds in flight change only through
+/// [`SlotSchedule::dispatch`] and [`SlotSchedule::complete`].
+#[derive(Debug, Clone)]
+pub struct SlotSchedule {
+    /// The planned unbuilt suffix, in execution order. A `VecDeque` so head
+    /// dispatch is O(1) (and a work-conserving overtake at position `p`
+    /// costs `O(min(p, n − p))`, not a full shift).
+    pub pending: VecDeque<IndexId>,
+    /// Builds occupying slots, in dispatch order.
+    in_flight: Vec<SlotBuild>,
+    /// Bitmap of *completed* indexes, keyed by raw index id.
+    pub built: Vec<bool>,
+    /// The schedule clock: the time of the current boundary.
+    pub clock: f64,
+    /// Exact accumulator of the realized cost: every `runtime · duration`
+    /// product lands here error-free and is rounded once, so a quiet
+    /// one-slot schedule reproduces the offline objective area bit-for-bit
+    /// (the offline evaluator sums the same products the same way).
+    pub realized: ExactSum,
+    /// Builds dispatched so far.
+    dispatched: usize,
+    /// Dispatches that overtook a blocked planned head.
+    overtakes: usize,
+}
+
+impl SlotSchedule {
+    /// A schedule at t = 0 over an instance of `n` indexes: nothing
+    /// completed or in flight, `pending` planned.
+    pub fn new(n: usize, pending: impl IntoIterator<Item = IndexId>) -> Self {
+        Self {
+            pending: pending.into_iter().collect(),
+            in_flight: Vec::new(),
+            built: vec![false; n],
+            clock: 0.0,
+            realized: ExactSum::new(),
+            dispatched: 0,
+            overtakes: 0,
+        }
+    }
+
+    /// `true` when `index` may be dispatched: every precedence prerequisite
+    /// in `instance` has *completed* (an in-flight prerequisite blocks
+    /// dispatch — the dependency is on the built artifact, not on the
+    /// commitment).
+    pub fn eligible(&self, instance: &ProblemInstance, index: IndexId) -> bool {
+        instance
+            .precedences()
+            .iter()
+            .all(|pr| pr.after != index || self.built[pr.before.raw()])
+    }
+
+    /// Position in `pending` of the next index `policy` admits into a free
+    /// slot, if any. Eligibility depends only on the *completed* set, so
+    /// the answer is stable across the dispatches of one boundary.
+    pub fn next_dispatchable(
+        &self,
+        instance: &ProblemInstance,
+        policy: DispatchPolicy,
+    ) -> Option<usize> {
+        let limit = match policy {
+            DispatchPolicy::HeadOfLine => self.pending.len().min(1),
+            DispatchPolicy::WorkConserving => self.pending.len(),
+        };
+        (0..limit).find(|&pos| self.eligible(instance, self.pending[pos]))
+    }
+
+    /// The builds occupying slots, in dispatch order.
+    pub fn in_flight(&self) -> &[SlotBuild] {
+        &self.in_flight
+    }
+
+    /// Dispatches so far that overtook a blocked planned head.
+    pub fn overtakes(&self) -> usize {
+        self.overtakes
+    }
+
+    /// `true` when nothing is pending or in flight.
+    pub fn is_idle(&self) -> bool {
+        self.pending.is_empty() && self.in_flight.is_empty()
+    }
+
+    /// `true` when no in-flight build occupies `slot`.
+    pub fn slot_is_free(&self, slot: usize) -> bool {
+        self.in_flight.iter().all(|f| f.slot != slot)
+    }
+
+    /// The lowest-numbered of slots `0..slots` that no build occupies.
+    pub fn free_slot(&self, slots: usize) -> Option<usize> {
+        (0..slots).find(|&slot| self.slot_is_free(slot))
+    }
+
+    /// Position in `in_flight` of the build that completes next: earliest
+    /// finish first, dispatch order breaking ties (`in_flight` is in
+    /// dispatch order, and `min_by` keeps the first of equal elements).
+    pub fn next_completion(&self) -> Option<usize> {
+        self.in_flight
+            .iter()
+            .enumerate()
+            .min_by(|(_, a), (_, b)| a.finish.total_cmp(&b.finish))
+            .map(|(at, _)| at)
+    }
+
+    /// Offsets from the clock at which the in-flight builds free their
+    /// slots, in dispatch order — the occupied slots a replan at this
+    /// boundary sees ([`SlotScheduleEvaluator::with_busy_until`]).
+    pub fn busy_until(&self) -> Vec<f64> {
+        self.in_flight
+            .iter()
+            .map(|f| f.finish - self.clock)
+            .collect()
+    }
+
+    /// Dispatches the index at `plan_offset` in the pending suffix into
+    /// `slot` at the current clock. The build is priced against the
+    /// completed set; `failure` maps (index, cost) to its failure spec —
+    /// `(retries, waste_per_failure)`: that many attempts waste that much
+    /// clock each before the build succeeds, all inside this slot — and the
+    /// slot stays occupied until completion.
+    pub fn dispatch(
+        &mut self,
+        stepper: &mut ObjectiveStepper<'_>,
+        plan_offset: usize,
+        slot: usize,
+        failure: impl FnOnce(IndexId, f64) -> (u32, f64),
+    ) -> SlotBuild {
+        let index = self
+            .pending
+            .remove(plan_offset)
+            .expect("plan offset within the pending suffix");
+        self.overtakes += usize::from(plan_offset > 0);
+        let cost = stepper.begin_build(index);
+        let (retries, waste_per_failure) = failure(index, cost);
+        let mut wasted = 0.0;
+        for _ in 0..retries {
+            wasted += waste_per_failure;
+        }
+        let build = SlotBuild {
+            index,
+            slot,
+            position: self.dispatched,
+            start: self.clock,
+            finish: self.clock + (wasted + cost),
+            cost,
+            retries,
+            waste_per_failure,
+            wasted,
+        };
+        self.in_flight.push(build);
+        self.dispatched += 1;
+        build
+    }
+
+    /// Completes the in-flight build at `at`: the workload cost of
+    /// `[clock, finish]` accrues at the current runtime level, the clock
+    /// advances, and the index lands.
+    pub fn complete(&mut self, stepper: &mut ObjectiveStepper<'_>, at: usize) -> SlotBuild {
+        let build = self.in_flight.remove(at);
+        // When nothing has been accrued since this build started (always
+        // true with one slot), split the span into the serial per-attempt
+        // products so the one-slot schedule reproduces the serial
+        // arithmetic bit-for-bit; otherwise accrue the remaining span in one
+        // piece (the runtime level is constant over it — every earlier
+        // completion has already been processed).
+        let (attempts, last) = if self.clock.to_bits() == build.start.to_bits() {
+            (build.retries as usize, build.cost)
+        } else {
+            (0, build.finish - self.clock)
+        };
+        let runtime = stepper.runtime();
+        for span in std::iter::repeat_n(build.waste_per_failure, attempts).chain([last]) {
+            self.realized.add_prod(runtime, span);
+        }
+        self.clock = build.finish;
+        stepper.complete_build(build.index);
+        self.built[build.index.raw()] = true;
+        build
+    }
+
+    /// Advances the clock to `at` with nothing completing — an occupied
+    /// slot draining — accruing the span at `runtime`. A no-op unless `at`
+    /// is later than the clock.
+    fn wait_until(&mut self, runtime: f64, at: f64) {
+        if at > self.clock {
+            self.realized.add_prod(runtime, at - self.clock);
+            self.clock = at;
+        }
+    }
+}
 
 /// What one list-scheduled run of an order realized on `k` slots.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,63 +306,29 @@ pub struct SlotScheduleValue {
     pub overtakes: usize,
 }
 
-/// List-schedules deployment orders onto `k` concurrent build slots and
-/// returns the realized k-slot objective area. See the module docs for the
-/// exact semantics and the bit-for-bit guarantees.
+/// List-schedules deployment orders onto `k` concurrent build slots with
+/// [`SlotSchedule`] and returns the realized k-slot objective area. See the
+/// module docs for the exact semantics and the bit-for-bit guarantees.
 #[derive(Debug, Clone)]
 pub struct SlotScheduleEvaluator<'a> {
     instance: &'a ProblemInstance,
     evaluator: ObjectiveEvaluator<'a>,
     slots: usize,
-    work_conserving: bool,
+    policy: DispatchPolicy,
     /// Offsets (from the schedule's t = 0) at which initially-occupied
-    /// slots become free; empty = every slot free at once.
+    /// slots become free, latest first; empty = every slot free at once.
     busy_until: Vec<f64>,
 }
 
-/// What the completion queue is waiting on: a scheduled build finishing, or
-/// an initially-occupied slot becoming free (a mid-flight replan's
-/// in-flight build draining, seen from the suffix's t = 0).
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum DoneEvent {
-    Build(IndexId),
-    SlotFree(usize),
-}
-
-/// Completion-queue key: earliest finish first, dispatch sequence breaking
-/// ties — the same ordering the deploy runtime's event loop uses.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct Done {
-    finish: f64,
-    seq: usize,
-    event: DoneEvent,
-}
-
-impl Eq for Done {}
-
-impl Ord for Done {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.finish
-            .total_cmp(&other.finish)
-            .then(self.seq.cmp(&other.seq))
-    }
-}
-
-impl PartialOrd for Done {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
 impl<'a> SlotScheduleEvaluator<'a> {
-    /// A work-conserving evaluator over `slots` concurrent slots (`0` is
-    /// treated as `1`, like the deploy runtime's `build_slots`).
-    pub fn new(instance: &'a ProblemInstance, slots: usize) -> Self {
+    /// An evaluator over `slots` concurrent slots (`0` is treated as `1`,
+    /// like the deploy runtime's `build_slots`) under `policy`.
+    pub fn new(instance: &'a ProblemInstance, slots: usize, policy: DispatchPolicy) -> Self {
         Self {
             instance,
             evaluator: ObjectiveEvaluator::new(instance),
             slots: slots.max(1),
-            work_conserving: true,
+            policy,
             busy_until: Vec::new(),
         }
     }
@@ -136,34 +345,11 @@ impl<'a> SlotScheduleEvaluator<'a> {
         self.busy_until = busy
             .iter()
             .copied()
-            .map(|b| if b.is_finite() && b > 0.0 { b } else { 0.0 })
             .take(self.slots)
+            .filter(|b| b.is_finite() && *b > 0.0)
             .collect();
+        self.busy_until.sort_by(|a, b| b.total_cmp(a));
         self
-    }
-
-    /// Switches to head-of-line dispatch: a blocked planned head idles every
-    /// free slot behind it (the deploy runtime's default dispatch policy).
-    pub fn head_of_line(mut self) -> Self {
-        self.work_conserving = false;
-        self
-    }
-
-    /// Switches to work-conserving dispatch (the constructor default): the
-    /// first eligible pending index runs whenever a slot is free.
-    pub fn work_conserving(mut self) -> Self {
-        self.work_conserving = true;
-        self
-    }
-
-    /// The slot count this evaluator schedules onto.
-    pub fn slots(&self) -> usize {
-        self.slots
-    }
-
-    /// `true` when dispatch may overtake a blocked planned head.
-    pub fn is_work_conserving(&self) -> bool {
-        self.work_conserving
     }
 
     /// The realized k-slot objective area of `order` (no timeline detail).
@@ -180,139 +366,51 @@ impl<'a> SlotScheduleEvaluator<'a> {
     /// ever clear the dependent and the schedule would wedge.
     pub fn evaluate(&self, order: &Deployment) -> SlotScheduleValue {
         debug_assert!(order.validate(self.instance).is_ok());
-        let mut pending: VecDeque<IndexId> = order.order().iter().copied().collect();
         let mut stepper = self.evaluator.stepper();
-        let mut realized = ExactSum::new();
-        let mut completions: BinaryHeap<Reverse<Done>> = BinaryHeap::new();
-        let mut free_slots: BinaryHeap<Reverse<usize>> = BinaryHeap::new();
-        // (index, slot, start, finish, cost) per in-flight build.
-        let mut in_flight: Vec<(IndexId, usize, f64, f64, f64)> = Vec::new();
-        let mut clock = 0.0_f64;
-        let mut seq = 0usize;
-        let mut overtakes = 0usize;
-
-        // Slots carrying an initial occupancy free up via the completion
-        // queue (like the in-flight builds they stand for); the rest are
-        // free at once. With no occupancy this is every slot, bit-for-bit
-        // the original behavior.
-        for slot in 0..self.slots {
-            match self.busy_until.get(slot) {
-                Some(&b) if b > 0.0 => {
-                    completions.push(Reverse(Done {
-                        finish: b,
-                        seq,
-                        event: DoneEvent::SlotFree(slot),
-                    }));
-                    seq += 1;
-                }
-                _ => free_slots.push(Reverse(slot)),
-            }
-        }
-
+        let mut schedule =
+            SlotSchedule::new(self.instance.num_indexes(), order.order().iter().copied());
+        let mut draining = self.busy_until.clone();
         loop {
-            // Dispatch into free slots. Eligibility (every precedence
-            // prerequisite *completed*) cannot change while dispatching —
-            // only completions complete things — so each scan is final for
-            // this boundary.
-            while !free_slots.is_empty() {
-                let Some(pos) = self.next_dispatchable(&pending, stepper.built()) else {
+            // While `d` occupied slots still drain, only `slots − d` can take
+            // work. Slots are interchangeable here, so which ones drain
+            // does not matter.
+            while let Some(slot) = schedule.free_slot(self.slots - draining.len()) {
+                let Some(pos) = schedule.next_dispatchable(self.instance, self.policy) else {
                     break;
                 };
-                let next = pending.remove(pos).expect("position from scan");
-                if pos > 0 {
-                    overtakes += 1;
-                }
-                let slot = free_slots.pop().expect("checked non-empty").0;
-                let cost = stepper.begin_build(next);
-                let finish = clock + cost;
-                completions.push(Reverse(Done {
-                    finish,
-                    seq,
-                    event: DoneEvent::Build(next),
-                }));
-                in_flight.push((next, slot, clock, finish, cost));
-                seq += 1;
+                schedule.dispatch(&mut stepper, pos, slot, |_, _| (0, 0.0));
             }
-
-            // Once every pending index has completed, trailing slot-free
-            // sentinels are irrelevant: they must not stretch the makespan
-            // or accrue area past the last build.
-            if pending.is_empty() && in_flight.is_empty() {
+            // Once every pending index has completed, slots still draining
+            // are irrelevant: they must not stretch the makespan or accrue
+            // area past the last build.
+            if schedule.is_idle() {
                 break;
             }
-
-            // Advance to the earliest completion; accrue the elapsed span
-            // exactly the way the runtime does: when nothing has accrued
-            // since this build started, use its own cost as the duration
-            // (the serial bit-for-bit split), otherwise the remaining span.
-            let Some(Reverse(done)) = completions.pop() else {
-                break;
-            };
-            match done.event {
-                DoneEvent::SlotFree(slot) => {
-                    // An initially-occupied slot drains: the workload keeps
-                    // running at the current rate until then, but nothing in
-                    // the suffix completes.
-                    if done.finish > clock {
-                        let span = done.finish - clock;
-                        realized.add_prod(stepper.runtime(), span);
-                        stepper.accrue(span);
-                        clock = done.finish;
-                    }
-                    free_slots.push(Reverse(slot));
+            let next = schedule.next_completion();
+            match (draining.last(), next) {
+                // A slot that drains no later than the next completion
+                // frees first; the workload keeps running at the current
+                // rate until then, but nothing completes.
+                (Some(&at), _) if next.is_none_or(|c| at <= schedule.in_flight[c].finish) => {
+                    draining.pop();
+                    schedule.wait_until(stepper.runtime(), at);
                 }
-                DoneEvent::Build(index) => {
-                    let pos = in_flight
-                        .iter()
-                        .position(|&(i, _, _, _, _)| i == index)
-                        .expect("completion queue tracks in-flight builds");
-                    let (index, slot, start, finish, cost) = in_flight.remove(pos);
-                    let runtime = stepper.runtime();
-                    if clock.to_bits() == start.to_bits() {
-                        realized.add_prod(runtime, cost);
-                        stepper.accrue(cost);
-                    } else {
-                        realized.add_prod(runtime, finish - clock);
-                        stepper.accrue(finish - clock);
-                    }
-                    clock = finish;
-                    stepper.complete_build(index);
-                    free_slots.push(Reverse(slot));
+                (_, Some(at)) => {
+                    schedule.complete(&mut stepper, at);
                 }
+                _ => break,
             }
         }
-
         debug_assert!(
-            pending.is_empty(),
+            schedule.pending.is_empty(),
             "valid order wedged: head blocked with nothing in flight"
         );
         SlotScheduleValue {
-            area: realized.value(),
-            makespan: clock,
+            area: schedule.realized.value(),
+            makespan: schedule.clock,
             final_runtime: stepper.runtime(),
-            overtakes,
+            overtakes: schedule.overtakes,
         }
-    }
-
-    /// Position in `pending` of the next index the dispatch rule admits,
-    /// given the completed set. Head-of-line admits only an eligible head;
-    /// work-conserving admits the first eligible index.
-    fn next_dispatchable(&self, pending: &VecDeque<IndexId>, built: &[bool]) -> Option<usize> {
-        let limit = if self.work_conserving {
-            pending.len()
-        } else {
-            pending.len().min(1)
-        };
-        (0..limit).find(|&pos| self.eligible(pending[pos], built))
-    }
-
-    /// `true` when every precedence prerequisite of `index` has completed —
-    /// the deploy runtime's dispatch gate.
-    fn eligible(&self, index: IndexId, built: &[bool]) -> bool {
-        self.instance
-            .precedences()
-            .iter()
-            .all(|pr| pr.after != index || built[pr.before.raw()])
     }
 }
 
@@ -350,8 +448,8 @@ mod tests {
         ] {
             let serial = ObjectiveEvaluator::new(&inst).evaluate(&order);
             for eval in [
-                SlotScheduleEvaluator::new(&inst, 1),
-                SlotScheduleEvaluator::new(&inst, 1).head_of_line(),
+                SlotScheduleEvaluator::new(&inst, 1, DispatchPolicy::WorkConserving),
+                SlotScheduleEvaluator::new(&inst, 1, DispatchPolicy::HeadOfLine),
             ] {
                 let value = eval.evaluate(&order);
                 assert_eq!(value.area.to_bits(), serial.area.to_bits());
@@ -370,7 +468,8 @@ mod tests {
         //   realized = 70·4 + 65·2 + 50·1 + 42·4 = 628
         let inst = instance();
         let order = Deployment::from_raw([0, 1, 2, 3]);
-        let value = SlotScheduleEvaluator::new(&inst, 2).evaluate(&order);
+        let value =
+            SlotScheduleEvaluator::new(&inst, 2, DispatchPolicy::WorkConserving).evaluate(&order);
         assert!((value.area - 628.0).abs() < 1e-9);
         assert_eq!(value.makespan, 11.0);
         assert_eq!(value.final_runtime, 25.0);
@@ -395,9 +494,7 @@ mod tests {
         // speed-up of 5 is dominated by i0's 10, so its completion at t=7
         // changes nothing): i0 [0,4], i1 [4,10], i2 [4,7]; runtime 50
         // →(i0@4) 40; area = 50·4 + 40·6 = 440, makespan 10.
-        let hol = SlotScheduleEvaluator::new(&inst, 2)
-            .head_of_line()
-            .evaluate(&order);
+        let hol = SlotScheduleEvaluator::new(&inst, 2, DispatchPolicy::HeadOfLine).evaluate(&order);
         assert!((hol.area - 440.0).abs() < 1e-9);
         assert_eq!(hol.makespan, 10.0);
         assert_eq!(hol.overtakes, 0);
@@ -405,7 +502,8 @@ mod tests {
         // Work-conserving: i2 overtakes into slot 1 at t=0.
         //   i0 [0,4], i2 [0,3], i1 [4,10]; runtime 50 →(i2@3) 45 →(i0@4)
         //   40 →(i1@10) 20; area = 50·3 + 45·1 + 40·6 = 435, makespan 10.
-        let wc = SlotScheduleEvaluator::new(&inst, 2).evaluate(&order);
+        let wc =
+            SlotScheduleEvaluator::new(&inst, 2, DispatchPolicy::WorkConserving).evaluate(&order);
         assert!((wc.area - 435.0).abs() < 1e-9);
         assert_eq!(wc.makespan, 10.0);
         assert_eq!(wc.overtakes, 1);
@@ -421,7 +519,7 @@ mod tests {
         // area = 70·3 + 70·1 + 65·3 + 57·2 + 42·1.5 = 652, makespan 10.5.
         let inst = instance();
         let order = Deployment::from_raw([0, 1, 2, 3]);
-        let value = SlotScheduleEvaluator::new(&inst, 2)
+        let value = SlotScheduleEvaluator::new(&inst, 2, DispatchPolicy::WorkConserving)
             .with_busy_until(&[3.0, 0.0])
             .evaluate(&order);
         assert!((value.area - 652.0).abs() < 1e-9, "{}", value.area);
@@ -435,12 +533,13 @@ mod tests {
         let inst = instance();
         let order = Deployment::from_raw([1, 0, 3, 2]);
         for slots in [1, 2, 4] {
-            let plain = SlotScheduleEvaluator::new(&inst, slots).evaluate(&order);
-            let empty = SlotScheduleEvaluator::new(&inst, slots)
+            let plain = SlotScheduleEvaluator::new(&inst, slots, DispatchPolicy::WorkConserving)
+                .evaluate(&order);
+            let empty = SlotScheduleEvaluator::new(&inst, slots, DispatchPolicy::WorkConserving)
                 .with_busy_until(&[])
                 .evaluate(&order);
             // Non-finite and non-positive offsets mean "free at once".
-            let clamped = SlotScheduleEvaluator::new(&inst, slots)
+            let clamped = SlotScheduleEvaluator::new(&inst, slots, DispatchPolicy::WorkConserving)
                 .with_busy_until(&[0.0, -2.0, f64::NAN, f64::INFINITY])
                 .evaluate(&order);
             assert_eq!(empty.area.to_bits(), plain.area.to_bits());
@@ -460,7 +559,7 @@ mod tests {
         b.add_plan(q0, vec![i0], 6.0);
         let inst = b.build().unwrap();
         let order = Deployment::from_raw([0]);
-        let value = SlotScheduleEvaluator::new(&inst, 2)
+        let value = SlotScheduleEvaluator::new(&inst, 2, DispatchPolicy::WorkConserving)
             .with_busy_until(&[0.0, 100.0])
             .evaluate(&order);
         assert!((value.area - 40.0).abs() < 1e-9);
@@ -472,8 +571,10 @@ mod tests {
     fn zero_slots_are_clamped_to_one() {
         let inst = instance();
         let order = Deployment::from_raw([2, 3, 0, 1]);
-        let zero = SlotScheduleEvaluator::new(&inst, 0).evaluate_area(&order);
-        let one = SlotScheduleEvaluator::new(&inst, 1).evaluate_area(&order);
+        let zero = SlotScheduleEvaluator::new(&inst, 0, DispatchPolicy::WorkConserving)
+            .evaluate_area(&order);
+        let one = SlotScheduleEvaluator::new(&inst, 1, DispatchPolicy::WorkConserving)
+            .evaluate_area(&order);
         assert_eq!(zero.to_bits(), one.to_bits());
     }
 
@@ -486,7 +587,8 @@ mod tests {
         // 70 →(i2) 62 →(i0) 57 →(i3) 40 →(i1) 25.
         // area = 70·3 + 62·1 + 57·1 + 40·1 = 369, makespan 6.
         for slots in [4, 8] {
-            let value = SlotScheduleEvaluator::new(&inst, slots).evaluate(&order);
+            let value = SlotScheduleEvaluator::new(&inst, slots, DispatchPolicy::WorkConserving)
+                .evaluate(&order);
             assert!((value.area - 369.0).abs() < 1e-9, "{}", value.area);
             assert_eq!(value.makespan, 6.0);
         }

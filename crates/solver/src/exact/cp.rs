@@ -96,10 +96,13 @@ impl CpSolver {
     }
 
     /// Runs the search inside a shared [`SolveContext`] (cancellable, and
-    /// publishing every incumbent improvement).
+    /// publishing every incumbent improvement). The clock starts on entry,
+    /// so the property analysis counts against the budget and shows in
+    /// `elapsed_seconds`.
     pub fn solve_in(&self, instance: &ProblemInstance, shared: &SolveContext) -> SolveResult {
+        let clock = self.config.budget.start_cancellable(shared.cancel_token());
         let analysis = properties::analyze(instance, self.config.analysis);
-        self.solve_with_constraints_in(instance, &analysis.constraints, shared)
+        self.search(instance, &analysis.constraints, shared, clock)
     }
 
     /// Runs the search against an externally prepared constraint set (used by
@@ -112,7 +115,8 @@ impl CpSolver {
         self.solve_with_constraints_in(instance, constraints, &SolveContext::new())
     }
 
-    /// [`CpSolver::solve_with_constraints`] inside a shared context.
+    /// [`CpSolver::solve_with_constraints`] inside a shared context. The
+    /// clock starts here: the constraints were prepared outside the run.
     pub fn solve_with_constraints_in(
         &self,
         instance: &ProblemInstance,
@@ -120,6 +124,17 @@ impl CpSolver {
         shared: &SolveContext,
     ) -> SolveResult {
         let clock = self.config.budget.start_cancellable(shared.cancel_token());
+        self.search(instance, constraints, shared, clock)
+    }
+
+    /// The branch-and-prune search under `constraints`, on a running clock.
+    fn search(
+        &self,
+        instance: &ProblemInstance,
+        constraints: &OrderConstraints,
+        shared: &SolveContext,
+        clock: BudgetClock,
+    ) -> SolveResult {
         let mut ctx = SearchContext {
             instance,
             constraints,

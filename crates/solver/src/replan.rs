@@ -25,6 +25,13 @@
 //!
 //! Whatever the strategy, the returned order is never worse than the warm
 //! start: replanning can only help, by construction.
+//!
+//! A [`Replanner`] has two entry points: [`Replanner::replan`] over a
+//! residual instance and [`Replanner::replan_around`] over a deployment's
+//! pending suffix. Both take the slots still occupied at the replan point
+//! (`busy_until`), which only slot-aware [`SuffixScoring`] reads: it ranks
+//! candidates with [`SlotScheduleEvaluator`], the deploy runtime's own
+//! k-slot list scheduler, under the runtime's [`DispatchPolicy`].
 
 use crate::budget::SearchBudget;
 use crate::exact::{CpConfig, CpSolver};
@@ -36,7 +43,7 @@ use crate::portfolio::{PortfolioConfig, PortfolioSolver};
 use crate::result::CoopStats;
 use crate::solver::{CooperationPolicy, SolveContext, Solver};
 use idd_core::{
-    Deployment, IndexId, ObjectiveEvaluator, ProblemInstance, ResidualInstance,
+    Deployment, DispatchPolicy, IndexId, ObjectiveEvaluator, ProblemInstance, ResidualInstance,
     SlotScheduleEvaluator,
 };
 
@@ -82,17 +89,16 @@ pub enum SuffixScoring {
     #[default]
     Serial,
     /// The realized k-slot area: each candidate is list-scheduled onto
-    /// `slots` concurrent build slots by [`SlotScheduleEvaluator`] (under
-    /// work-conserving or head-of-line dispatch, matching the executing
-    /// runtime), so candidates are ranked by the cost the runtime will
-    /// actually realize on a quiet tail. With `slots = 1` this coincides
-    /// with [`SuffixScoring::Serial`] bit-for-bit.
+    /// `slots` concurrent build slots by [`SlotScheduleEvaluator`] under the
+    /// executing runtime's dispatch policy, so candidates are ranked by the
+    /// cost the runtime will actually realize on a quiet tail. With
+    /// `slots = 1` this coincides with [`SuffixScoring::Serial`]
+    /// bit-for-bit.
     SlotAware {
         /// Number of concurrent build slots to schedule onto.
         slots: usize,
-        /// `true` to list-schedule with work-conserving dispatch (first
-        /// eligible pending index runs), `false` for head-of-line.
-        work_conserving: bool,
+        /// How the schedule admits pending builds into free slots.
+        dispatch: DispatchPolicy,
     },
 }
 
@@ -159,36 +165,13 @@ impl Replanner {
         self
     }
 
-    /// The slot-schedule evaluator the configured scoring calls for, if it
-    /// is genuinely different from the serial objective (`slots > 1`).
-    /// `busy_until` marks slots still occupied at the replan point (offsets
-    /// from the residual's t = 0 at which they free up).
-    fn slot_evaluator<'a>(
-        &self,
-        residual: &'a ProblemInstance,
-        busy_until: &[f64],
-    ) -> Option<SlotScheduleEvaluator<'a>> {
-        match self.scoring {
-            SuffixScoring::Serial => None,
-            SuffixScoring::SlotAware { slots, .. } if slots <= 1 => None,
-            SuffixScoring::SlotAware {
-                slots,
-                work_conserving,
-            } => {
-                let evaluator =
-                    SlotScheduleEvaluator::new(residual, slots).with_busy_until(busy_until);
-                Some(if work_conserving {
-                    evaluator
-                } else {
-                    evaluator.head_of_line()
-                })
-            }
-        }
-    }
-
     /// Re-optimizes `residual`, warm-starting from `warm_start` (the
     /// current suffix order projected into residual ids) when it is a valid
     /// order for the residual instance.
+    ///
+    /// `busy_until[i]` is the offset (from the residual's t = 0) at which
+    /// the i-th slot still occupied at the replan point frees up; only
+    /// slot-aware scoring reads it. Pass `&[]` when every slot is free.
     ///
     /// Candidates are compared deterministically: the warm start first, then
     /// each solver output in roster order, keeping the first strict
@@ -198,31 +181,22 @@ impl Replanner {
         &self,
         residual: &ProblemInstance,
         warm_start: Option<&Deployment>,
-    ) -> ReplanOutcome {
-        self.replan_occupied(residual, warm_start, &[])
-    }
-
-    /// [`Replanner::replan`], with slots still occupied at the replan
-    /// point: `busy_until[i]` is the offset (from the residual's t = 0) at
-    /// which the i-th occupied slot frees up — what a mid-flight replan sees
-    /// while committed builds drain. Only slot-aware scoring reads it; a
-    /// serial proxy has no slots to occupy. An empty slice is exactly
-    /// [`Replanner::replan`].
-    pub fn replan_occupied(
-        &self,
-        residual: &ProblemInstance,
-        warm_start: Option<&Deployment>,
         busy_until: &[f64],
     ) -> ReplanOutcome {
         let started = std::time::Instant::now();
         let evaluator = ObjectiveEvaluator::new(residual);
-        // With slot-aware scoring every candidate — warm start included —
-        // is ranked by its realized k-slot area; the solvers underneath
-        // still *search* with the serial objective (their delta evaluators
-        // speak serial), so this re-scores their outputs. With serial
-        // scoring (or one slot) the closure is the plain serial area and
-        // behavior is unchanged bit-for-bit.
-        let slot_evaluator = self.slot_evaluator(residual, busy_until);
+        // With slot-aware scoring (on more than one slot) every candidate —
+        // warm start included — is ranked by its realized k-slot area; the
+        // solvers underneath still *search* with the serial objective
+        // (their delta evaluators speak serial), so this re-scores their
+        // outputs. With serial scoring (or one slot) the closure is the
+        // plain serial area and behavior is unchanged bit-for-bit.
+        let slot_evaluator = match self.scoring {
+            SuffixScoring::SlotAware { slots, dispatch } if slots > 1 => Some(
+                SlotScheduleEvaluator::new(residual, slots, dispatch).with_busy_until(busy_until),
+            ),
+            _ => None,
+        };
         let score = |d: &Deployment| match &slot_evaluator {
             Some(slot) => slot.evaluate_area(d),
             None => evaluator.evaluate_area(d),
@@ -312,9 +286,11 @@ impl Replanner {
     /// Replans the pending suffix of a partially-executed deployment
     /// *around* its committed work: `residual` carries the conditioning on
     /// the built prefix plus any in-flight builds
-    /// ([`idd_core::ProblemInstance::residual_for_replan`]), and `pending`
-    /// is the surviving suffix — the parent-id order that was about to
-    /// execute, which becomes the warm start when it projects cleanly.
+    /// ([`idd_core::ProblemInstance::residual_for_replan`]), `pending` is
+    /// the surviving suffix — the parent-id order that was about to
+    /// execute, which becomes the warm start when it projects cleanly — and
+    /// `busy_until` holds the in-flight builds' remaining times, as
+    /// [`Replanner::replan`] takes them.
     ///
     /// Returns the replan outcome (residual ids, as
     /// [`Replanner::replan`] does) together with the new pending order
@@ -333,22 +309,10 @@ impl Replanner {
         &self,
         residual: &ResidualInstance,
         pending: &[IndexId],
-    ) -> Option<(ReplanOutcome, Vec<IndexId>)> {
-        self.replan_around_occupied(residual, pending, &[])
-    }
-
-    /// [`Replanner::replan_around`], with slots still occupied by the
-    /// in-flight builds the residual was conditioned on: `busy_until[i]` is
-    /// the offset from the replan point at which the i-th in-flight build
-    /// finishes and its slot frees up. Only slot-aware scoring reads it.
-    pub fn replan_around_occupied(
-        &self,
-        residual: &ResidualInstance,
-        pending: &[IndexId],
         busy_until: &[f64],
     ) -> Option<(ReplanOutcome, Vec<IndexId>)> {
         let warm = residual.project_order(pending)?;
-        let outcome = self.replan_occupied(residual.instance(), Some(&warm), busy_until);
+        let outcome = self.replan(residual.instance(), Some(&warm), busy_until);
         let new_pending = residual.lift_order(outcome.deployment.order());
         debug_assert!(
             new_pending
@@ -409,7 +373,7 @@ mod tests {
         let inst = residual_like(6);
         let warm = Deployment::from_raw([5, 4, 3, 2, 1, 0]);
         let replanner = Replanner::new(ReplanStrategy::KeepOrder, SearchBudget::nodes(10));
-        let outcome = replanner.replan(&inst, Some(&warm));
+        let outcome = replanner.replan(&inst, Some(&warm), &[]);
         assert_eq!(outcome.deployment, warm);
         assert_eq!(outcome.solver, "warm-start");
         assert!(!outcome.improved);
@@ -420,13 +384,13 @@ mod tests {
     fn missing_warm_start_falls_back_to_greedy() {
         let inst = residual_like(5);
         let replanner = Replanner::new(ReplanStrategy::KeepOrder, SearchBudget::nodes(10));
-        let outcome = replanner.replan(&inst, None);
+        let outcome = replanner.replan(&inst, None, &[]);
         assert_eq!(outcome.solver, "greedy");
         assert!(outcome.deployment.is_valid_for(&inst));
         assert!(outcome.warm_start_objective.is_none());
         // A stale warm start (wrong length) is treated as missing.
         let stale = Deployment::from_raw([0, 1]);
-        let outcome2 = replanner.replan(&inst, Some(&stale));
+        let outcome2 = replanner.replan(&inst, Some(&stale), &[]);
         assert_eq!(outcome2.solver, "greedy");
     }
 
@@ -445,7 +409,7 @@ mod tests {
             },
         ] {
             let outcome =
-                Replanner::new(strategy, SearchBudget::nodes(60)).replan(&inst, Some(&warm));
+                Replanner::new(strategy, SearchBudget::nodes(60)).replan(&inst, Some(&warm), &[]);
             assert!(
                 outcome.objective <= warm_area + 1e-12,
                 "{}: {} > {warm_area}",
@@ -473,7 +437,7 @@ mod tests {
                 },
                 SearchBudget::nodes(50),
             )
-            .replan(&inst, Some(&warm))
+            .replan(&inst, Some(&warm), &[])
         };
         let a = run();
         let b = run();
@@ -505,7 +469,7 @@ mod tests {
         ] {
             let replanner = Replanner::new(strategy, SearchBudget::nodes(40));
             let (outcome, new_pending) = replanner
-                .replan_around(&residual, &pending)
+                .replan_around(&residual, &pending, &[])
                 .expect("pending is a permutation of the residual");
             // Same index set as the old pending, no committed index leaked.
             let mut sorted = new_pending.clone();
@@ -539,10 +503,10 @@ mod tests {
             IndexId::new(2),
             IndexId::new(3),
         ];
-        assert!(replanner.replan_around(&residual, &stale).is_none());
+        assert!(replanner.replan_around(&residual, &stale, &[]).is_none());
         // Pending that lost an index is out of sync too.
         assert!(replanner
-            .replan_around(&residual, &[IndexId::new(1), IndexId::new(2)])
+            .replan_around(&residual, &[IndexId::new(1), IndexId::new(2)], &[])
             .is_none());
     }
 
@@ -557,14 +521,12 @@ mod tests {
             cooperation: CooperationPolicy::Off,
             cancel_on_optimal: false,
         };
-        let serial = Replanner::new(strategy, SearchBudget::nodes(50)).replan(&inst, Some(&warm));
-        for work_conserving in [false, true] {
+        let serial =
+            Replanner::new(strategy, SearchBudget::nodes(50)).replan(&inst, Some(&warm), &[]);
+        for dispatch in [DispatchPolicy::HeadOfLine, DispatchPolicy::WorkConserving] {
             let slot = Replanner::new(strategy, SearchBudget::nodes(50))
-                .with_scoring(SuffixScoring::SlotAware {
-                    slots: 1,
-                    work_conserving,
-                })
-                .replan(&inst, Some(&warm));
+                .with_scoring(SuffixScoring::SlotAware { slots: 1, dispatch })
+                .replan(&inst, Some(&warm), &[]);
             assert_eq!(slot.objective.to_bits(), serial.objective.to_bits());
             assert_eq!(slot.deployment, serial.deployment);
             assert_eq!(slot.solver, serial.solver);
@@ -599,8 +561,11 @@ mod tests {
         let inst = b.build().unwrap();
         let warm = Deployment::from_raw([0, 2, 1]);
 
-        let serial = Replanner::new(ReplanStrategy::Greedy, SearchBudget::nodes(10))
-            .replan(&inst, Some(&warm));
+        let serial = Replanner::new(ReplanStrategy::Greedy, SearchBudget::nodes(10)).replan(
+            &inst,
+            Some(&warm),
+            &[],
+        );
         assert_eq!(serial.deployment, Deployment::from_raw([0, 1, 2]));
         assert_eq!(serial.solver, "greedy");
         assert!((serial.objective - 840.0).abs() < 1e-9);
@@ -609,9 +574,9 @@ mod tests {
         let slot_aware = Replanner::new(ReplanStrategy::Greedy, SearchBudget::nodes(10))
             .with_scoring(SuffixScoring::SlotAware {
                 slots: 2,
-                work_conserving: false,
+                dispatch: DispatchPolicy::HeadOfLine,
             })
-            .replan(&inst, Some(&warm));
+            .replan(&inst, Some(&warm), &[]);
         assert_eq!(slot_aware.deployment, warm, "slot-friendly order survives");
         assert_eq!(slot_aware.solver, "warm-start");
         assert!((slot_aware.objective - 648.0).abs() < 1e-9);
@@ -619,8 +584,7 @@ mod tests {
         assert!(!slot_aware.improved);
 
         // The reported objective really is the realized two-slot area.
-        let realized = SlotScheduleEvaluator::new(&inst, 2)
-            .head_of_line()
+        let realized = SlotScheduleEvaluator::new(&inst, 2, DispatchPolicy::HeadOfLine)
             .evaluate_area(&slot_aware.deployment);
         assert_eq!(slot_aware.objective.to_bits(), realized.to_bits());
     }
@@ -641,7 +605,7 @@ mod tests {
         assert_eq!(
             SuffixScoring::SlotAware {
                 slots: 4,
-                work_conserving: true
+                dispatch: DispatchPolicy::WorkConserving
             }
             .label(),
             "slot-aware"

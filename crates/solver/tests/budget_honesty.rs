@@ -1,7 +1,7 @@
-//! Budget honesty of the local-search members: a member's clock starts on
-//! entry to [`Solver::run`], so the greedy seed and the per-instance set-up
-//! (property analysis, lower bound, delta evaluator) count against its
-//! budget and show in its `elapsed_seconds`.
+//! Budget honesty of the local-search members and CP+: a member's clock
+//! starts on entry to [`Solver::run`], so the greedy seed and the
+//! per-instance set-up (property analysis, lower bound, delta evaluator)
+//! count against its budget and show in its `elapsed_seconds`.
 //!
 //! With a zero-node budget a member does no search at all: its whole run is
 //! that set-up. On an instance whose greedy seed takes a noticeable share of
@@ -9,6 +9,7 @@
 //! the wall time of the call.
 
 use idd_core::{IndexId, ProblemInstance};
+use idd_solver::exact::{CpConfig, CpSolver};
 use idd_solver::local::{LnsSolver, SwapStrategy, TabuSolver, VnsSolver};
 use idd_solver::{SearchBudget, SolveContext, Solver};
 use rand::prelude::*;
@@ -48,6 +49,9 @@ fn zero_node_runs_report_their_seeding_time() {
             SwapStrategy::First,
             SearchBudget::default(),
         )),
+        Box::new(CpSolver::with_config(CpConfig::with_properties(
+            SearchBudget::default(),
+        ))),
     ];
     for member in &members {
         // The best of three attempts, so a preemption in the few
