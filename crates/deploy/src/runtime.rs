@@ -146,8 +146,8 @@ pub struct DeployConfig {
     /// How (and whether) to re-optimize the suffix when a replan fires.
     /// [`ReplanStrategy::KeepOrder`] is the static baseline: events are
     /// *applied* (weights drift, indexes appear/disappear) but the suffix
-    /// order is kept. Its [`Replanner::scoring`] is replaced at every
-    /// replan by the one `slot_aware_replan` selects.
+    /// order is kept. The runtime hands it the candidate scoring
+    /// `slot_aware_replan` selects.
     pub replanner: Replanner,
     /// Number of concurrent build slots. `1` (the default) reproduces the
     /// serial runtime bit-for-bit; `0` is treated as `1`
@@ -721,12 +721,6 @@ impl DeployRuntime {
         self
     }
 
-    /// The configured replan strategy's label ("static" / "greedy" /
-    /// "portfolio"), for reports.
-    pub fn policy_label(&self) -> &'static str {
-        self.config.replanner.strategy.label()
-    }
-
     /// Executes `initial` against `scenario` on `build_slots` concurrent
     /// slots. See the module docs for the execution model and invariants.
     ///
@@ -926,7 +920,6 @@ impl DeployRuntime {
         } else {
             SuffixScoring::Serial
         };
-        let replanner = self.config.replanner.clone().with_scoring(scoring);
         let pending: Vec<IndexId> = state.schedule.pending.iter().copied().collect();
         // In-flight builds keep their slots until they finish, so the
         // scorer sees them as busy. Mechanical plan maintenance (appends on
@@ -934,8 +927,10 @@ impl DeployRuntime {
         // the residual indexes; if it ever does not, surface the bug — a
         // silent fallback would turn the static baseline into a replanning
         // policy.
-        let (outcome, new_pending) = replanner
-            .replan_around(&residual, &pending, &state.schedule.busy_until())
+        let (outcome, new_pending) = self
+            .config
+            .replanner
+            .replan_around(&residual, &pending, scoring, &state.schedule.busy_until())
             .ok_or_else(|| {
                 DeployError::InvalidPlan(
                     "in-flight suffix is not a permutation of the residual indexes".into(),

@@ -86,7 +86,8 @@ impl DesignRevision {
     /// the extended instance and the ids assigned to the new indexes.
     /// Drops are not applied here: retracted indexes stay in the instance
     /// (ids must remain stable) and are excluded from scheduling by the
-    /// runtime via [`ProblemInstance::residual_excluding`].
+    /// runtime via the `excluded` set of
+    /// [`ProblemInstance::residual_for_replan`].
     ///
     /// Out-of-model values are clamped rather than rejected: a plan speed-up
     /// is capped at the query's runtime, an interaction saving at the

@@ -70,38 +70,6 @@ impl IndexMeta {
             creation_cost,
         }
     }
-
-    /// Returns the set of all columns touched by this index (keys then
-    /// includes), useful for detecting build interactions by column overlap.
-    pub fn all_columns(&self) -> impl Iterator<Item = &str> {
-        self.key_columns
-            .iter()
-            .chain(self.include_columns.iter())
-            .map(String::as_str)
-    }
-
-    /// Returns `true` when every key column of `other` appears among this
-    /// index's columns — i.e. this index *covers* the columns `other` needs
-    /// and can be scanned instead of the base table when building `other`.
-    pub fn covers_columns_of(&self, other: &IndexMeta) -> bool {
-        other
-            .key_columns
-            .iter()
-            .all(|c| self.all_columns().any(|mine| mine == c))
-    }
-
-    /// Returns `true` when `other`'s key columns are a prefix of this index's
-    /// key columns, the strongest form of build interaction (no re-sort
-    /// needed).
-    pub fn key_prefix_of(&self, other: &IndexMeta) -> bool {
-        if other.key_columns.len() > self.key_columns.len() {
-            return false;
-        }
-        self.key_columns
-            .iter()
-            .zip(other.key_columns.iter())
-            .all(|(a, b)| a == b)
-    }
 }
 
 #[cfg(test)]
@@ -127,39 +95,6 @@ mod tests {
         assert_eq!(m.creation_cost, 7.5);
         assert_eq!(m.name, "idx2");
         assert!(m.key_columns.is_empty());
-    }
-
-    #[test]
-    fn covers_columns_detects_paper_example() {
-        // i2(City, Salary) covers i1(City): building i1 can scan i2.
-        let i1 = idx(1, &["City"], &[]);
-        let i2 = idx(2, &["City", "Salary"], &[]);
-        assert!(i2.covers_columns_of(&i1));
-        assert!(!i1.covers_columns_of(&i2));
-    }
-
-    #[test]
-    fn include_columns_count_for_coverage() {
-        let narrow = idx(1, &["A"], &[]);
-        let covering = idx(2, &["B"], &["A"]);
-        assert!(covering.covers_columns_of(&narrow));
-    }
-
-    #[test]
-    fn key_prefix_matches_leading_columns_only() {
-        let wide = idx(1, &["LANG", "AGE", "REGION"], &[]);
-        let narrow_prefix = idx(2, &["LANG", "AGE"], &[]);
-        let narrow_not_prefix = idx(3, &["LANG", "REGION"], &[]);
-        assert!(wide.key_prefix_of(&narrow_prefix));
-        assert!(!wide.key_prefix_of(&narrow_not_prefix));
-        assert!(!narrow_prefix.key_prefix_of(&wide));
-    }
-
-    #[test]
-    fn all_columns_lists_keys_then_includes() {
-        let m = idx(1, &["A", "B"], &["C"]);
-        let cols: Vec<&str> = m.all_columns().collect();
-        assert_eq!(cols, vec!["A", "B", "C"]);
     }
 
     #[test]

@@ -39,12 +39,10 @@ pub mod plan;
 pub mod query;
 pub mod reduce;
 pub mod residual;
-pub mod schedule;
 pub mod slotsched;
 pub mod solution;
 pub mod stats;
 pub mod types;
-pub mod util;
 
 pub mod prelude;
 
@@ -73,7 +71,6 @@ pub use plan::QueryPlan;
 pub use query::QueryMeta;
 pub use reduce::{reduce, Density, ReduceOptions};
 pub use residual::ResidualInstance;
-pub use schedule::{DeploymentSchedule, ScheduledBuild};
 pub use slotsched::{
     DispatchPolicy, SlotBuild, SlotSchedule, SlotScheduleEvaluator, SlotScheduleValue,
 };

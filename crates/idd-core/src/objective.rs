@@ -130,8 +130,6 @@ struct EvalState {
     /// Accumulated deployment time (plain `f64`, matching the clock
     /// arithmetic of schedules and the deploy runtime).
     elapsed: f64,
-    /// Number of indexes built so far.
-    built_count: usize,
 }
 
 impl EvalState {
@@ -146,7 +144,6 @@ impl EvalState {
             runtime_acc,
             area_acc: ExactSum::new(),
             elapsed: 0.0,
-            built_count: 0,
         }
     }
 
@@ -232,7 +229,6 @@ impl<'a> ObjectiveEvaluator<'a> {
     /// construction — same floating-point operations in the same order.
     fn make_available(&self, state: &mut EvalState, index: IndexId) {
         state.built[index.raw()] = true;
-        state.built_count += 1;
         // Newly available plans can only improve each query's best speed-up.
         let mut changed = false;
         for &pid in self.instance.plans_using_index(index) {
@@ -377,7 +373,6 @@ pub struct ObjectiveStepper<'a> {
     state: EvalState,
     /// Bitmap of begun-but-not-completed indexes (parallel to `built`).
     in_flight: Vec<bool>,
-    in_flight_count: usize,
 }
 
 impl<'a> ObjectiveStepper<'a> {
@@ -399,7 +394,6 @@ impl<'a> ObjectiveStepper<'a> {
             "{index} begun twice"
         );
         self.in_flight[index.raw()] = true;
-        self.in_flight_count += 1;
         self.evaluator
             .instance
             .effective_build_cost(index, &self.state.built)
@@ -426,20 +420,9 @@ impl<'a> ObjectiveStepper<'a> {
     pub fn complete_build(&mut self, index: IndexId) -> (f64, f64) {
         debug_assert!(self.in_flight[index.raw()], "{index} completed unbegun");
         self.in_flight[index.raw()] = false;
-        self.in_flight_count -= 1;
         let runtime_before = self.state.runtime;
         self.evaluator.make_available(&mut self.state, index);
         (runtime_before, self.state.runtime)
-    }
-
-    /// `true` when `index` has been begun but not yet completed.
-    pub fn is_in_flight(&self, index: IndexId) -> bool {
-        self.in_flight[index.raw()]
-    }
-
-    /// Number of builds currently in flight.
-    pub fn in_flight_count(&self) -> usize {
-        self.in_flight_count
     }
 
     /// Current total workload runtime (after everything stepped so far).
@@ -462,11 +445,6 @@ impl<'a> ObjectiveStepper<'a> {
         &self.state.built
     }
 
-    /// Number of indexes built so far.
-    pub fn built_count(&self) -> usize {
-        self.state.built_count
-    }
-
     /// `true` when `index` has been stepped already.
     pub fn is_built(&self, index: IndexId) -> bool {
         self.state.built[index.raw()]
@@ -481,7 +459,6 @@ impl<'a> ObjectiveEvaluator<'a> {
         ObjectiveStepper {
             state: EvalState::initial(self),
             in_flight: vec![false; self.instance.num_indexes()],
-            in_flight_count: 0,
             evaluator: self.clone(),
         }
     }
@@ -1157,7 +1134,7 @@ mod tests {
             let d = Deployment::from_raw(order);
             let value = eval.evaluate(&d);
             let mut stepper = eval.stepper();
-            assert_eq!(stepper.built_count(), 0);
+            assert_eq!(stepper.built(), &[false, false]);
             let mut realized = 0.0_f64;
             for (pos, index) in d.iter() {
                 let step = stepper.step(index);
@@ -1187,8 +1164,7 @@ mod tests {
             for (pos, index) in d.iter() {
                 let cost = stepper.begin_build(index);
                 assert_eq!(cost.to_bits(), value.steps[pos].build_cost.to_bits());
-                assert!(stepper.is_in_flight(index));
-                assert_eq!(stepper.in_flight_count(), 1);
+                assert!(!stepper.is_built(index));
                 let accrued = stepper.accrue(cost);
                 assert_eq!(
                     accrued.to_bits(),
@@ -1197,7 +1173,7 @@ mod tests {
                 let (before, after) = stepper.complete_build(index);
                 assert_eq!(before.to_bits(), value.steps[pos].runtime_before.to_bits());
                 assert_eq!(after.to_bits(), value.steps[pos].runtime_after.to_bits());
-                assert!(!stepper.is_in_flight(index));
+                assert!(stepper.is_built(index));
             }
             assert_eq!(stepper.area().to_bits(), value.area.to_bits());
             assert_eq!(stepper.runtime().to_bits(), value.final_runtime.to_bits());
@@ -1217,7 +1193,6 @@ mod tests {
         let c1 = stepper.begin_build(IndexId::new(1));
         assert_eq!(c0, 4.0);
         assert_eq!(c1, 6.0, "in-flight i0 must not discount i1");
-        assert_eq!(stepper.in_flight_count(), 2);
         assert_eq!(stepper.runtime(), 30.0);
 
         // Both run concurrently; i0 completes at t=4, i1 at t=6.
@@ -1232,7 +1207,6 @@ mod tests {
         assert_eq!(stepper.area(), 120.0 + 50.0);
         assert_eq!(stepper.elapsed(), 6.0);
         assert_eq!(stepper.built(), &[true, true]);
-        assert_eq!(stepper.in_flight_count(), 0);
     }
 
     #[test]

@@ -19,7 +19,6 @@ pub use crate::plan::QueryPlan;
 pub use crate::query::QueryMeta;
 pub use crate::reduce::{reduce, Density, ReduceOptions};
 pub use crate::residual::ResidualInstance;
-pub use crate::schedule::{DeploymentSchedule, ScheduledBuild};
 pub use crate::slotsched::{DispatchPolicy, SlotScheduleEvaluator, SlotScheduleValue};
 pub use crate::solution::Deployment;
 pub use crate::stats::InstanceStats;

@@ -19,7 +19,8 @@
 //! area == full area` (up to floating-point association), so optimizing the
 //! residual instance with any solver optimizes the real remaining decision.
 //! [`ResidualInstance`] carries the id mapping between the two worlds and
-//! the [`ResidualInstance::splice`] that reassembles a full deployment.
+//! the [`ResidualInstance::splice_around`] that reassembles a full
+//! deployment.
 
 use crate::error::{CoreError, Result};
 use crate::instance::ProblemInstance;
@@ -57,11 +58,6 @@ impl ResidualInstance {
         &self.instance
     }
 
-    /// Number of indexes remaining to build.
-    pub fn num_remaining(&self) -> usize {
-        self.to_parent.len()
-    }
-
     /// The parent id of a residual index.
     pub fn parent_id(&self, residual: IndexId) -> IndexId {
         self.to_parent[residual.raw()]
@@ -97,16 +93,6 @@ impl ResidualInstance {
         Some(Deployment::new(out))
     }
 
-    /// Splices a residual-order suffix onto the frozen parent-id prefix,
-    /// producing a deployment order in parent ids (`prefix ++ lifted
-    /// suffix`). The prefix is taken verbatim — never reordered.
-    pub fn splice(&self, prefix: &[IndexId], suffix: &Deployment) -> Deployment {
-        let mut order = Vec::with_capacity(prefix.len() + suffix.len());
-        order.extend_from_slice(prefix);
-        order.extend(self.lift_order(suffix.order()));
-        Deployment::new(order)
-    }
-
     /// The builds that were in flight when this residual was derived, in
     /// dispatch order (parent ids). Empty unless the residual came from
     /// [`ProblemInstance::residual_for_replan`].
@@ -114,9 +100,10 @@ impl ResidualInstance {
         &self.in_flight
     }
 
-    /// [`ResidualInstance::splice`] for mid-build replans: the full order is
-    /// `built_prefix ++ in-flight ++ lifted suffix` — both commitments taken
-    /// verbatim, never reordered.
+    /// Splices a residual-order suffix behind the commitments, producing a
+    /// deployment order in parent ids: `built_prefix ++ in-flight ++ lifted
+    /// suffix`, both commitments taken verbatim, never reordered. With no
+    /// build in flight this is `built_prefix ++ lifted suffix`.
     ///
     /// This is the canonical *completed-then-in-flight* normal form, for
     /// callers that track the two commitments separately. A concurrent
@@ -138,35 +125,27 @@ impl ProblemInstance {
     /// Derives the residual instance for the unbuilt suffix, given a bitmap
     /// of already-built indexes. See [`crate::residual`] for the reduction.
     ///
-    /// Fails with [`CoreError::PrecedenceViolated`] when a hard precedence
-    /// points from an unbuilt index to a built one (the prefix was not a
-    /// feasible partial deployment), and with [`CoreError::EmptyInstance`]
-    /// when nothing remains to build.
-    pub fn residual(&self, built: &[bool]) -> Result<ResidualInstance> {
-        self.residual_excluding(built, &vec![false; self.num_indexes()])
-    }
-
-    /// [`ProblemInstance::residual`] with an additional exclusion set:
-    /// indexes marked `excluded` (and not built) are dropped from the target
-    /// set entirely — they appear in no residual plan, help no residual
-    /// build, and are never scheduled. This models design revisions that
-    /// retract indexes mid-deployment.
-    pub fn residual_excluding(
-        &self,
-        built: &[bool],
-        excluded: &[bool],
-    ) -> Result<ResidualInstance> {
-        self.residual_impl(built, excluded, Vec::new())
-    }
-
-    /// The residual instance for a replan that fires while builds are still
-    /// in flight (concurrent build slots): `in_flight` lists the committed
-    /// builds in dispatch order. They are conditioned on exactly like the
-    /// built prefix — their completions *will* discount query costs and
+    /// A replan may fire while builds are still in flight (concurrent build
+    /// slots): `in_flight` lists those committed builds in dispatch order
+    /// (empty at a build boundary). They are conditioned on exactly like
+    /// the built prefix — their completions *will* discount query costs and
     /// future builds — but, like the prefix, they are excluded from the
     /// reordering decision: they appear in no residual id and the replanned
     /// suffix is spliced *behind* them
     /// ([`ResidualInstance::splice_around`]).
+    ///
+    /// Indexes marked `excluded` (and not built) are dropped from the target
+    /// set entirely — they appear in no residual plan, help no residual
+    /// build, and are never scheduled. This models design revisions that
+    /// retract indexes mid-deployment.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`CoreError::PrecedenceViolated`] when a hard precedence
+    /// points from an uncommitted index to a committed one (the prefix was
+    /// not a feasible partial deployment) or from an excluded index to a
+    /// retained one, and with [`CoreError::EmptyInstance`] when nothing
+    /// remains to build.
     ///
     /// # Panics
     ///
@@ -187,15 +166,8 @@ impl ProblemInstance {
             assert!(!committed[i.raw()], "in-flight {i} listed twice");
             committed[i.raw()] = true;
         }
-        self.residual_impl(&committed, excluded, in_flight.to_vec())
-    }
-
-    fn residual_impl(
-        &self,
-        built: &[bool],
-        excluded: &[bool],
-        in_flight: Vec<IndexId>,
-    ) -> Result<ResidualInstance> {
+        // From here on, in-flight builds count as built.
+        let built = &committed[..];
         let n = self.num_indexes();
         assert_eq!(built.len(), n, "built bitmap must cover every index");
         assert_eq!(excluded.len(), n, "excluded bitmap must cover every index");
@@ -315,7 +287,7 @@ impl ProblemInstance {
             instance: b.build()?,
             to_parent,
             from_parent,
-            in_flight,
+            in_flight: in_flight.to_vec(),
         })
     }
 }
@@ -360,15 +332,15 @@ mod tests {
         // Freeze the prefix [i0, i2]; the suffix decision is over {i1, i3}.
         let prefix = [IndexId::new(0), IndexId::new(2)];
         let built = built_bitmap(4, &[0, 2]);
-        let residual = inst.residual(&built).unwrap();
-        assert_eq!(residual.num_remaining(), 2);
+        let residual = inst.residual_for_replan(&built, &[], &[false; 4]).unwrap();
+        assert_eq!(residual.instance().num_indexes(), 2);
         let prefix_area = eval.evaluate_prefix_area(&prefix);
 
         let res_eval = ObjectiveEvaluator::new(residual.instance());
         for suffix_raw in [[0usize, 1], [1, 0]] {
             let suffix = Deployment::from_raw(suffix_raw);
             let res_area = res_eval.evaluate_area(&suffix);
-            let full = residual.splice(&prefix, &suffix);
+            let full = residual.splice_around(&prefix, &suffix);
             let full_area = eval.evaluate_area(&full);
             assert!(
                 (prefix_area + res_area - full_area).abs() < 1e-9,
@@ -381,7 +353,7 @@ mod tests {
     fn costs_and_speedups_are_conditioned_on_the_prefix() {
         let inst = parent();
         let built = built_bitmap(4, &[0, 2]);
-        let residual = inst.residual(&built).unwrap();
+        let residual = inst.residual_for_replan(&built, &[], &[false; 4]).unwrap();
         let r = residual.instance();
         // i1 keeps id order: residual 0 = parent 1, residual 1 = parent 3.
         assert_eq!(residual.parent_id(IndexId::new(0)), IndexId::new(1));
@@ -401,7 +373,7 @@ mod tests {
     fn project_and_lift_round_trip() {
         let inst = parent();
         let built = built_bitmap(4, &[0]);
-        let residual = inst.residual(&built).unwrap();
+        let residual = inst.residual_for_replan(&built, &[], &[false; 4]).unwrap();
         let parent_suffix = [IndexId::new(2), IndexId::new(3), IndexId::new(1)];
         let projected = residual.project_order(&parent_suffix).unwrap();
         assert_eq!(residual.lift_order(projected.order()), parent_suffix);
@@ -422,7 +394,7 @@ mod tests {
         // i3 built without its prerequisite i2.
         let built = built_bitmap(4, &[3]);
         assert!(matches!(
-            inst.residual(&built),
+            inst.residual_for_replan(&built, &[], &[false; 4]),
             Err(CoreError::PrecedenceViolated { .. })
         ));
     }
@@ -432,7 +404,7 @@ mod tests {
         let inst = parent();
         let built = built_bitmap(4, &[0, 1, 2, 3]);
         assert!(matches!(
-            inst.residual(&built),
+            inst.residual_for_replan(&built, &[], &[false; 4]),
             Err(CoreError::EmptyInstance)
         ));
     }
@@ -445,8 +417,8 @@ mod tests {
         // i2→i3 precedence is discharged because its `after` side left too.
         let mut excluded = vec![false; 4];
         excluded[3] = true;
-        let residual = inst.residual_excluding(&built, &excluded).unwrap();
-        assert_eq!(residual.num_remaining(), 2); // i1, i2
+        let residual = inst.residual_for_replan(&built, &[], &excluded).unwrap();
+        assert_eq!(residual.instance().num_indexes(), 2); // i1, i2
         let r = residual.instance();
         assert!(r.precedences().is_empty());
         // q1 keeps only its i2-only plan.
@@ -467,15 +439,17 @@ mod tests {
             .residual_for_replan(&built, &in_flight, &excluded)
             .unwrap();
         assert_eq!(residual.in_flight(), &in_flight);
-        assert_eq!(residual.num_remaining(), 2);
+        assert_eq!(residual.instance().num_indexes(), 2);
         // No residual id maps to the in-flight index…
         assert!(residual.residual_id(IndexId::new(2)).is_none());
-        for r in 0..residual.num_remaining() {
+        for r in 0..residual.instance().num_indexes() {
             assert_ne!(residual.parent_id(IndexId::new(r)), IndexId::new(2));
         }
         // …but its conditioning matches the plain residual that treats i2 as
         // already built: same costs, same runtimes, same plans.
-        let as_built = inst.residual(&built_bitmap(4, &[0, 2])).unwrap();
+        let as_built = inst
+            .residual_for_replan(&built_bitmap(4, &[0, 2]), &[], &[false; 4])
+            .unwrap();
         let (a, b) = (residual.instance(), as_built.instance());
         assert_eq!(a.num_indexes(), b.num_indexes());
         for raw in 0..a.num_indexes() {
@@ -515,17 +489,18 @@ mod tests {
 
     #[test]
     fn empty_in_flight_replan_residual_matches_the_plain_residual() {
+        // With nothing in flight the replan residual is the plain
+        // build-boundary residual: no in-flight record, and splicing is
+        // `built prefix ++ lifted suffix`.
         let inst = parent();
         let built = built_bitmap(4, &[0]);
-        let excluded = vec![false; 4];
-        let plain = inst.residual_excluding(&built, &excluded).unwrap();
-        let replan = inst.residual_for_replan(&built, &[], &excluded).unwrap();
-        assert!(plain.in_flight().is_empty());
-        assert_eq!(replan.num_remaining(), plain.num_remaining());
-        let suffix = Deployment::identity(plain.num_remaining());
+        let residual = inst.residual_for_replan(&built, &[], &[false; 4]).unwrap();
+        assert!(residual.in_flight().is_empty());
+        let suffix = Deployment::from_raw([2, 0, 1]);
+        let lifted = residual.lift_order(suffix.order());
         assert_eq!(
-            replan.splice_around(&[IndexId::new(0)], &suffix),
-            plain.splice(&[IndexId::new(0)], &suffix)
+            residual.splice_around(&[IndexId::new(0)], &suffix),
+            Deployment::splice(&[IndexId::new(0)], &lifted)
         );
     }
 
@@ -544,7 +519,7 @@ mod tests {
         let mut excluded = vec![false; 4];
         excluded[2] = true; // i2 gone, i3 retained but requires i2 first
         assert!(matches!(
-            inst.residual_excluding(&built, &excluded),
+            inst.residual_for_replan(&built, &[], &excluded),
             Err(CoreError::PrecedenceViolated { .. })
         ));
     }

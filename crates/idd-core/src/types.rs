@@ -66,11 +66,6 @@ id_type!(
     "p"
 );
 
-/// Iterator over all dense identifiers `0..n` of a given id type.
-pub fn id_range<T: From<usize>>(n: usize) -> impl Iterator<Item = T> {
-    (0..n).map(T::from)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -96,12 +91,6 @@ mod tests {
         let mut v = vec![QueryId::new(2), QueryId::new(0), QueryId::new(1)];
         v.sort();
         assert_eq!(v, vec![QueryId::new(0), QueryId::new(1), QueryId::new(2)]);
-    }
-
-    #[test]
-    fn id_range_yields_dense_ids() {
-        let ids: Vec<IndexId> = id_range(3).collect();
-        assert_eq!(ids, vec![IndexId::new(0), IndexId::new(1), IndexId::new(2)]);
     }
 
     #[test]

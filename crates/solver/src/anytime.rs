@@ -112,13 +112,6 @@ impl Trajectory {
         merged
     }
 
-    /// Merges any number of trajectories into their pointwise minimum.
-    pub fn merge_all<'a>(trajectories: impl IntoIterator<Item = &'a Trajectory>) -> Trajectory {
-        trajectories
-            .into_iter()
-            .fold(Trajectory::new(), |acc, t| acc.merge(t))
-    }
-
     /// Samples the trajectory at evenly spaced times (used to average several
     /// runs for the figures).
     pub fn sample(&self, horizon_seconds: f64, num_samples: usize) -> Vec<TrajectoryPoint> {
@@ -263,7 +256,9 @@ mod tests {
         assert_eq!(empty.merge(&a), a);
         let mut b = Trajectory::new();
         b.record(0.5, 55.0);
-        let all = Trajectory::merge_all([&a, &b, &empty]);
+        let all = [&a, &b, &empty]
+            .into_iter()
+            .fold(Trajectory::new(), |acc, t| acc.merge(t));
         assert_eq!(all.objective_at(0.7), 55.0);
         assert_eq!(all.objective_at(2.0), 50.0);
     }

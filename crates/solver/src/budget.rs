@@ -110,11 +110,6 @@ impl BudgetClock {
         self.nodes += 1;
     }
 
-    /// Counts `n` explored nodes.
-    pub fn count_nodes(&mut self, n: u64) {
-        self.nodes += n;
-    }
-
     /// Total nodes counted so far.
     pub fn nodes(&self) -> u64 {
         self.nodes
@@ -155,7 +150,9 @@ mod tests {
     fn node_limit_is_enforced() {
         let mut clock = SearchBudget::nodes(3).start();
         assert!(!clock.exhausted());
-        clock.count_nodes(3);
+        for _ in 0..3 {
+            clock.count_node();
+        }
         assert!(clock.exhausted());
         assert_eq!(clock.nodes(), 3);
     }
@@ -163,7 +160,9 @@ mod tests {
     #[test]
     fn unlimited_budget_never_exhausts_by_nodes() {
         let mut clock = SearchBudget::unlimited().start();
-        clock.count_nodes(1_000_000);
+        for _ in 0..1_000_000 {
+            clock.count_node();
+        }
         assert!(!clock.exhausted());
     }
 

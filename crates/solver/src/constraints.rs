@@ -84,14 +84,6 @@ impl OrderConstraints {
         self.closure[before.raw()][after.raw()]
     }
 
-    /// Indexes that must be deployed before `index`.
-    pub fn predecessors(&self, index: IndexId) -> Vec<IndexId> {
-        (0..self.n)
-            .filter(|&x| self.closure[x][index.raw()])
-            .map(IndexId::new)
-            .collect()
-    }
-
     /// Indexes that must be deployed after `index`.
     pub fn successors(&self, index: IndexId) -> Vec<IndexId> {
         (0..self.n)
@@ -188,7 +180,6 @@ mod tests {
         assert!(c.add_before(id(1), id(2)));
         assert!(c.must_precede(id(0), id(2)));
         assert!(!c.must_precede(id(2), id(0)));
-        assert_eq!(c.predecessors(id(2)), vec![id(0), id(1)]);
         assert_eq!(c.successors(id(0)), vec![id(1), id(2)]);
     }
 

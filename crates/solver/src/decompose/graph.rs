@@ -159,11 +159,6 @@ impl CouplingGraph {
         entry.1 = true;
     }
 
-    /// Number of accumulated edges (hard and soft).
-    pub fn num_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Cuts every soft edge with `weight < cut_threshold` and returns the
     /// connected components of the remainder. `cut_threshold <= 0.0` cuts
     /// nothing (weights are non-negative), so the partition is exact.

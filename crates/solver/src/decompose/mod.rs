@@ -96,7 +96,7 @@ impl Default for ShardedConfig {
 }
 
 /// One shard's members and solve result (shard-local ids in
-/// `result.deployment`; [`ShardInstance::to_parent_order`] maps them back).
+/// `result.deployment`; `members[local.raw()]` maps them back).
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     /// Parent-instance ids of the shard's indexes.

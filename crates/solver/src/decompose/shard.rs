@@ -28,13 +28,6 @@ pub struct ShardInstance {
     pub members: Vec<IndexId>,
 }
 
-impl ShardInstance {
-    /// Maps a shard-local deployment order back to parent ids.
-    pub fn to_parent_order(&self, local_order: &[IndexId]) -> Vec<IndexId> {
-        local_order.iter().map(|&l| self.members[l.raw()]).collect()
-    }
-}
-
 /// Projects `members` (sorted parent ids) of `parent` onto a sub-instance.
 pub fn project(parent: &ProblemInstance, members: &[IndexId]) -> ShardInstance {
     debug_assert!(members.windows(2).all(|w| w[0] < w[1]), "members sorted");
@@ -155,7 +148,7 @@ mod tests {
     fn parent_order_mapping_round_trips() {
         let parent = two_blocks();
         let shard = project(&parent, &[IndexId::new(0), IndexId::new(2)]);
-        let order = shard.to_parent_order(&[IndexId::new(1), IndexId::new(0)]);
+        let order: Vec<IndexId> = [1, 0].map(|local| shard.members[local]).to_vec();
         assert_eq!(order, vec![IndexId::new(2), IndexId::new(0)]);
     }
 }

@@ -27,8 +27,6 @@ pub struct AStarConfig {
     /// Maximum number of distinct subsets kept in memory before giving up
     /// (models the memory exhaustion the paper reports).
     pub max_states: usize,
-    /// Respect hard precedence constraints.
-    pub use_precedences: bool,
 }
 
 impl Default for AStarConfig {
@@ -36,7 +34,6 @@ impl Default for AStarConfig {
         Self {
             budget: SearchBudget::default(),
             max_states: 2_000_000,
-            use_precedences: true,
         }
     }
 }
@@ -188,7 +185,7 @@ impl AStarSolver {
                     continue;
                 }
                 let index = IndexId::new(raw);
-                if self.config.use_precedences && !constraints.can_place(index, &built) {
+                if !constraints.can_place(index, &built) {
                     continue;
                 }
                 let cost = instance.effective_build_cost(index, &built);
@@ -287,7 +284,6 @@ mod tests {
         let result = AStarSolver::with_config(AStarConfig {
             budget: SearchBudget::unlimited(),
             max_states: 3,
-            use_precedences: true,
         })
         .solve(&inst);
         assert_eq!(result.outcome, SolveOutcome::DidNotFinish);

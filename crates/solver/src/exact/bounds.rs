@@ -1,6 +1,6 @@
 //! Admissible lower bounds on the remaining objective area.
 
-use idd_core::{IndexId, ObjectiveEvaluator, ProblemInstance};
+use idd_core::{ObjectiveEvaluator, ProblemInstance};
 
 /// Precomputed data for the combinatorial lower bound used by the exact
 /// searches.
@@ -43,11 +43,6 @@ impl LowerBound {
     /// Workload runtime when every candidate index exists.
     pub fn final_runtime(&self) -> f64 {
         self.final_runtime
-    }
-
-    /// Cheapest possible build cost of one index.
-    pub fn min_cost(&self, index: IndexId) -> f64 {
-        self.min_costs[index.raw()]
     }
 
     /// Lower bound on the area still to be accumulated given the set of
@@ -160,8 +155,12 @@ mod tests {
     fn min_cost_uses_best_helper() {
         let inst = instance();
         let bound = LowerBound::new(&inst);
-        assert_eq!(bound.min_cost(idd_core::IndexId::new(0)), 1.0);
-        assert_eq!(bound.min_cost(idd_core::IndexId::new(1)), 6.0);
-        assert!(bound.final_runtime() < inst.baseline_runtime());
+        // The weak bound charges each unbuilt index its cheapest build cost
+        // at the final runtime: i0 with its best helper (1.0), i1 alone
+        // (6.0).
+        let r = bound.final_runtime();
+        assert_eq!(bound.remaining_weak(&[false, true, true]), r * 1.0);
+        assert_eq!(bound.remaining_weak(&[true, false, true]), r * 6.0);
+        assert!(r < inst.baseline_runtime());
     }
 }

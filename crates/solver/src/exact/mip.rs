@@ -28,13 +28,15 @@ use idd_core::{Deployment, IndexId, ObjectiveEvaluator, ProblemInstance};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+/// Number of timesteps per index: the paper discretizes deployment time
+/// into `|D| = 20·|I|` steps.
+const TIMESTEPS_PER_INDEX: usize = 20;
+
 /// Configuration of the MIP-style solver.
 #[derive(Debug, Clone)]
 pub struct MipConfig {
     /// Time / node budget.
     pub budget: SearchBudget,
-    /// Number of timesteps per index (the paper uses 20, i.e. `|D| = 20·|I|`).
-    pub timesteps_per_index: usize,
     /// Maximum number of open nodes kept in the frontier before the solver
     /// declares itself out of memory.
     pub max_open_nodes: usize,
@@ -44,7 +46,6 @@ impl Default for MipConfig {
     fn default() -> Self {
         Self {
             budget: SearchBudget::default(),
-            timesteps_per_index: 20,
             max_open_nodes: 200_000,
         }
     }
@@ -67,7 +68,6 @@ struct OpenNode {
     bound: f64,
     area: f64,
     runtime: f64,
-    elapsed_steps: usize,
     order: Vec<IndexId>,
     built: Vec<bool>,
 }
@@ -112,7 +112,7 @@ impl MipSolver {
         let i = instance.num_indexes();
         let q = instance.num_queries();
         let p = instance.num_plans();
-        let d = i * self.config.timesteps_per_index;
+        let d = i * TIMESTEPS_PER_INDEX;
         // Variables: A_i, B_{i,j}, Ĉ_i, X̂_{q,d}, Ŷ_{q,p,d}, Ẑ_{i,d}, CY_{i,j}.
         let variables = i + i * i + i + q * d + p * d + i * d + i * i;
         // Constraints (13)-(23), counted per the quantifiers in Appendix B.
@@ -149,7 +149,7 @@ impl MipSolver {
 
         // Time quantum of the discretization.
         let total_cost = instance.total_base_build_cost();
-        let quantum = (total_cost / (n * self.config.timesteps_per_index) as f64).max(f64::EPSILON);
+        let quantum = (total_cost / (n * TIMESTEPS_PER_INDEX) as f64).max(f64::EPSILON);
         let quantize = |cost: f64| -> f64 { (cost / quantum).ceil() * quantum };
 
         let mut heap: BinaryHeap<OpenNode> = BinaryHeap::new();
@@ -157,7 +157,6 @@ impl MipSolver {
             bound: bound.remaining_weak(&vec![false; n]),
             area: 0.0,
             runtime: instance.baseline_runtime(),
-            elapsed_steps: 0,
             order: Vec::new(),
             built: vec![false; n],
         });
@@ -227,7 +226,6 @@ impl MipSolver {
                     bound: child_bound,
                     area,
                     runtime,
-                    elapsed_steps: node.elapsed_steps + (cost / quantum).round() as usize,
                     order,
                     built,
                 });
@@ -338,7 +336,6 @@ mod tests {
         let inst = instance();
         let result = MipSolver::with_config(MipConfig {
             budget: SearchBudget::unlimited(),
-            timesteps_per_index: 20,
             max_open_nodes: 2,
         })
         .solve(&inst);

@@ -10,8 +10,9 @@
 //! VNS is this loop with a self-tuning schedule, so both solvers run one
 //! loop ([`VnsSolver`]'s): LNS runs it with a schedule that never fires and
 //! no polish. When a reinsertion hits its failure limit, LNS salvages the
-//! destroy set with a delta-scored greedy repair. The clock starts on
-//! entry, so a run's `elapsed_seconds` includes the property analysis and,
+//! destroy set with a delta-scored greedy repair. The neighbourhoods
+//! respect the instance's hard precedences only. The clock starts on
+//! entry, so a run's `elapsed_seconds` includes deriving their closure and,
 //! under [`Solver::run`], the greedy seed.
 //!
 //! Inside a cooperative portfolio
@@ -24,7 +25,6 @@
 use crate::budget::SearchBudget;
 use crate::greedy::GreedySolver;
 use crate::local::{VnsConfig, VnsSolver, Walk};
-use crate::properties::AnalysisOptions;
 use crate::result::SolveResult;
 use crate::solver::{SolveContext, Solver};
 use idd_core::{Deployment, ProblemInstance};
@@ -32,18 +32,12 @@ use idd_core::{Deployment, ProblemInstance};
 /// Configuration of the LNS solver.
 #[derive(Debug, Clone)]
 pub struct LnsConfig {
-    /// Fraction of the indexes relaxed each iteration (paper: 5%).
-    pub relax_fraction: f64,
     /// Backtrack limit per reinsertion search (paper: 500).
     pub failure_limit: u64,
     /// Time / iteration budget.
     pub budget: SearchBudget,
     /// RNG seed.
     pub seed: u64,
-    /// Property analysis used to derive constraints that restrict the
-    /// neighbourhood (and keep it feasible). `AnalysisOptions::none()`
-    /// uses only hard precedences.
-    pub analysis: AnalysisOptions,
     /// Iterations without improvement before the member counts as *stalled*
     /// and (under a warm-start policy) re-seeds from the shared best
     /// deployment. `None` (the default) derives a slice of the budget via
@@ -61,11 +55,9 @@ pub struct LnsConfig {
 impl Default for LnsConfig {
     fn default() -> Self {
         Self {
-            relax_fraction: 0.05,
             failure_limit: 500,
             budget: SearchBudget::default(),
             seed: 0x1A5,
-            analysis: AnalysisOptions::none(),
             stall_iterations: None,
             delta_repair: true,
         }
@@ -121,11 +113,9 @@ impl LnsSolver {
     ) -> SolveResult {
         let c = &self.config;
         let never_adapts = VnsSolver::with_config(VnsConfig {
-            initial_relax_fraction: c.relax_fraction,
             initial_failure_limit: c.failure_limit,
             group_size: usize::MAX,
             seed: c.seed,
-            analysis: c.analysis,
             shift_descent: false,
             ..VnsConfig::default()
         });

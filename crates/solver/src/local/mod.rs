@@ -162,8 +162,8 @@ impl<'c> Walk<'c> {
             return false;
         };
         // Only adopt orders the member's own neighbourhood machinery can
-        // work with: the closure may be stronger than the instance's hard
-        // precedences when property analysis is enabled.
+        // work with: a foreign order is checked against the closure, not
+        // trusted.
         let adoptable =
             snapshot.objective < self.best - 1e-12 && constraints.is_satisfied_by(&snapshot.order);
         if !adoptable {

@@ -15,8 +15,9 @@
 //! the same loop with a schedule that never fires, no polish, and its own
 //! hint stealing and delta repair.
 //!
-//! The clock starts on entry, so a run's `elapsed_seconds` includes the
-//! property analysis and, under [`Solver::run`], the greedy seed.
+//! The neighbourhoods respect the instance's hard precedences only. The
+//! clock starts on entry, so a run's `elapsed_seconds` includes deriving
+//! their closure and, under [`Solver::run`], the greedy seed.
 //!
 //! Inside a cooperative portfolio
 //! ([`CooperationPolicy`](crate::solver::CooperationPolicy)) the VNS member
@@ -25,38 +26,45 @@
 //! for LNS workers to steal.
 
 use crate::budget::SearchBudget;
+use crate::constraints::OrderConstraints;
 use crate::exact::bounds::LowerBound;
 use crate::greedy::GreedySolver;
 use crate::local::{reinsert, relocate_best, Walk};
-use crate::properties::{self, AnalysisOptions};
 use crate::result::SolveResult;
 use crate::solver::{SolveContext, Solver};
 use idd_core::{DeltaEvaluator, Deployment, IndexId, ProblemInstance};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
+/// Fraction of the indexes relaxed at the start of a run (paper: 5%). LNS
+/// relaxes this fraction throughout.
+const INITIAL_RELAX_FRACTION: f64 = 0.05;
+
+/// Share of proofs within a group above which the relaxation grows (paper:
+/// 75%).
+const PROOF_THRESHOLD: f64 = 0.75;
+
+/// Relaxation-size increment, as a fraction of the indexes (paper: 1%).
+const RELAX_INCREMENT: f64 = 0.01;
+
+/// Failure-limit growth factor for a group that mostly hit its limit
+/// (paper: +20%).
+const FAILURE_GROWTH: f64 = 1.2;
+
+/// How far a shift-descent relocation may move an index.
+const SHIFT_RADIUS: usize = 8;
+
 /// Configuration of the VNS solver.
 #[derive(Debug, Clone)]
 pub struct VnsConfig {
-    /// Initial relaxation fraction (paper: 5%).
-    pub initial_relax_fraction: f64,
     /// Initial failure limit (paper: 500).
     pub initial_failure_limit: u64,
     /// Relaxations per adaptation group (paper: 20).
     pub group_size: usize,
-    /// Fraction of proofs within a group that triggers a relaxation-size
-    /// increase (paper: 75%).
-    pub proof_threshold: f64,
-    /// Relaxation-size increment, as a fraction of the indexes (paper: 1%).
-    pub relax_increment: f64,
-    /// Failure-limit growth factor (paper: +20%).
-    pub failure_growth: f64,
     /// Time / iteration budget.
     pub budget: SearchBudget,
     /// RNG seed.
     pub seed: u64,
-    /// Property analysis used for neighbourhood constraints.
-    pub analysis: AnalysisOptions,
     /// Iterations without improvement before the member counts as *stalled*
     /// and (under a warm-start policy) re-seeds from the shared best
     /// deployment. `None` (the default) derives a slice of the budget via
@@ -64,30 +72,22 @@ pub struct VnsConfig {
     /// Ignored outside cooperative portfolio runs.
     pub stall_iterations: Option<u64>,
     /// Polish each accepted reinsertion with a bounded-radius shift descent
-    /// on the delta evaluator (first-improvement relocations within
-    /// `shift_radius` positions, O(radius) per probe). The CP reinsertion
-    /// search explores *subset* neighbourhoods; this cheap pass catches the
+    /// on the delta evaluator (first-improvement relocations of at most 8
+    /// positions, each probe O(distance)). The CP reinsertion search
+    /// explores *subset* neighbourhoods; this cheap pass catches the
     /// orthogonal "one index sits a few slots off" improvements.
     pub shift_descent: bool,
-    /// How far a shift-descent relocation may move an index.
-    pub shift_radius: usize,
 }
 
 impl Default for VnsConfig {
     fn default() -> Self {
         Self {
-            initial_relax_fraction: 0.05,
             initial_failure_limit: 500,
             group_size: 20,
-            proof_threshold: 0.75,
-            relax_increment: 0.01,
-            failure_growth: 1.2,
             budget: SearchBudget::default(),
             seed: 0x7145,
-            analysis: AnalysisOptions::none(),
             stall_iterations: None,
             shift_descent: true,
-            shift_radius: 8,
         }
     }
 }
@@ -148,8 +148,7 @@ impl VnsSolver {
     ) -> SolveResult {
         let config = &self.config;
         let n = instance.num_indexes();
-        let analysis = properties::analyze(instance, config.analysis);
-        let constraints = &analysis.constraints;
+        let constraints = &OrderConstraints::from_instance(instance);
         let bound = LowerBound::new(instance);
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
 
@@ -160,7 +159,7 @@ impl VnsSolver {
         walk.begin(delta.base_area());
 
         let mut relax_count =
-            ((n as f64 * config.initial_relax_fraction).ceil() as usize).clamp(2.min(n), n);
+            ((n as f64 * INITIAL_RELAX_FRACTION).ceil() as usize).clamp(2.min(n), n);
         let mut failure_limit = config.initial_failure_limit;
         let mut proofs_in_group = 0usize;
         let mut group_progress = 0usize;
@@ -210,12 +209,12 @@ impl VnsSolver {
                 // Polish: a bounded-radius shift descent. The reinsertion
                 // explores *subset* neighbourhoods; this cheap pass catches
                 // the orthogonal "one index sits a few slots off" moves.
-                let radius = config.shift_radius;
-                let mut moved = config.shift_descent && radius > 0;
+                let mut moved = config.shift_descent;
                 while moved && !walk.clock.exhausted() {
                     moved = false;
                     for from in 0..n {
-                        let window = from.saturating_sub(radius)..=(from + radius).min(n - 1);
+                        let window =
+                            from.saturating_sub(SHIFT_RADIUS)..=(from + SHIFT_RADIUS).min(n - 1);
                         moved |= relocate_best(&mut delta, constraints, from, window);
                     }
                 }
@@ -251,13 +250,13 @@ impl VnsSolver {
             // Adapt parameters after each group of relaxations.
             if group_progress >= config.group_size {
                 let proof_ratio = proofs_in_group as f64 / group_progress as f64;
-                if proof_ratio > config.proof_threshold {
+                if proof_ratio > PROOF_THRESHOLD {
                     // Stuck in small neighbourhoods: widen them.
-                    let inc = ((n as f64 * config.relax_increment).ceil() as usize).max(1);
+                    let inc = ((n as f64 * RELAX_INCREMENT).ceil() as usize).max(1);
                     relax_count = (relax_count + inc).min(n);
                 } else {
                     // Still hitting the failure limit: search deeper instead.
-                    failure_limit = ((failure_limit as f64) * config.failure_growth).ceil() as u64;
+                    failure_limit = ((failure_limit as f64) * FAILURE_GROWTH).ceil() as u64;
                 }
                 proofs_in_group = 0;
                 group_progress = 0;

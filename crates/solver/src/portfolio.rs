@@ -29,10 +29,9 @@
 
 use crate::anytime::Trajectory;
 use crate::budget::SearchBudget;
-use crate::exact::{AStarSolver, CpConfig, CpSolver, MipSolver};
+use crate::exact::{CpConfig, CpSolver};
 use crate::greedy::GreedySolver;
-use crate::local::{LnsSolver, SwapStrategy, TabuConfig, TabuSolver, VnsSolver};
-use crate::random::RandomSolver;
+use crate::local::{SwapStrategy, TabuConfig, TabuSolver, VnsSolver};
 use crate::result::{CoopStats, SolveOutcome, SolveResult};
 use crate::solver::{CooperationPolicy, SolveContext, Solver};
 use idd_core::ProblemInstance;
@@ -117,27 +116,6 @@ impl PortfolioSolver {
                     budget,
                     ..TabuConfig::default()
                 })),
-            ],
-        )
-    }
-
-    /// Every solver the crate implements, raced together (the "kitchen
-    /// sink" configuration used by the differential tests and `table8`).
-    pub fn all_solvers(budget: SearchBudget) -> Self {
-        Self::with_members(
-            budget,
-            vec![
-                Box::new(GreedySolver::new()),
-                Box::new(crate::dp::DpSolver::new()),
-                Box::new(RandomSolver::default()),
-                Box::new(CpSolver::with_config(CpConfig::plain(budget))),
-                Box::new(CpSolver::with_config(CpConfig::with_properties(budget))),
-                Box::new(AStarSolver::new()),
-                Box::new(MipSolver::new()),
-                Box::new(TabuSolver::new(SwapStrategy::Best, budget)),
-                Box::new(TabuSolver::new(SwapStrategy::First, budget)),
-                Box::new(LnsSolver::new(budget)),
-                Box::new(VnsSolver::new(budget)),
             ],
         )
     }
@@ -353,6 +331,10 @@ impl Solver for PortfolioSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dp::DpSolver;
+    use crate::exact::{AStarSolver, MipSolver};
+    use crate::local::LnsSolver;
+    use crate::random::RandomSolver;
     use crate::solver::CancelToken;
     use idd_core::{IndexId, ObjectiveEvaluator};
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -406,8 +388,22 @@ mod tests {
     #[test]
     fn merged_trajectory_tracks_the_best_member_everywhere() {
         let inst = instance(8);
-        let outcome =
-            PortfolioSolver::all_solvers(SearchBudget::bounded(2.0, 300)).solve_detailed(&inst);
+        // Every solver the crate implements, raced together.
+        let budget = SearchBudget::bounded(2.0, 300);
+        let members: Vec<Box<dyn Solver>> = vec![
+            Box::new(GreedySolver::new()),
+            Box::new(DpSolver::new()),
+            Box::new(RandomSolver::default()),
+            Box::new(CpSolver::with_config(CpConfig::plain(budget))),
+            Box::new(CpSolver::with_config(CpConfig::with_properties(budget))),
+            Box::new(AStarSolver::new()),
+            Box::new(MipSolver::new()),
+            Box::new(TabuSolver::new(SwapStrategy::Best, budget)),
+            Box::new(TabuSolver::new(SwapStrategy::First, budget)),
+            Box::new(LnsSolver::new(budget)),
+            Box::new(VnsSolver::new(budget)),
+        ];
+        let outcome = PortfolioSolver::with_members(budget, members).solve_detailed(&inst);
         let merged = &outcome.combined.trajectory;
         assert!(!merged.is_empty());
         // The merged curve's final value equals the best member objective.

@@ -43,16 +43,10 @@ impl RandomSolver {
         Self { seed }
     }
 
-    /// Generates one random feasible permutation (precedence-aware: indexes
-    /// are drawn uniformly among those whose predecessors are already placed).
-    pub fn random_deployment(&self, instance: &ProblemInstance, rng: &mut impl Rng) -> Deployment {
-        let constraints = OrderConstraints::from_instance(instance);
-        self.random_deployment_with(instance, &constraints, rng)
-    }
-
-    /// [`RandomSolver::random_deployment`] against a prebuilt precedence
-    /// closure, so batch callers pay the closure construction only once.
-    fn random_deployment_with(
+    /// Generates one random feasible permutation under the precedence
+    /// closure `constraints`: indexes are drawn uniformly among those whose
+    /// predecessors are already placed.
+    fn random_deployment(
         &self,
         instance: &ProblemInstance,
         constraints: &OrderConstraints,
@@ -86,7 +80,7 @@ impl RandomSolver {
         let mut worst_area = f64::NEG_INFINITY;
         let mut best = None;
         for _ in 0..samples {
-            let d = self.random_deployment_with(instance, &constraints, &mut rng);
+            let d = self.random_deployment(instance, &constraints, &mut rng);
             let area = evaluator.evaluate_area(&d);
             total += area;
             if area > worst_area {
@@ -140,7 +134,7 @@ impl Solver for RandomSolver {
         let mut result = SolveResult::did_not_finish(self.name(), 0.0, 0);
         while !clock.exhausted() && clock.nodes() < 100 {
             clock.count_node();
-            let d = self.random_deployment_with(instance, &constraints, &mut rng);
+            let d = self.random_deployment(instance, &constraints, &mut rng);
             let area = evaluator.evaluate_area(&d);
             if area < result.objective {
                 ctx.publish_deployment(area, d.order());
@@ -176,9 +170,10 @@ mod tests {
     fn random_deployments_are_valid_and_respect_precedences() {
         let inst = instance();
         let solver = RandomSolver::new(7);
+        let constraints = OrderConstraints::from_instance(&inst);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         for _ in 0..20 {
-            let d = solver.random_deployment(&inst, &mut rng);
+            let d = solver.random_deployment(&inst, &constraints, &mut rng);
             assert!(d.is_valid_for(&inst));
         }
     }

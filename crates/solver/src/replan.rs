@@ -3,7 +3,7 @@
 //! When an evolution event lands (workload drift, design revision, …) the
 //! deployment runtime freezes the built prefix and derives a *residual*
 //! instance for the unbuilt suffix
-//! ([`ProblemInstance::residual`](idd_core::ProblemInstance::residual)).
+//! ([`ProblemInstance::residual_for_replan`](idd_core::ProblemInstance::residual_for_replan)).
 //! This module answers the follow-up question: *given that residual instance
 //! and the order we were about to execute, what should the new suffix order
 //! be?*
@@ -28,10 +28,11 @@
 //!
 //! A [`Replanner`] has two entry points: [`Replanner::replan`] over a
 //! residual instance and [`Replanner::replan_around`] over a deployment's
-//! pending suffix. Both take the slots still occupied at the replan point
-//! (`busy_until`), which only slot-aware [`SuffixScoring`] reads: it ranks
-//! candidates with [`SlotScheduleEvaluator`], the deploy runtime's own
-//! k-slot list scheduler, under the runtime's [`DispatchPolicy`].
+//! pending suffix. Both take the [`SuffixScoring`] that ranks the
+//! candidates and the slots still occupied at the replan point
+//! (`busy_until`), which only slot-aware scoring reads: it ranks candidates
+//! with [`SlotScheduleEvaluator`], the deploy runtime's own k-slot list
+//! scheduler, under the runtime's [`DispatchPolicy`].
 
 use crate::budget::SearchBudget;
 use crate::exact::{CpConfig, CpSolver};
@@ -80,13 +81,16 @@ impl ReplanStrategy {
 /// How candidate suffix orders are *scored* (and therefore ranked) during
 /// a replan. Orthogonal to the [`ReplanStrategy`], which decides how
 /// candidates are *generated*.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
+///
+/// The internal searches always *optimize* the serial objective (that is
+/// what their delta evaluators speak); the scoring decides which candidate
+/// — warm start included — *wins*.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SuffixScoring {
     /// The serial objective area
     /// ([`ObjectiveEvaluator::evaluate_area`]) — the paper's one-build-at-
-    /// a-time model, and the default. Exact for a serial executor; a proxy
-    /// for a concurrent one.
-    #[default]
+    /// a-time model. Exact for a serial executor; a proxy for a concurrent
+    /// one.
     Serial,
     /// The realized k-slot area: each candidate is list-scheduled onto
     /// `slots` concurrent build slots by [`SlotScheduleEvaluator`] under the
@@ -112,18 +116,13 @@ impl SuffixScoring {
     }
 }
 
-/// A replanner: strategy + per-replan budget + candidate scoring.
+/// A replanner: strategy + per-replan budget.
 #[derive(Debug, Clone)]
 pub struct Replanner {
     /// The strategy to apply at every replan point.
     pub strategy: ReplanStrategy,
     /// Budget for each replan (node budgets keep runs machine-independent).
     pub budget: SearchBudget,
-    /// How candidates are scored ([`SuffixScoring::Serial`] by default).
-    /// The internal searches always *optimize* the serial objective (that
-    /// is what their delta evaluators speak); the scoring decides which
-    /// candidate — warm start included — *wins*.
-    pub scoring: SuffixScoring,
 }
 
 /// The outcome of one replan over a residual instance.
@@ -131,9 +130,9 @@ pub struct Replanner {
 pub struct ReplanOutcome {
     /// The chosen suffix order, in *residual* ids.
     pub deployment: Deployment,
-    /// Its objective on the residual instance, under the replanner's
-    /// configured [`SuffixScoring`] (serial area by default, realized
-    /// k-slot area when slot-aware).
+    /// Its objective on the residual instance, under the [`SuffixScoring`]
+    /// the replan ran with (serial area, or realized k-slot area when
+    /// slot-aware).
     pub objective: f64,
     /// The objective of the warm-start order under the same scoring, if one
     /// was usable.
@@ -150,24 +149,15 @@ pub struct ReplanOutcome {
 }
 
 impl Replanner {
-    /// Creates a replanner with the default (serial) candidate scoring.
+    /// Creates a replanner.
     pub fn new(strategy: ReplanStrategy, budget: SearchBudget) -> Self {
-        Self {
-            strategy,
-            budget,
-            scoring: SuffixScoring::default(),
-        }
-    }
-
-    /// Sets the candidate scoring.
-    pub fn with_scoring(mut self, scoring: SuffixScoring) -> Self {
-        self.scoring = scoring;
-        self
+        Self { strategy, budget }
     }
 
     /// Re-optimizes `residual`, warm-starting from `warm_start` (the
     /// current suffix order projected into residual ids) when it is a valid
-    /// order for the residual instance.
+    /// order for the residual instance, and ranking candidates by
+    /// `scoring`.
     ///
     /// `busy_until[i]` is the offset (from the residual's t = 0) at which
     /// the i-th slot still occupied at the replan point frees up; only
@@ -181,6 +171,7 @@ impl Replanner {
         &self,
         residual: &ProblemInstance,
         warm_start: Option<&Deployment>,
+        scoring: SuffixScoring,
         busy_until: &[f64],
     ) -> ReplanOutcome {
         let started = std::time::Instant::now();
@@ -191,7 +182,7 @@ impl Replanner {
         // (their delta evaluators speak serial), so this re-scores their
         // outputs. With serial scoring (or one slot) the closure is the
         // plain serial area and behavior is unchanged bit-for-bit.
-        let slot_evaluator = match self.scoring {
+        let slot_evaluator = match scoring {
             SuffixScoring::SlotAware { slots, dispatch } if slots > 1 => Some(
                 SlotScheduleEvaluator::new(residual, slots, dispatch).with_busy_until(busy_until),
             ),
@@ -221,6 +212,9 @@ impl Replanner {
         let mut coop = CoopStats::default();
         match self.strategy {
             ReplanStrategy::KeepOrder => {}
+            // Without a usable warm start the incumbent already is the
+            // greedy order.
+            ReplanStrategy::Greedy if warm.is_none() => {}
             ReplanStrategy::Greedy => {
                 let d = GreedySolver::new().construct(residual);
                 let a = score(&d);
@@ -289,8 +283,8 @@ impl Replanner {
     /// ([`idd_core::ProblemInstance::residual_for_replan`]), `pending` is
     /// the surviving suffix — the parent-id order that was about to
     /// execute, which becomes the warm start when it projects cleanly — and
-    /// `busy_until` holds the in-flight builds' remaining times, as
-    /// [`Replanner::replan`] takes them.
+    /// `scoring` and `busy_until` (the in-flight builds' remaining times)
+    /// are passed on as [`Replanner::replan`] takes them.
     ///
     /// Returns the replan outcome (residual ids, as
     /// [`Replanner::replan`] does) together with the new pending order
@@ -309,10 +303,11 @@ impl Replanner {
         &self,
         residual: &ResidualInstance,
         pending: &[IndexId],
+        scoring: SuffixScoring,
         busy_until: &[f64],
     ) -> Option<(ReplanOutcome, Vec<IndexId>)> {
         let warm = residual.project_order(pending)?;
-        let outcome = self.replan(residual.instance(), Some(&warm), busy_until);
+        let outcome = self.replan(residual.instance(), Some(&warm), scoring, busy_until);
         let new_pending = residual.lift_order(outcome.deployment.order());
         debug_assert!(
             new_pending
@@ -373,7 +368,7 @@ mod tests {
         let inst = residual_like(6);
         let warm = Deployment::from_raw([5, 4, 3, 2, 1, 0]);
         let replanner = Replanner::new(ReplanStrategy::KeepOrder, SearchBudget::nodes(10));
-        let outcome = replanner.replan(&inst, Some(&warm), &[]);
+        let outcome = replanner.replan(&inst, Some(&warm), SuffixScoring::Serial, &[]);
         assert_eq!(outcome.deployment, warm);
         assert_eq!(outcome.solver, "warm-start");
         assert!(!outcome.improved);
@@ -383,15 +378,20 @@ mod tests {
     #[test]
     fn missing_warm_start_falls_back_to_greedy() {
         let inst = residual_like(5);
-        let replanner = Replanner::new(ReplanStrategy::KeepOrder, SearchBudget::nodes(10));
-        let outcome = replanner.replan(&inst, None, &[]);
-        assert_eq!(outcome.solver, "greedy");
-        assert!(outcome.deployment.is_valid_for(&inst));
-        assert!(outcome.warm_start_objective.is_none());
-        // A stale warm start (wrong length) is treated as missing.
-        let stale = Deployment::from_raw([0, 1]);
-        let outcome2 = replanner.replan(&inst, Some(&stale), &[]);
-        assert_eq!(outcome2.solver, "greedy");
+        let greedy = GreedySolver::new().construct(&inst);
+        for strategy in [ReplanStrategy::KeepOrder, ReplanStrategy::Greedy] {
+            let replanner = Replanner::new(strategy, SearchBudget::nodes(10));
+            let outcome = replanner.replan(&inst, None, SuffixScoring::Serial, &[]);
+            assert_eq!(outcome.solver, "greedy");
+            assert_eq!(outcome.deployment, greedy);
+            assert!(outcome.deployment.is_valid_for(&inst));
+            assert!(outcome.warm_start_objective.is_none());
+            assert!(!outcome.improved);
+            // A stale warm start (wrong length) is treated as missing.
+            let stale = Deployment::from_raw([0, 1]);
+            let outcome2 = replanner.replan(&inst, Some(&stale), SuffixScoring::Serial, &[]);
+            assert_eq!(outcome2.solver, "greedy");
+        }
     }
 
     #[test]
@@ -408,8 +408,12 @@ mod tests {
                 cancel_on_optimal: false,
             },
         ] {
-            let outcome =
-                Replanner::new(strategy, SearchBudget::nodes(60)).replan(&inst, Some(&warm), &[]);
+            let outcome = Replanner::new(strategy, SearchBudget::nodes(60)).replan(
+                &inst,
+                Some(&warm),
+                SuffixScoring::Serial,
+                &[],
+            );
             assert!(
                 outcome.objective <= warm_area + 1e-12,
                 "{}: {} > {warm_area}",
@@ -437,7 +441,7 @@ mod tests {
                 },
                 SearchBudget::nodes(50),
             )
-            .replan(&inst, Some(&warm), &[])
+            .replan(&inst, Some(&warm), SuffixScoring::Serial, &[])
         };
         let a = run();
         let b = run();
@@ -469,7 +473,7 @@ mod tests {
         ] {
             let replanner = Replanner::new(strategy, SearchBudget::nodes(40));
             let (outcome, new_pending) = replanner
-                .replan_around(&residual, &pending, &[])
+                .replan_around(&residual, &pending, SuffixScoring::Serial, &[])
                 .expect("pending is a permutation of the residual");
             // Same index set as the old pending, no committed index leaked.
             let mut sorted = new_pending.clone();
@@ -503,10 +507,17 @@ mod tests {
             IndexId::new(2),
             IndexId::new(3),
         ];
-        assert!(replanner.replan_around(&residual, &stale, &[]).is_none());
+        assert!(replanner
+            .replan_around(&residual, &stale, SuffixScoring::Serial, &[])
+            .is_none());
         // Pending that lost an index is out of sync too.
         assert!(replanner
-            .replan_around(&residual, &[IndexId::new(1), IndexId::new(2)], &[])
+            .replan_around(
+                &residual,
+                &[IndexId::new(1), IndexId::new(2)],
+                SuffixScoring::Serial,
+                &[],
+            )
             .is_none());
     }
 
@@ -521,12 +532,19 @@ mod tests {
             cooperation: CooperationPolicy::Off,
             cancel_on_optimal: false,
         };
-        let serial =
-            Replanner::new(strategy, SearchBudget::nodes(50)).replan(&inst, Some(&warm), &[]);
+        let serial = Replanner::new(strategy, SearchBudget::nodes(50)).replan(
+            &inst,
+            Some(&warm),
+            SuffixScoring::Serial,
+            &[],
+        );
         for dispatch in [DispatchPolicy::HeadOfLine, DispatchPolicy::WorkConserving] {
-            let slot = Replanner::new(strategy, SearchBudget::nodes(50))
-                .with_scoring(SuffixScoring::SlotAware { slots: 1, dispatch })
-                .replan(&inst, Some(&warm), &[]);
+            let slot = Replanner::new(strategy, SearchBudget::nodes(50)).replan(
+                &inst,
+                Some(&warm),
+                SuffixScoring::SlotAware { slots: 1, dispatch },
+                &[],
+            );
             assert_eq!(slot.objective.to_bits(), serial.objective.to_bits());
             assert_eq!(slot.deployment, serial.deployment);
             assert_eq!(slot.solver, serial.solver);
@@ -564,6 +582,7 @@ mod tests {
         let serial = Replanner::new(ReplanStrategy::Greedy, SearchBudget::nodes(10)).replan(
             &inst,
             Some(&warm),
+            SuffixScoring::Serial,
             &[],
         );
         assert_eq!(serial.deployment, Deployment::from_raw([0, 1, 2]));
@@ -571,12 +590,15 @@ mod tests {
         assert!((serial.objective - 840.0).abs() < 1e-9);
         assert!(serial.improved);
 
-        let slot_aware = Replanner::new(ReplanStrategy::Greedy, SearchBudget::nodes(10))
-            .with_scoring(SuffixScoring::SlotAware {
+        let slot_aware = Replanner::new(ReplanStrategy::Greedy, SearchBudget::nodes(10)).replan(
+            &inst,
+            Some(&warm),
+            SuffixScoring::SlotAware {
                 slots: 2,
                 dispatch: DispatchPolicy::HeadOfLine,
-            })
-            .replan(&inst, Some(&warm), &[]);
+            },
+            &[],
+        );
         assert_eq!(slot_aware.deployment, warm, "slot-friendly order survives");
         assert_eq!(slot_aware.solver, "warm-start");
         assert!((slot_aware.objective - 648.0).abs() < 1e-9);
@@ -610,6 +632,5 @@ mod tests {
             .label(),
             "slot-aware"
         );
-        assert_eq!(SuffixScoring::default(), SuffixScoring::Serial);
     }
 }

@@ -314,7 +314,6 @@ fn all_three_local_searches_restart_from_the_shared_best_on_stall() {
                     delta_repair: false,
                     stall_iterations: Some(2),
                     seed: 5,
-                    ..LnsConfig::default()
                 })
                 .solve_in(&instance(2), Deployment::identity(8), ctx)
             }),
@@ -529,7 +528,6 @@ fn stall_threshold_defaults_derive_from_the_budget() {
             delta_repair: false, // keep it starved: no self-repair fallback
             stall_iterations: stall,
             seed: 13,
-            ..LnsConfig::default()
         })
         .solve_in(&inst, Deployment::identity(8), &ctx)
     };

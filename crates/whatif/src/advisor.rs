@@ -13,39 +13,27 @@ use crate::physical::{CandidateIndex, PhysicalConfig};
 use crate::query::{QuerySpec, Workload};
 use crate::whatif::WhatIfOptimizer;
 
+/// Minimum benefit (seconds summed over the workload) for a candidate to be
+/// considered at all.
+const MIN_TOTAL_BENEFIT: f64 = 1e-6;
+
 /// Configuration of the advisor.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdvisorConfig {
     /// Maximum number of indexes in the suggested design.
     pub max_indexes: usize,
-    /// Generate covering indexes (keys + INCLUDE columns) in addition to
-    /// key-only indexes.
-    pub include_covering: bool,
-    /// Generate multi-column indexes combining a table's predicate columns.
-    pub include_multi_column: bool,
-    /// Minimum benefit (seconds summed over the workload) for a candidate to
-    /// be considered at all.
-    pub min_total_benefit: f64,
 }
 
 impl Default for AdvisorConfig {
     fn default() -> Self {
-        Self {
-            max_indexes: 64,
-            include_covering: true,
-            include_multi_column: true,
-            min_total_benefit: 1e-6,
-        }
+        Self { max_indexes: 64 }
     }
 }
 
 impl AdvisorConfig {
     /// Advisor configuration bounded to `max_indexes` suggestions.
     pub fn with_budget(max_indexes: usize) -> Self {
-        Self {
-            max_indexes,
-            ..Self::default()
-        }
+        Self { max_indexes }
     }
 }
 
@@ -128,24 +116,15 @@ impl Advisor {
                 push(CandidateIndex::new(table, vec![col.clone()]));
             }
 
-            if self.config.include_multi_column && pred_cols.len() >= 2 {
+            // A multi-column index over the predicate columns (when there
+            // are several), and a covering variant of that key with the
+            // other referenced columns as INCLUDE columns.
+            if !pred_cols.is_empty() {
                 let mut keys = pred_cols.clone();
                 keys.dedup();
-                push(CandidateIndex::new(table, keys.clone()));
-                if self.config.include_covering {
-                    let includes: Vec<String> = referenced
-                        .iter()
-                        .filter(|c| !keys.contains(c))
-                        .cloned()
-                        .collect();
-                    if !includes.is_empty() {
-                        push(CandidateIndex::new(table, keys).with_includes(includes));
-                    }
+                if pred_cols.len() >= 2 {
+                    push(CandidateIndex::new(table, keys.clone()));
                 }
-            }
-
-            if self.config.include_covering && pred_cols.len() == 1 {
-                let keys = pred_cols.clone();
                 let includes: Vec<String> = referenced
                     .iter()
                     .filter(|c| !keys.contains(c))
@@ -170,22 +149,17 @@ impl Advisor {
                 fact_table.clone(),
                 vec![join.fact_column.column.clone()],
             ));
-            if self.config.include_covering {
-                let referenced = query.referenced_columns(fact_table);
-                let includes: Vec<String> = referenced
-                    .iter()
-                    .filter(|c| **c != join.fact_column.column)
-                    .cloned()
-                    .collect();
-                if !includes.is_empty() {
-                    push(
-                        CandidateIndex::new(
-                            fact_table.clone(),
-                            vec![join.fact_column.column.clone()],
-                        )
+            let referenced = query.referenced_columns(fact_table);
+            let includes: Vec<String> = referenced
+                .iter()
+                .filter(|c| **c != join.fact_column.column)
+                .cloned()
+                .collect();
+            if !includes.is_empty() {
+                push(
+                    CandidateIndex::new(fact_table.clone(), vec![join.fact_column.column.clone()])
                         .with_includes(includes),
-                    );
-                }
+                );
             }
         }
 
@@ -288,7 +262,7 @@ impl Advisor {
                 Some(t) => t,
                 None => break,
             };
-            if top.benefit < self.config.min_total_benefit {
+            if top.benefit < MIN_TOTAL_BENEFIT {
                 break;
             }
             if top.generation == generation {
@@ -309,7 +283,7 @@ impl Advisor {
             } else {
                 // Stale: recompute against the current design and reinsert.
                 let (benefit, _) = marginal(top.candidate, &selected_config, &current_cost);
-                if benefit >= self.config.min_total_benefit {
+                if benefit >= MIN_TOTAL_BENEFIT {
                     heap.push(HeapEntry {
                         benefit,
                         generation,

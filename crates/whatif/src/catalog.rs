@@ -81,11 +81,6 @@ impl Table {
     pub fn column(&self, name: &str) -> Option<&Column> {
         self.columns.iter().find(|c| c.name == name)
     }
-
-    /// Returns `true` when the table has a column with this name.
-    pub fn has_column(&self, name: &str) -> bool {
-        self.column(name).is_some()
-    }
 }
 
 /// The schema + statistics of a warehouse.
@@ -171,8 +166,8 @@ mod tests {
         assert_eq!(t.row_width(), 52.0);
         let expected_pages = 1_000_000.0 * 52.0 / PAGE_SIZE_BYTES;
         assert!((t.pages() - expected_pages).abs() < 1e-6);
-        assert!(t.has_column("COUNTRY"));
-        assert!(!t.has_column("REGION"));
+        assert!(t.column("COUNTRY").is_some());
+        assert!(t.column("REGION").is_none());
     }
 
     #[test]

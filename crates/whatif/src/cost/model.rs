@@ -95,26 +95,6 @@ impl CostModel {
         index_io + index_cpu + heap + residual_cpu
     }
 
-    /// Returns `true` when `index` is usable as an access path for `query` on
-    /// its table: its leading key column carries a predicate of the query, or
-    /// is a join column of the query.
-    pub fn index_matches_query(&self, query: &QuerySpec, index: &CandidateIndex) -> bool {
-        let leading = match index.leading_column() {
-            Some(c) => c,
-            None => return false,
-        };
-        let table = &index.table;
-        let filtered = query
-            .predicates_on(table)
-            .iter()
-            .any(|p| p.column.column == leading);
-        let joined = query.joins.iter().any(|j| {
-            (j.fact_column.table == *table && j.fact_column.column == leading)
-                || (j.dimension_column.table == *table && j.dimension_column.column == leading)
-        });
-        filtered || joined
-    }
-
     /// Chooses the cheapest way to produce the filtered rows of one table for
     /// a query under `config`: a sequential scan or any *usable* index.
     ///
@@ -270,12 +250,22 @@ mod tests {
 
     #[test]
     fn index_matches_query_checks_leading_column() {
+        // Only the leading key column decides whether a (non-covering) index
+        // serves the query's predicate: the same columns in the other order
+        // cannot.
+        let cat = catalog();
         let model = CostModel::default();
         let q = salary_query();
-        let city = CandidateIndex::new("PEOPLE", vec!["CITY".into(), "SALARY".into()]);
-        let salary_first = CandidateIndex::new("PEOPLE", vec!["SALARY".into(), "CITY".into()]);
-        assert!(model.index_matches_query(&q, &city));
-        assert!(!model.index_matches_query(&q, &salary_first));
+        let path_with = |keys: [&str; 2]| {
+            let mut config = PhysicalConfig::empty();
+            config.add(CandidateIndex::new(
+                "PEOPLE",
+                keys.map(String::from).to_vec(),
+            ));
+            model.best_access_path(&cat, &q, "PEOPLE", &config)
+        };
+        assert!(path_with(["CITY", "REPORTTO"]).index.is_some());
+        assert!(path_with(["REPORTTO", "CITY"]).index.is_none());
     }
 
     #[test]

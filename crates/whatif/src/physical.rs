@@ -51,13 +51,6 @@ impl CandidateIndex {
         self
     }
 
-    /// Marks the index clustered (builder style).
-    pub fn as_clustered(mut self) -> Self {
-        self.clustered = true;
-        self.name = format!("{}_cl", self.name);
-        self
-    }
-
     /// The leading key column.
     pub fn leading_column(&self) -> Option<&str> {
         self.key_columns.first().map(String::as_str)
@@ -114,22 +107,6 @@ impl CandidateIndex {
     pub fn size_pages(&self, catalog: &Catalog) -> f64 {
         let rows = catalog.table(&self.table).map(|t| t.rows).unwrap_or(1.0);
         (rows * self.entry_width(catalog) / PAGE_SIZE_BYTES).max(1.0)
-    }
-
-    /// Combined distinct count of the key prefix, used to estimate how many
-    /// rows an equality seek on all key columns returns.
-    pub fn key_distinct_values(&self, catalog: &Catalog) -> f64 {
-        let table = match catalog.table(&self.table) {
-            Some(t) => t,
-            None => return 1.0,
-        };
-        let mut distinct = 1.0_f64;
-        for c in &self.key_columns {
-            if let Some(col) = table.column(c) {
-                distinct *= col.distinct_values;
-            }
-        }
-        distinct.min(table.rows).max(1.0)
     }
 }
 
@@ -221,9 +198,6 @@ mod tests {
         let cov =
             CandidateIndex::new("PEOPLE", vec!["CITY".into()]).with_includes(vec!["SALARY".into()]);
         assert!(cov.name.contains("incl_salary"));
-        let cl = CandidateIndex::new("PEOPLE", vec!["EMPID".into()]).as_clustered();
-        assert!(cl.clustered);
-        assert!(cl.name.ends_with("_cl"));
     }
 
     #[test]
@@ -264,10 +238,6 @@ mod tests {
         let wide = CandidateIndex::new("PEOPLE", vec!["CITY".into(), "SALARY".into()]);
         assert!(wide.size_pages(&cat) > narrow.size_pages(&cat));
         assert!(narrow.size_pages(&cat) >= 1.0);
-        // Distinct count of composite keys is capped by table rows.
-        let k = wide.key_distinct_values(&cat);
-        assert!(k <= 100_000.0);
-        assert!(k >= 500.0);
     }
 
     #[test]

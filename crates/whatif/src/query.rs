@@ -199,12 +199,6 @@ impl QuerySpec {
         self
     }
 
-    /// Sets the weight (builder style).
-    pub fn with_weight(mut self, weight: f64) -> Self {
-        self.weight = weight;
-        self
-    }
-
     /// All tables the query touches: the fact table plus joined dimensions.
     pub fn tables(&self) -> Vec<&str> {
         let mut tables = vec![self.fact_table.as_str()];

@@ -16,6 +16,24 @@ use idd_core::{
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
+/// Fraction of the queries whose weight moves per drift event.
+const DRIFT_FRACTION: f64 = 0.3;
+
+/// Strongest up-weight factor a drifting query can receive (hot queries);
+/// cooling queries drop towards zero symmetrically.
+const DRIFT_MAGNITUDE: f64 = 6.0;
+
+/// Indexes dropped per revision event.
+const DROPS_PER_REVISION: usize = 1;
+
+/// Event window: events land uniformly in
+/// `[0, HORIZON_FRACTION · Σ ctime(i)]`, i.e. while the deployment is still
+/// in flight.
+const HORIZON_FRACTION: f64 = 0.6;
+
+/// Fraction of the effective build cost wasted per failed attempt.
+const WASTE_FRACTION: f64 = 0.5;
+
 /// Parameters of the scenario generators.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EvolutionConfig {
@@ -24,23 +42,10 @@ pub struct EvolutionConfig {
     /// Number of drift events ([`drift_scenario`]) or revisions
     /// ([`revision_scenario`]).
     pub num_events: usize,
-    /// Fraction of the queries whose weight moves per drift event.
-    pub drift_fraction: f64,
-    /// Strongest up-weight factor a drifting query can receive (hot
-    /// queries); cooling queries drop towards zero symmetrically.
-    pub drift_magnitude: f64,
     /// Indexes added per revision event.
     pub additions_per_revision: usize,
-    /// Indexes dropped per revision event.
-    pub drops_per_revision: usize,
     /// Number of failing builds ([`failure_scenario`]).
     pub num_failures: usize,
-    /// Fraction of the effective build cost wasted per failed attempt.
-    pub waste_fraction: f64,
-    /// Event window: events land uniformly in
-    /// `[0, horizon_fraction · Σ ctime(i)]`, i.e. while the deployment is
-    /// still in flight.
-    pub horizon_fraction: f64,
 }
 
 impl Default for EvolutionConfig {
@@ -48,13 +53,8 @@ impl Default for EvolutionConfig {
         Self {
             seed: 42,
             num_events: 2,
-            drift_fraction: 0.3,
-            drift_magnitude: 6.0,
             additions_per_revision: 1,
-            drops_per_revision: 1,
             num_failures: 1,
-            waste_fraction: 0.5,
-            horizon_fraction: 0.6,
         }
     }
 }
@@ -72,7 +72,7 @@ fn event_times(
     cfg: &EvolutionConfig,
     rng: &mut ChaCha8Rng,
 ) -> Vec<f64> {
-    let horizon = instance.total_base_build_cost() * cfg.horizon_fraction.max(0.0);
+    let horizon = instance.total_base_build_cost() * HORIZON_FRACTION;
     let mut times: Vec<f64> = (0..cfg.num_events)
         .map(|_| rng.gen_range(0.0..horizon.max(1e-9)))
         .collect();
@@ -81,15 +81,15 @@ fn event_times(
 }
 
 /// A pure workload-drift scenario: `num_events` re-weighting events, each
-/// heating a random subset of queries (weight × up to `drift_magnitude`) and
-/// cooling another (weight ÷ up to `drift_magnitude`). The total workload
+/// heating a random subset of queries (weight × up to 6) and cooling another
+/// (weight ÷ up to 6). The total workload
 /// importance therefore shifts *between* queries — exactly the situation
 /// where the order chosen offline stops being the right one.
 pub fn drift_scenario(instance: &ProblemInstance, cfg: &EvolutionConfig) -> EvolutionScenario {
     let mut rng = rng_for(cfg, 0xD81F);
     let num_queries = instance.num_queries();
     let per_event =
-        ((num_queries as f64 * cfg.drift_fraction).ceil() as usize).clamp(1, num_queries.max(1));
+        ((num_queries as f64 * DRIFT_FRACTION).ceil() as usize).clamp(1, num_queries.max(1));
     let events = event_times(instance, cfg, &mut rng)
         .into_iter()
         .map(|at| {
@@ -98,7 +98,7 @@ pub fn drift_scenario(instance: &ProblemInstance, cfg: &EvolutionConfig) -> Evol
             let mut weights = Vec::with_capacity(per_event);
             for (k, &q) in ids.iter().take(per_event).enumerate() {
                 let current = instance.query(QueryId::new(q)).weight;
-                let factor = rng.gen_range(1.5..cfg.drift_magnitude.max(1.6));
+                let factor = rng.gen_range(1.5..DRIFT_MAGNITUDE);
                 // Alternate heating and cooling so drift moves importance
                 // around rather than only inflating it.
                 let new_weight = if k % 2 == 0 {
@@ -121,8 +121,8 @@ pub fn drift_scenario(instance: &ProblemInstance, cfg: &EvolutionConfig) -> Evol
     }
 }
 
-/// A design-revision scenario: each event retracts `drops_per_revision`
-/// random candidate indexes (the advisor changed its mind) and adds
+/// A design-revision scenario: each event retracts one random candidate
+/// index (the advisor changed its mind) and adds
 /// `additions_per_revision` fresh ones, each speeding up an existing query
 /// through a plan that pairs it with an existing index, helped by an
 /// existing index on the build side.
@@ -152,7 +152,7 @@ pub fn revision_scenario(instance: &ProblemInstance, cfg: &EvolutionConfig) -> E
             let mut drop = Vec::new();
             let mut candidates: Vec<usize> = (0..n).collect();
             candidates.shuffle(&mut rng);
-            for &raw in candidates.iter().take(cfg.drops_per_revision) {
+            for &raw in candidates.iter().take(DROPS_PER_REVISION) {
                 drop.push(IndexId::new(raw));
             }
             EvolutionEvent {
@@ -169,8 +169,8 @@ pub fn revision_scenario(instance: &ProblemInstance, cfg: &EvolutionConfig) -> E
 }
 
 /// A build-failure scenario: `num_failures` random indexes fail once (or
-/// twice for every third pick) before succeeding, wasting
-/// `waste_fraction` of their effective build cost per attempt.
+/// twice for every third pick) before succeeding, wasting half of their
+/// effective build cost per attempt.
 pub fn failure_scenario(instance: &ProblemInstance, cfg: &EvolutionConfig) -> EvolutionScenario {
     let mut rng = rng_for(cfg, 0xFA11);
     let mut candidates: Vec<usize> = (0..instance.num_indexes()).collect();
@@ -182,7 +182,7 @@ pub fn failure_scenario(instance: &ProblemInstance, cfg: &EvolutionConfig) -> Ev
         .map(|(k, raw)| BuildFailure {
             index: IndexId::new(raw),
             failures: if k % 3 == 2 { 2 } else { 1 },
-            waste_fraction: cfg.waste_fraction.clamp(0.0, 1.0),
+            waste_fraction: WASTE_FRACTION,
         })
         .collect();
     EvolutionScenario {
@@ -244,7 +244,7 @@ mod tests {
         };
         let scenario = drift_scenario(&inst, &cfg);
         assert_eq!(scenario.events.len(), 4);
-        let horizon = inst.total_base_build_cost() * cfg.horizon_fraction;
+        let horizon = inst.total_base_build_cost() * HORIZON_FRACTION;
         for event in &scenario.events {
             assert!(event.at >= 0.0 && event.at <= horizon);
             let EventKind::Drift(drift) = &event.kind else {
@@ -266,7 +266,6 @@ mod tests {
         let cfg = EvolutionConfig {
             num_events: 3,
             additions_per_revision: 2,
-            drops_per_revision: 1,
             ..EvolutionConfig::default()
         };
         let scenario = revision_scenario(&inst, &cfg);

@@ -38,7 +38,7 @@ pub use synthetic::{
 };
 
 use idd_core::ProblemInstance;
-use idd_whatif::{extract_instance, ExtractionConfig};
+use idd_whatif::extract_instance;
 
 /// Builds the TPC-H-like problem instance with the paper's index budget (31).
 pub fn tpch_instance() -> idd_whatif::Result<ProblemInstance> {
@@ -48,13 +48,4 @@ pub fn tpch_instance() -> idd_whatif::Result<ProblemInstance> {
 /// Builds the TPC-DS-like problem instance with the paper's index budget (148).
 pub fn tpcds_instance() -> idd_whatif::Result<ProblemInstance> {
     extract_instance(&tpcds::workload(), tpcds::extraction_config())
-}
-
-/// Builds a problem instance for an arbitrary workload with a given index
-/// budget — convenience wrapper used by examples.
-pub fn instance_with_budget(
-    workload: &idd_whatif::Workload,
-    max_indexes: usize,
-) -> idd_whatif::Result<ProblemInstance> {
-    extract_instance(workload, ExtractionConfig::with_budget(max_indexes))
 }

@@ -5,4 +5,4 @@ pub use crate::evolution::{
     drift_scenario, failure_scenario, mixed_scenario, revision_scenario, EvolutionConfig,
 };
 pub use crate::synthetic::{generate as generate_synthetic, SyntheticConfig, SyntheticGenerator};
-pub use crate::{instance_with_budget, tpcds_instance, tpch_instance};
+pub use crate::{tpcds_instance, tpch_instance};
