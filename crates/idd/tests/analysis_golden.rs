@@ -17,7 +17,8 @@
 //! `AnalysisReport::rounds` is left out on purpose: it counts loop
 //! iterations, not results, so a shorter fixed-point loop may change it.
 //! The grid must reach the tail step's pin and its budget overflow; the
-//! test asserts it does.
+//! test asserts it does. Every pair a detector count includes is a new pair
+//! of the closure, so in every cell `C + M + D` is at most `total`.
 //!
 //! To bless an intentional change:
 //! `BLESS=1 cargo test -p idd --test analysis_golden`
@@ -205,6 +206,14 @@ fn property_analysis_grid_matches_golden() {
                     }
                     None => format!("{label} level={level:?}"),
                 };
+                let detector_pairs = report.num_colonized_pairs
+                    + report.num_dominated_pairs
+                    + report.num_disjoint_pairs;
+                assert!(
+                    detector_pairs <= report.total_ordered_pairs,
+                    "{cell}: C + M + D = {detector_pairs} exceeds total = {}",
+                    report.total_ordered_pairs
+                );
                 cells.push(Cell {
                     instance: label.clone(),
                     level,

@@ -103,12 +103,12 @@ impl AStarSolver {
     /// Runs the search inside a shared [`SolveContext`] (cancellable; A*
     /// only ever has a solution at the very end, which is published then).
     pub fn solve_in(&self, instance: &ProblemInstance, ctx: &SolveContext) -> SolveResult {
+        let mut clock = self.config.budget.start_cancellable(ctx.cancel_token());
         let n = instance.num_indexes();
         let words = n.div_ceil(64);
         let evaluator = ObjectiveEvaluator::new(instance);
         let bound = LowerBound::new(instance);
         let constraints = OrderConstraints::from_instance(instance);
-        let mut clock = self.config.budget.start_cancellable(ctx.cancel_token());
 
         // g-values and parent pointers (subset → (previous subset, index)).
         let mut best_g: HashMap<SubsetKey, f64> = HashMap::new();

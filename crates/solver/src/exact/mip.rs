@@ -141,11 +141,11 @@ impl MipSolver {
     /// Runs the branch-and-bound inside a shared [`SolveContext`]
     /// (cancellable, publishing incumbent improvements).
     pub fn solve_in(&self, instance: &ProblemInstance, ctx: &SolveContext) -> SolveResult {
+        let mut clock = self.config.budget.start_cancellable(ctx.cancel_token());
         let n = instance.num_indexes();
         let evaluator = ObjectiveEvaluator::new(instance);
         let bound = LowerBound::new(instance);
         let constraints = OrderConstraints::from_instance(instance);
-        let mut clock = self.config.budget.start_cancellable(ctx.cancel_token());
 
         // Time quantum of the discretization.
         let total_cost = instance.total_base_build_cost();

@@ -12,11 +12,17 @@
 //! * [`dominated`] — an index whose benefit can never exceed another's (and
 //!   is never cheaper to build) is built after it;
 //! * [`disjoint`] — fully independent indexes are ordered by density;
-//! * [`tail`] — enumerating possible tail patterns can pin the last index.
+//! * [`tail`] — scoring the feasible tails can pin the last index.
 //!
-//! [`analyze`] runs the enabled detectors to a fixed point ("iterate and
-//! recurse", Section 5.6), accumulating everything into an
-//! [`OrderConstraints`].
+//! [`analyze`] runs the enabled detectors in rounds until one adds nothing,
+//! accumulating everything into an [`OrderConstraints`]. The first four
+//! detectors read only the instance, so they run in the first round only;
+//! each one's count in the [`AnalysisReport`] holds only the pairs it added
+//! that no earlier constraint implied. The tail step runs in every round,
+//! but it pins at most one index in all: a pinned index ends every tail, so
+//! the next round finds nothing to add. The paper's "iterate and recurse"
+//! (Section 5.6), which would go on to pin the second-to-last index, is not
+//! implemented.
 
 pub mod alliance;
 pub mod colonized;
@@ -25,7 +31,7 @@ pub mod dominated;
 pub mod tail;
 
 use crate::constraints::OrderConstraints;
-use idd_core::ProblemInstance;
+use idd_core::{IndexId, ProblemInstance};
 use serde::{Deserialize, Serialize};
 
 /// Which detectors to run (used by the Table-6 drill-down).
@@ -43,7 +49,8 @@ pub struct AnalysisOptions {
     pub tail: bool,
     /// Tail length to analyze.
     pub tail_length: usize,
-    /// Maximum number of tail patterns to enumerate before giving up.
+    /// Maximum number of feasible tails: with more, the tail step gives up
+    /// without scoring any.
     pub tail_budget: usize,
     /// Maximum fixed-point rounds.
     pub max_rounds: usize,
@@ -111,11 +118,14 @@ pub struct AnalysisReport {
     pub constraints: OrderConstraints,
     /// Number of alliance groups found.
     pub num_alliances: usize,
-    /// Ordered pairs contributed by colonized-index detection.
+    /// Pairs colonized-index detection added that no earlier constraint
+    /// implied.
     pub num_colonized_pairs: usize,
-    /// Ordered pairs contributed by domination detection.
+    /// Pairs domination detection added that no earlier constraint
+    /// implied.
     pub num_dominated_pairs: usize,
-    /// Ordered pairs contributed by disjoint-density detection.
+    /// Pairs disjoint-density detection added that no earlier constraint
+    /// implied.
     pub num_disjoint_pairs: usize,
     /// Indexes pinned by the tail analysis.
     pub num_tail_fixed: usize,
@@ -148,42 +158,37 @@ pub fn analyze(instance: &ProblemInstance, options: AnalysisOptions) -> Analysis
         converged: false,
     };
 
-    // `true` once a full round runs without adding a single ordered pair:
-    // the detectors are deterministic functions of the instance and the
-    // constraint set, so an unchanged round proves the fixed point. If the
-    // loop instead exhausts `max_rounds` while the last round was still
-    // adding pairs, the result is clipped and this stays `false`.
+    // `true` once a round adds no ordered pair. Round 0 runs every enabled
+    // detector; a later round only repeats the tail call, and that call
+    // cannot add a pair, since the tail step pins at most one index per
+    // analysis. So a second round, when `max_rounds` allows it, always
+    // confirms the fixed point; with `max_rounds` at 1 and a first round
+    // that added pairs, the result counts as clipped and this stays `false`.
     let mut last_round_was_stable = false;
     for round in 0..options.max_rounds.max(1) {
         let before = constraints.num_ordered_pairs();
         report.rounds = round + 1;
 
-        if options.alliances {
-            let groups = alliance::detect(instance);
-            for g in &groups {
-                constraints.add_alliance(g.clone());
-            }
-            report.num_alliances = constraints.alliances().len();
-        }
-        if options.colonized {
-            for (before_idx, after_idx) in colonized::detect(instance) {
-                if constraints.add_before(before_idx, after_idx) {
-                    report.num_colonized_pairs += 1;
+        // These four detectors read only the instance: a later round would
+        // find nothing new.
+        if round == 0 {
+            if options.alliances {
+                for group in alliance::detect(instance) {
+                    constraints.add_alliance(group);
                 }
+                report.num_alliances = constraints.alliances().len();
             }
-        }
-        if options.dominated {
-            for (before_idx, after_idx) in dominated::detect(instance) {
-                if constraints.add_before(before_idx, after_idx) {
-                    report.num_dominated_pairs += 1;
-                }
+            if options.colonized {
+                report.num_colonized_pairs =
+                    add_new_pairs(&mut constraints, colonized::detect(instance));
             }
-        }
-        if options.disjoint {
-            for (before_idx, after_idx) in disjoint::detect(instance) {
-                if constraints.add_before(before_idx, after_idx) {
-                    report.num_disjoint_pairs += 1;
-                }
+            if options.dominated {
+                report.num_dominated_pairs =
+                    add_new_pairs(&mut constraints, dominated::detect(instance));
+            }
+            if options.disjoint {
+                report.num_disjoint_pairs =
+                    add_new_pairs(&mut constraints, disjoint::detect(instance));
             }
         }
         if options.tail {
@@ -201,8 +206,8 @@ pub fn analyze(instance: &ProblemInstance, options: AnalysisOptions) -> Analysis
             break;
         }
         if last_round_was_stable && !options.tail {
-            // Nothing added in the very first round and no tail recursion to
-            // feed further rounds: we are already at the fixed point.
+            // Round 0 added nothing, and a later round would run no
+            // detector at all: already at the fixed point.
             break;
         }
     }
@@ -213,10 +218,20 @@ pub fn analyze(instance: &ProblemInstance, options: AnalysisOptions) -> Analysis
     report
 }
 
+/// Adds each `(before, after)` pair and returns how many were new: neither
+/// implied by the constraints already present nor rejected as a cycle.
+fn add_new_pairs(constraints: &mut OrderConstraints, pairs: Vec<(IndexId, IndexId)>) -> usize {
+    pairs
+        .into_iter()
+        .filter(|&(before, after)| {
+            !constraints.must_precede(before, after) && constraints.add_before(before, after)
+        })
+        .count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idd_core::IndexId;
 
     /// Figure 5-like instance: i0,i2 always together; i1,i5 in a plan with
     /// others; i3,i5 together.

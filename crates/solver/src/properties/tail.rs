@@ -6,83 +6,104 @@
 //! orderings within the same set are directly comparable ("tail champions").
 //! If one index is the last index of every champion, it is the last index of
 //! some optimal solution and every other index can be constrained to precede
-//! it. Re-running the analysis after fixing it pins the second-to-last index,
-//! and so on (the paper's "iterate and recurse").
+//! it.
+//!
+//! One analysis pins at most one index. After a pin every tail ends with
+//! the pinned index, so every champion of a second call ends with it too
+//! and the pin adds nothing: the paper's "iterate and recurse", which would
+//! go on to pin the second-to-last index, is not implemented.
+//!
+//! Cost: a call first counts the feasible tails, without building them, up
+//! to `budget + 1`; past the budget it gives up. It then scores one tail set
+//! at a time and stops at the first champion whose last index differs from
+//! the first set's. Only a call that pins scores every feasible tail, at
+//! `len` full runtime scans per tail.
 
 use crate::constraints::OrderConstraints;
 use idd_core::{IndexId, ObjectiveEvaluator, ProblemInstance};
 
-/// Enumerates feasible tail sequences of length `len` under `constraints`.
-/// A sequence `[a, b, c]` means `a` is at position `n-3`, `c` at `n-1`.
-fn enumerate_tails(
-    instance: &ProblemInstance,
-    constraints: &OrderConstraints,
+/// The feasible tails of `len` indexes under a constraint set. A tail is
+/// walked backwards from the last position as a suffix (`suffix[0]` is the
+/// last index): an index may take the last open slot when every index it
+/// must precede already sits in a later slot. Every slot tries its
+/// candidates by ascending raw id.
+struct Tails {
     len: usize,
-    budget: usize,
-) -> Option<Vec<Vec<IndexId>>> {
-    let n = instance.num_indexes();
-    if len == 0 || len > n {
-        return Some(Vec::new());
+    /// Raw ids of the indexes each index must precede.
+    successors: Vec<Vec<usize>>,
+}
+
+impl Tails {
+    fn new(constraints: &OrderConstraints, len: usize) -> Self {
+        let n = constraints.len();
+        let successors = (0..n)
+            .map(|a| {
+                (0..n)
+                    .filter(|&b| constraints.must_precede(IndexId::new(a), IndexId::new(b)))
+                    .collect()
+            })
+            .collect();
+        Self { len, successors }
     }
-    let mut result: Vec<Vec<IndexId>> = Vec::new();
-    // Build backwards from the last position: an index can occupy the
-    // currently-last open slot when every index it must precede is already
-    // placed in a later slot.
-    fn recurse(
-        n: usize,
-        constraints: &OrderConstraints,
-        len: usize,
-        suffix: &mut Vec<IndexId>,
-        used: &mut Vec<bool>,
-        result: &mut Vec<Vec<IndexId>>,
-        budget: usize,
+
+    /// Calls `visit` on every feasible tail drawn from `members` (raw ids,
+    /// ascending) until it returns `false`. Returns `false` when stopped.
+    fn walk(&self, members: &[usize], mut visit: impl FnMut(&[usize]) -> bool) -> bool {
+        let mut used = vec![false; self.successors.len()];
+        let mut suffix = Vec::with_capacity(self.len);
+        self.extend(members, &mut used, &mut suffix, &mut visit)
+    }
+
+    fn extend(
+        &self,
+        members: &[usize],
+        used: &mut [bool],
+        suffix: &mut Vec<usize>,
+        visit: &mut impl FnMut(&[usize]) -> bool,
     ) -> bool {
-        if suffix.len() == len {
-            let mut tail: Vec<IndexId> = suffix.clone();
-            tail.reverse();
-            result.push(tail);
-            return result.len() <= budget;
+        if suffix.len() == self.len {
+            return visit(suffix);
         }
-        for raw in 0..n {
-            let candidate = IndexId::new(raw);
-            if used[raw] {
+        for &candidate in members {
+            if used[candidate] || !self.successors[candidate].iter().all(|&s| used[s]) {
                 continue;
             }
-            // Every successor of the candidate must already be in the suffix.
-            let ok = constraints
-                .successors(candidate)
-                .iter()
-                .all(|s| used[s.raw()]);
-            if !ok {
-                continue;
-            }
-            used[raw] = true;
+            used[candidate] = true;
             suffix.push(candidate);
-            let cont = recurse(n, constraints, len, suffix, used, result, budget);
+            let go_on = self.extend(members, used, suffix, visit);
             suffix.pop();
-            used[raw] = false;
-            if !cont {
+            used[candidate] = false;
+            if !go_on {
                 return false;
             }
         }
         true
     }
 
-    let mut used = vec![false; n];
-    let mut suffix = Vec::new();
-    let within_budget = recurse(
-        n,
-        constraints,
-        len,
-        &mut suffix,
-        &mut used,
-        &mut result,
-        budget,
-    );
-    if within_budget {
-        Some(result)
-    } else {
-        None
+    /// Number of feasible tails, counted up to `limit`.
+    fn count(&self, members: &[usize], limit: usize) -> usize {
+        let mut count = 0;
+        self.walk(members, |_| {
+            count += 1;
+            count < limit
+        });
+        count
+    }
+
+    /// `true` when `suffix` is the first ordering of its set that the walk
+    /// meets: no member could have taken an earlier slot held by a larger
+    /// raw id.
+    fn is_first_of_its_set(&self, suffix: &[usize]) -> bool {
+        (1..suffix.len()).all(|slot| {
+            let member = suffix[slot];
+            let free_from = suffix[..slot]
+                .iter()
+                .rposition(|s| self.successors[member].contains(s))
+                .map_or(0, |p| p + 1);
+            suffix[free_from..slot]
+                .iter()
+                .all(|&earlier| earlier < member)
+        })
     }
 }
 
@@ -108,9 +129,10 @@ fn tail_objective(
     area
 }
 
-/// Runs one round of tail analysis: if every tail champion ends with the same
-/// index, constrain all other indexes to precede it. Returns the number of
-/// indexes newly pinned (0 or 1 per call; the fixed-point loop recurses).
+/// Runs one round of tail analysis: if there are at most `budget` feasible
+/// tails and every tail champion ends with the same index, constrain all
+/// other indexes to precede it. Returns the number of indexes newly pinned
+/// (0 or 1).
 pub fn analyze(
     instance: &ProblemInstance,
     constraints: &mut OrderConstraints,
@@ -122,36 +144,47 @@ pub fn analyze(
         return 0;
     }
     let len = tail_length.min(n).max(1);
-    let tails = match enumerate_tails(instance, constraints, len, budget) {
-        Some(t) if !t.is_empty() => t,
-        _ => return 0,
-    };
-    let evaluator = ObjectiveEvaluator::new(instance);
-
-    // Group by tail set; keep the champion (smallest tail objective).
-    use std::collections::HashMap;
-    let mut champions: HashMap<Vec<usize>, (f64, Vec<IndexId>)> = HashMap::new();
-    for tail in tails {
-        let mut key: Vec<usize> = tail.iter().map(|i| i.raw()).collect();
-        key.sort_unstable();
-        let objective = tail_objective(instance, &evaluator, &tail);
-        match champions.get(&key) {
-            Some((best, _)) if *best <= objective => {}
-            _ => {
-                champions.insert(key, (objective, tail));
-            }
-        }
-    }
-
-    // Does one index close every champion?
-    let mut last_indexes = champions.values().map(|(_, tail)| *tail.last().unwrap());
-    let first = match last_indexes.next() {
-        Some(i) => i,
-        None => return 0,
-    };
-    if !last_indexes.all(|i| i == first) {
+    let tails = Tails::new(constraints, len);
+    let all: Vec<usize> = (0..n).collect();
+    let count = tails.count(&all, budget.saturating_add(1));
+    if count == 0 || count > budget {
         return 0;
     }
+
+    // Score one tail set at a time. A set's champion is the first of its
+    // orderings, in walk order, with the smallest tail objective.
+    let evaluator = ObjectiveEvaluator::new(instance);
+    let mut first: Option<usize> = None;
+    let agree = tails.walk(&all, |suffix| {
+        if !tails.is_first_of_its_set(suffix) {
+            return true;
+        }
+        let mut members = suffix.to_vec();
+        members.sort_unstable();
+        let mut champion: Option<(f64, usize)> = None;
+        tails.walk(&members, |ordering| {
+            let tail: Vec<IndexId> = ordering
+                .iter()
+                .rev()
+                .map(|&raw| IndexId::new(raw))
+                .collect();
+            let objective = tail_objective(instance, &evaluator, &tail);
+            match champion {
+                Some((best, _)) if best <= objective => {}
+                _ => champion = Some((objective, ordering[0])),
+            }
+            true
+        });
+        let last = champion.map(|(_, last)| last);
+        if first.is_none() {
+            first = last;
+        }
+        first == last
+    });
+    let first = match first {
+        Some(raw) if agree => IndexId::new(raw),
+        _ => return 0,
+    };
 
     // Pin `first` as the very last index (unless it already is).
     let mut added = 0;
@@ -215,18 +248,28 @@ mod tests {
                 constraints.add_before(other, forced_last);
             }
         }
-        let tails = enumerate_tails(&inst, &constraints, 2, 10_000).unwrap();
-        assert!(!tails.is_empty());
-        for tail in &tails {
-            assert_eq!(*tail.last().unwrap(), forced_last);
-        }
+        let all: Vec<usize> = inst.index_ids().map(IndexId::raw).collect();
+        let mut visited = 0;
+        Tails::new(&constraints, 2).walk(&all, |suffix| {
+            visited += 1;
+            assert_eq!(suffix[0], forced_last.raw());
+            true
+        });
+        assert!(visited > 0);
     }
 
     #[test]
     fn budget_overflow_returns_none() {
+        // Six length-3 tails: a budget of 1 stops the count at 2, and the
+        // analysis gives up without pinning the deadweight.
         let (inst, _) = deadweight_instance();
-        let constraints = OrderConstraints::from_instance(&inst);
-        assert!(enumerate_tails(&inst, &constraints, 3, 1).is_none());
+        let mut constraints = OrderConstraints::from_instance(&inst);
+        let all: Vec<usize> = inst.index_ids().map(IndexId::raw).collect();
+        let tails = Tails::new(&constraints, 3);
+        assert_eq!(tails.count(&all, 2), 2);
+        assert_eq!(tails.count(&all, usize::MAX), 6);
+        assert_eq!(analyze(&inst, &mut constraints, 3, 1), 0);
+        assert_eq!(constraints.num_ordered_pairs(), 0);
     }
 
     #[test]
