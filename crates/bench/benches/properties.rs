@@ -34,12 +34,12 @@ fn bench_properties(c: &mut Criterion) {
             b.iter(|| disjoint::detect(std::hint::black_box(inst)))
         });
     }
-    // The full fixed-point analysis (with tail enumeration) only on the
+    // The full analysis (every detector, then the tail step) only on the
     // medium instance to keep bench time reasonable.
     let medium = SyntheticGenerator::new(SyntheticConfig::medium(4)).generate();
     let mut options = AnalysisOptions::all();
     options.tail_budget = 5_000;
-    group.bench_function("full_fixed_point_tpch_scale", |b| {
+    group.bench_function("full_analysis_tpch_scale", |b| {
         b.iter(|| properties::analyze(std::hint::black_box(&medium), options))
     });
     group.finish();

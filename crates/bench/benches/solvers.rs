@@ -1,8 +1,8 @@
-//! Micro-benchmarks of the constructive solvers (greedy with and without the
-//! interaction credit, the DP baseline) and of single local-search iterations.
+//! Micro-benchmarks of the constructive solvers (the interaction-guided
+//! greedy, the DP baseline) and of single local-search iterations.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use idd_solver::greedy::{GreedyConfig, GreedySolver};
+use idd_solver::greedy::GreedySolver;
 use idd_solver::local::{LnsConfig, LnsSolver, SwapStrategy, TabuConfig, TabuSolver};
 use idd_solver::prelude::*;
 use idd_workloads::{SyntheticConfig, SyntheticGenerator};
@@ -20,16 +20,6 @@ fn bench_constructive(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("greedy", label), &instance, |b, inst| {
             b.iter(|| GreedySolver::new().construct(std::hint::black_box(inst)))
         });
-        group.bench_with_input(
-            BenchmarkId::new("greedy_no_credit", label),
-            &instance,
-            |b, inst| {
-                let solver = GreedySolver::with_config(GreedyConfig {
-                    interaction_credit: false,
-                });
-                b.iter(|| solver.construct(std::hint::black_box(inst)))
-            },
-        );
         group.bench_with_input(BenchmarkId::new("dp", label), &instance, |b, inst| {
             b.iter(|| DpSolver::new().construct(std::hint::black_box(inst)))
         });

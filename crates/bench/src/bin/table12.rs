@@ -223,12 +223,7 @@ fn run_tiny(json_path: Option<&str>) {
     let sharded: ShardedOutcome = ShardedSolver::new(cfg).solve(&instance);
 
     println!(
-        "analysis converged: {}, shards: {}, cut edges: {}, exact partition: {}",
-        if sharded.analysis_converged {
-            "yes"
-        } else {
-            "no"
-        },
+        "shards: {}, cut edges: {}, exact partition: {}",
         sharded.num_shards(),
         sharded.cut_edges,
         if sharded.exact { "yes" } else { "no" },

@@ -2,8 +2,8 @@
 //!
 //! Every cell of a fixed grid prints one line: FNV-1a hashes of the final
 //! constraint set's ordered pairs and alliance groups, the per-detector
-//! counts, the number of tail-pinned indexes, the closure size and whether
-//! the fixed point converged. The grid crosses
+//! counts, the number of tail-pinned indexes and the closure size. The grid
+//! crosses
 //!
 //! * seeded synthetic instances, with and without hard precedences,
 //! * block-structured instances (with and without a coupling layer) and
@@ -11,21 +11,28 @@
 //! * the `deadweight` instance, whose last index the tail step pins, and a
 //!   fenced variant that it pins only when the tail budget admits every
 //!   tail,
+//! * the Figure-5-like `alliance` instance, whose two allied pairs the
+//!   alliance detector finds,
 //! * every drill-down level of Table 6, and under the levels that run the
 //!   tail step also tail lengths 1–3 and tail budgets from 10 to 50 000.
 //!
-//! `AnalysisReport::rounds` is left out on purpose: it counts loop
-//! iterations, not results, so a shorter fixed-point loop may change it.
-//! The grid must reach the tail step's pin and its budget overflow; the
-//! test asserts it does. Every pair a detector count includes is a new pair
-//! of the closure, so in every cell `C + M + D` is at most `total`.
+//! The grid must find an alliance and reach the tail step's pin and its
+//! budget overflow; the test asserts it does. Every pair a detector count
+//! includes is a new pair of the closure, so in every cell `C + M + D` is at
+//! most `total`. The analysis runs each detector once, and every cell checks
+//! that a second pass would add nothing: each enabled instance-only
+//! detector's alliances are registered and its pairs are implied or would
+//! close a cycle, and one more tail call pins nothing and leaves the
+//! constraint set as it was.
 //!
 //! To bless an intentional change:
 //! `BLESS=1 cargo test -p idd --test analysis_golden`
 
 use idd::core::{IndexId, ProblemInstance};
 use idd::solver::decompose::project;
-use idd::solver::properties::{analyze, AnalysisOptions, AnalysisReport};
+use idd::solver::properties::{
+    alliance, analyze, colonized, disjoint, dominated, tail, AnalysisOptions, AnalysisReport,
+};
 use idd::workloads::{generate_block_structured, BlockStructuredConfig};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -113,11 +120,27 @@ fn fenced_deadweight() -> ProblemInstance {
     b.build().expect("fenced deadweight instance is consistent")
 }
 
+/// A Figure-5-like instance: `i0, i2` and `i3, i5` only ever appear in
+/// plans together, so each pair is an alliance.
+fn alliance() -> ProblemInstance {
+    let mut b = ProblemInstance::builder("alliance");
+    let i: Vec<IndexId> = (0..6).map(|_| b.add_index(5.0)).collect();
+    let q0 = b.add_query(100.0);
+    b.add_plan(q0, vec![i[0], i[2]], 30.0);
+    b.add_plan(q0, vec![i[0], i[2], i[4]], 50.0);
+    let q1 = b.add_query(80.0);
+    b.add_plan(q1, vec![i[1], i[4]], 20.0);
+    let q2 = b.add_query(60.0);
+    b.add_plan(q2, vec![i[3], i[5]], 25.0);
+    b.build().expect("alliance instance is consistent")
+}
+
 /// The grid's instances, each with a label.
 fn instances() -> Vec<(String, ProblemInstance)> {
     let mut out = vec![
         ("deadweight".to_string(), deadweight()),
         ("fenced-deadweight".to_string(), fenced_deadweight()),
+        ("alliance".to_string(), alliance()),
         ("seeded-4-n7".to_string(), seeded(4, 7, false)),
         ("seeded-11-n9-prec".to_string(), seeded(11, 9, true)),
         ("seeded-4-n13".to_string(), seeded(4, 13, false)),
@@ -145,6 +168,7 @@ struct Cell {
     level: &'static str,
     tail: Option<(usize, usize)>,
     line: String,
+    num_alliances: usize,
     num_tail_fixed: usize,
 }
 
@@ -160,16 +184,62 @@ fn fingerprint(report: &AnalysisReport) -> String {
         std::iter::once(group.len() as u64).chain(group.iter().map(|i| i.raw() as u64))
     }));
     format!(
-        "pairs={pairs:016x} alliances={alliances:016x} A={} C={} M={} D={} T={} \
-         total={} converged={}",
+        "pairs={pairs:016x} alliances={alliances:016x} A={} C={} M={} D={} T={} total={}",
         report.num_alliances,
         report.num_colonized_pairs,
         report.num_dominated_pairs,
         report.num_disjoint_pairs,
         report.num_tail_fixed,
         report.total_ordered_pairs,
-        report.converged
     )
+}
+
+/// Asserts that a second pass of the analysis would add nothing: every
+/// alliance the enabled alliance detector finds is registered, every pair an
+/// enabled pair detector returns is implied or would close a cycle, and one
+/// more tail call pins nothing and leaves the constraint set as it was.
+fn assert_second_pass_adds_nothing(
+    cell: &str,
+    instance: &ProblemInstance,
+    options: AnalysisOptions,
+    report: &AnalysisReport,
+) {
+    let c = &report.constraints;
+    if options.alliances {
+        for group in alliance::detect(instance) {
+            assert!(
+                c.alliances().contains(&group),
+                "{cell}: alliance {group:?} is not registered"
+            );
+        }
+    }
+    let mut pairs = Vec::new();
+    if options.colonized {
+        pairs.extend(colonized::detect(instance));
+    }
+    if options.dominated {
+        pairs.extend(dominated::detect(instance));
+    }
+    if options.disjoint {
+        pairs.extend(disjoint::detect(instance));
+    }
+    for (before, after) in pairs {
+        assert!(
+            before == after || c.must_precede(before, after) || c.must_precede(after, before),
+            "{cell}: a second pass would add {before:?} before {after:?}"
+        );
+    }
+    if options.tail {
+        let mut again = c.clone();
+        let pinned = tail::analyze(
+            instance,
+            &mut again,
+            options.tail_length,
+            options.tail_budget,
+        );
+        assert_eq!(pinned, 0, "{cell}: a second tail call pinned an index");
+        assert_eq!(&again, c, "{cell}: a second tail call changed the set");
+    }
 }
 
 #[test]
@@ -214,18 +284,24 @@ fn property_analysis_grid_matches_golden() {
                     "{cell}: C + M + D = {detector_pairs} exceeds total = {}",
                     report.total_ordered_pairs
                 );
+                assert_second_pass_adds_nothing(&cell, &instance, options, &report);
                 cells.push(Cell {
                     instance: label.clone(),
                     level,
                     tail,
                     line: format!("{cell} {}", fingerprint(&report)),
+                    num_alliances: report.num_alliances,
                     num_tail_fixed: report.num_tail_fixed,
                 });
             }
         }
     }
 
-    // The grid must reach a tail pin...
+    // The grid must find an alliance, reach a tail pin...
+    assert!(
+        cells.iter().any(|c| c.num_alliances > 0),
+        "the alliance detector never found a group"
+    );
     assert!(
         cells.iter().any(|c| c.num_tail_fixed > 0),
         "the tail step never pinned an index"

@@ -94,8 +94,8 @@ impl OrderConstraints {
 
     /// Registers an alliance: the given indexes must be deployed
     /// consecutively (in any internal order not contradicting the DAG).
-    /// Re-registering a known group is a no-op, so fixed-point analysis
-    /// rounds do not accumulate duplicates.
+    /// Groups of fewer than two indexes and groups already registered are
+    /// ignored.
     pub fn add_alliance(&mut self, members: Vec<IndexId>) {
         if members.len() >= 2 && !self.alliances.contains(&members) {
             self.alliances.push(members);
@@ -135,25 +135,6 @@ impl OrderConstraints {
             }
         }
         true
-    }
-
-    /// Merges another constraint set into this one (used by the fixed-point
-    /// analysis). Returns how many new ordered pairs were added.
-    pub fn merge(&mut self, other: &OrderConstraints) -> usize {
-        let before = self.num_ordered_pairs();
-        for a in 0..self.n {
-            for b in 0..self.n {
-                if other.closure[a][b] {
-                    self.add_before(IndexId::new(a), IndexId::new(b));
-                }
-            }
-        }
-        for alliance in &other.alliances {
-            if !self.alliances.contains(alliance) {
-                self.alliances.push(alliance.clone());
-            }
-        }
-        self.num_ordered_pairs() - before
     }
 }
 
@@ -202,19 +183,6 @@ mod tests {
         c.add_before(id(2), id(0));
         assert!(c.is_satisfied_by(&[id(2), id(0), id(1)]));
         assert!(!c.is_satisfied_by(&[id(0), id(2), id(1)]));
-    }
-
-    #[test]
-    fn merge_combines_pairs_and_alliances() {
-        let mut a = OrderConstraints::new(3);
-        a.add_before(id(0), id(1));
-        let mut b = OrderConstraints::new(3);
-        b.add_before(id(1), id(2));
-        b.add_alliance(vec![id(0), id(2)]);
-        let added = a.merge(&b);
-        assert!(added >= 1);
-        assert!(a.must_precede(id(0), id(2)));
-        assert_eq!(a.alliances().len(), 1);
     }
 
     #[test]

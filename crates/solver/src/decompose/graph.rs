@@ -280,6 +280,34 @@ mod tests {
     }
 
     #[test]
+    fn default_analysis_partitions_like_the_full_analysis() {
+        // `i0, i2` and `i3, i5` are alliances.
+        let inst = crate::properties::tests::alliance_instance();
+        let default = crate::decompose::ShardedConfig::default().analysis;
+        assert_eq!(default, AnalysisOptions::drill_down("A"));
+        let graph = |options| CouplingGraph::build(&inst, &analyze(&inst, options));
+        let (alliances_only, full) = (graph(default), graph(AnalysisOptions::all()));
+        let together = |partition: &Partition, a: usize, b: usize| {
+            partition
+                .shards
+                .iter()
+                .any(|s| s.contains(&IndexId::new(a)) && s.contains(&IndexId::new(b)))
+        };
+        for threshold in [0.0, f64::INFINITY] {
+            let ours = alliances_only.partition(threshold);
+            let reference = full.partition(threshold);
+            assert_eq!(ours.shards, reference.shards, "threshold {threshold}");
+            assert_eq!(ours.cut_edges, reference.cut_edges);
+            assert_eq!(ours.cut_weight.to_bits(), reference.cut_weight.to_bits());
+            assert!(together(&ours, 0, 2) && together(&ours, 3, 5));
+        }
+        // Without the alliance edges, cutting every soft edge splits both
+        // pairs: the partitions above rest on the alliance edges.
+        let unallied = graph(AnalysisOptions::none()).partition(f64::INFINITY);
+        assert!(!together(&unallied, 0, 2) && !together(&unallied, 3, 5));
+    }
+
+    #[test]
     fn precedence_edges_survive_any_threshold() {
         let mut b = ProblemInstance::builder("prec");
         let i0 = b.add_index(2.0);

@@ -8,10 +8,10 @@
 //! indexes never changes the objective — so each component ("shard") can be
 //! solved by its own portfolio race and the per-shard schedules recombined:
 //!
-//! 1. [`properties::analyze`](crate::properties::analyze) — if the fixed
-//!    point was **clipped** (`!report.converged`) the decomposer refuses to
-//!    shard and falls back to a monolithic solve: a clipped analysis could
-//!    under-report alliances, and alliances pin shard membership.
+//! 1. [`properties::analyze`](crate::properties::analyze) finds the
+//!    alliance groups, which pin shard membership. The coupling graph reads
+//!    nothing else of the analysis, so the default configuration runs the
+//!    alliance detector alone.
 //! 2. [`CouplingGraph::build`] + [`CouplingGraph::partition`] — cut soft
 //!    edges below the configured threshold (`0.0` cuts nothing ⇒ the
 //!    partition is *exact*); hard precedence/alliance edges are never cut.
@@ -64,6 +64,8 @@ pub struct ShardedConfig {
     /// recombination is lossless.
     pub cut_threshold: f64,
     /// Property-analysis configuration used to build the coupling graph.
+    /// The graph reads only the alliance groups, so the default,
+    /// `AnalysisOptions::drill_down("A")`, runs the alliance detector alone.
     pub analysis: AnalysisOptions,
     /// Passed through to each shard's [`PortfolioConfig`].
     pub cancel_on_optimal: bool,
@@ -81,7 +83,7 @@ impl ShardedConfig {
         Self {
             shard_budget,
             cut_threshold: 0.0,
-            analysis: AnalysisOptions::all(),
+            analysis: AnalysisOptions::drill_down("A"),
             cancel_on_optimal: true,
             cooperation: CooperationPolicy::Off,
             max_parallel_shards: 0,
@@ -120,10 +122,9 @@ pub struct ShardedOutcome {
     pub cut_weight: f64,
     /// `true` when no coupling was severed (recombination is lossless).
     pub exact: bool,
-    /// `true` when the property analysis reached a genuine fixed point.
-    pub analysis_converged: bool,
-    /// `true` when the decomposer did not shard (clipped analysis, or the
-    /// coupling graph is one component) and ran the plain portfolio instead.
+    /// `true` when the decomposer did not shard (the coupling graph is one
+    /// component, or a shard race returned no deployment) and ran the plain
+    /// portfolio instead.
     pub monolithic_fallback: bool,
 }
 
@@ -177,7 +178,6 @@ impl ShardedSolver {
         &self,
         instance: &ProblemInstance,
         started: Instant,
-        analysis_converged: bool,
         exact: bool,
     ) -> ShardedOutcome {
         let outcome = self
@@ -192,7 +192,6 @@ impl ShardedSolver {
             cut_edges: 0,
             cut_weight: 0.0,
             exact,
-            analysis_converged,
             monolithic_fallback: true,
         }
     }
@@ -202,16 +201,10 @@ impl ShardedSolver {
         let started = Instant::now();
 
         let analysis = analyze(instance, self.config.analysis);
-        if !analysis.converged {
-            // A clipped closure may miss alliance groups, and alliances pin
-            // shard membership — sharding on it could split an alliance.
-            return self.monolithic(instance, started, false, false);
-        }
-
         let graph = CouplingGraph::build(instance, &analysis);
         let partition = graph.partition(self.config.cut_threshold);
         if partition.shards.len() <= 1 {
-            return self.monolithic(instance, started, true, partition.is_exact());
+            return self.monolithic(instance, started, partition.is_exact());
         }
 
         let shard_instances: Vec<ShardInstance> = partition
@@ -256,7 +249,7 @@ impl ShardedSolver {
             let Some(deployment) = result.deployment.as_ref() else {
                 // The portfolio always contains greedy, so this is
                 // unreachable in practice; degrade gracefully regardless.
-                return self.monolithic(instance, started, true, partition.is_exact());
+                return self.monolithic(instance, started, partition.is_exact());
             };
             let value = ObjectiveEvaluator::new(&shard.instance).evaluate(deployment);
             let steps = benefit_steps(&value)
@@ -313,7 +306,6 @@ impl ShardedSolver {
             cut_edges: partition.cut_edges.len(),
             cut_weight: partition.cut_weight,
             exact: partition.is_exact(),
-            analysis_converged: true,
             monolithic_fallback: false,
         }
     }
@@ -379,19 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn clipped_analysis_refuses_to_shard() {
-        let inst = three_blocks();
-        let mut config = budgeted();
-        config.analysis.max_rounds = 0;
-        let outcome = ShardedSolver::new(config).solve(&inst);
-        assert!(outcome.monolithic_fallback);
-        assert!(!outcome.analysis_converged);
-        assert!(outcome.shards.is_empty());
-        let deployment = outcome.result.deployment.as_ref().unwrap();
-        assert!(deployment.is_valid_for(&inst));
-    }
-
-    #[test]
     fn cut_partition_is_reverified_and_never_claims_optimal() {
         let inst = three_blocks();
         let mut config = budgeted();
@@ -421,7 +400,6 @@ mod tests {
         let inst = b.build().unwrap();
         let outcome = ShardedSolver::new(budgeted()).solve(&inst);
         assert!(outcome.monolithic_fallback);
-        assert!(outcome.analysis_converged);
         assert_eq!(outcome.num_shards(), 1);
     }
 }

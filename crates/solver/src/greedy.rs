@@ -15,38 +15,14 @@ use crate::solver::{SolveContext, Solver};
 use idd_core::{Deployment, IndexId, ObjectiveEvaluator, ProblemInstance};
 use std::time::Instant;
 
-/// Configuration of the greedy construction.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct GreedyConfig {
-    /// Include the interaction credit (`interaction / |p \ N|` of
-    /// Algorithm 1). Disabling it yields the naive density greedy and is used
-    /// by the ablation bench.
-    pub interaction_credit: bool,
-}
-
-impl Default for GreedyConfig {
-    fn default() -> Self {
-        Self {
-            interaction_credit: true,
-        }
-    }
-}
-
 /// The greedy solver.
 #[derive(Debug, Clone, Default)]
-pub struct GreedySolver {
-    config: GreedyConfig,
-}
+pub struct GreedySolver;
 
 impl GreedySolver {
-    /// Creates a greedy solver with the default configuration.
+    /// Creates a greedy solver.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a greedy solver with an explicit configuration.
-    pub fn with_config(config: GreedyConfig) -> Self {
-        Self { config }
+        Self
     }
 
     /// Builds a deployment order for `instance`, honouring its hard
@@ -87,25 +63,24 @@ impl GreedySolver {
                         - evaluator.query_speedup_with(q, &with_candidate);
                     benefit += previous - next;
 
-                    if self.config.interaction_credit {
-                        // Credit for plans the candidate participates in that
-                        // are still missing other indexes.
-                        for &pid in instance.plans_of_query(q) {
-                            let plan = instance.plan(pid);
-                            if !plan.uses(candidate) {
-                                continue;
-                            }
-                            let runtime_if_plan =
-                                instance.query_runtime(q) - instance.plan_speedup(pid);
-                            let interaction = next - runtime_if_plan;
-                            let missing = plan
-                                .indexes
-                                .iter()
-                                .filter(|i| !with_candidate[i.raw()])
-                                .count();
-                            if interaction > 0.0 && missing > 0 {
-                                benefit += interaction / missing as f64;
-                            }
+                    // Credit for plans the candidate participates in that
+                    // are still missing other indexes (`interaction / |p \ N|`
+                    // of Algorithm 1).
+                    for &pid in instance.plans_of_query(q) {
+                        let plan = instance.plan(pid);
+                        if !plan.uses(candidate) {
+                            continue;
+                        }
+                        let runtime_if_plan =
+                            instance.query_runtime(q) - instance.plan_speedup(pid);
+                        let interaction = next - runtime_if_plan;
+                        let missing = plan
+                            .indexes
+                            .iter()
+                            .filter(|i| !with_candidate[i.raw()])
+                            .count();
+                        if interaction > 0.0 && missing > 0 {
+                            benefit += interaction / missing as f64;
                         }
                     }
                 }
@@ -139,11 +114,7 @@ impl GreedySolver {
         let deployment = self.construct(instance);
         let objective = ObjectiveEvaluator::new(instance).evaluate_area(&deployment);
         SolveResult::heuristic(
-            if self.config.interaction_credit {
-                "greedy"
-            } else {
-                "greedy-naive"
-            },
+            self.name(),
             deployment,
             objective,
             started.elapsed().as_secs_f64(),
@@ -153,11 +124,7 @@ impl GreedySolver {
 
 impl Solver for GreedySolver {
     fn name(&self) -> &'static str {
-        if self.config.interaction_credit {
-            "greedy"
-        } else {
-            "greedy-naive"
-        }
+        "greedy"
     }
 
     /// Greedy is a one-shot construction: the budget only gates whether it
@@ -211,8 +178,9 @@ mod tests {
     #[test]
     fn interaction_credit_unlocks_multi_index_plans_early() {
         // A join query needs both i0 and i1; i2 has a small solo benefit.
-        // Without the credit, i2 (solo benefit 6/2=3 density) is picked before
-        // i0/i1 (no solo benefit); with the credit, the pair comes first.
+        // Without the credit, i2 (solo benefit 6/2=3 density) would be picked
+        // before i0/i1 (no solo benefit); with the credit, the pair comes
+        // first.
         let mut b = ProblemInstance::builder("join");
         let i0 = b.add_index(2.0);
         let i1 = b.add_index(2.0);
@@ -224,13 +192,6 @@ mod tests {
         let inst = b.build().unwrap();
 
         let with_credit = GreedySolver::new().construct(&inst);
-        let naive = GreedySolver::with_config(GreedyConfig {
-            interaction_credit: false,
-        })
-        .construct(&inst);
-
-        let eval = ObjectiveEvaluator::new(&inst);
-        assert!(eval.evaluate_area(&with_credit) <= eval.evaluate_area(&naive));
         // With the credit the join pair is scheduled before the small index.
         let pos2 = with_credit.position_of(IndexId::new(2)).unwrap();
         assert_eq!(

@@ -5,7 +5,7 @@ pub use crate::budget::SearchBudget;
 pub use crate::constraints::OrderConstraints;
 pub use crate::dp::DpSolver;
 pub use crate::exact::{AStarConfig, AStarSolver, CpConfig, CpSolver, MipConfig, MipSolver};
-pub use crate::greedy::{GreedyConfig, GreedySolver};
+pub use crate::greedy::GreedySolver;
 pub use crate::local::{
     LnsConfig, LnsSolver, SwapStrategy, TabuConfig, TabuSolver, VnsConfig, VnsSolver,
 };

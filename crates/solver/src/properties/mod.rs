@@ -14,15 +14,15 @@
 //! * [`disjoint`] — fully independent indexes are ordered by density;
 //! * [`tail`] — scoring the feasible tails can pin the last index.
 //!
-//! [`analyze`] runs the enabled detectors in rounds until one adds nothing,
-//! accumulating everything into an [`OrderConstraints`]. The first four
-//! detectors read only the instance, so they run in the first round only;
-//! each one's count in the [`AnalysisReport`] holds only the pairs it added
-//! that no earlier constraint implied. The tail step runs in every round,
-//! but it pins at most one index in all: a pinned index ends every tail, so
-//! the next round finds nothing to add. The paper's "iterate and recurse"
-//! (Section 5.6), which would go on to pin the second-to-last index, is not
-//! implemented.
+//! [`analyze`] runs each enabled detector once, in the order above, and
+//! accumulates everything into an [`OrderConstraints`]. The first four read
+//! only the instance, so running them again would find nothing new; each
+//! one's count in the [`AnalysisReport`] holds only the pairs it added that
+//! no earlier constraint implied. The tail step reads the constraints so
+//! far and pins at most one index; a second call would find every tail
+//! ending with that index and add nothing. The paper's "iterate and
+//! recurse" (Section 5.6), which would go on to pin the second-to-last
+//! index, is not implemented.
 
 pub mod alliance;
 pub mod colonized;
@@ -52,8 +52,6 @@ pub struct AnalysisOptions {
     /// Maximum number of feasible tails: with more, the tail step gives up
     /// without scoring any.
     pub tail_budget: usize,
-    /// Maximum fixed-point rounds.
-    pub max_rounds: usize,
 }
 
 impl Default for AnalysisOptions {
@@ -73,7 +71,6 @@ impl AnalysisOptions {
             tail: true,
             tail_length: 3,
             tail_budget: 50_000,
-            max_rounds: 8,
         }
     }
 
@@ -87,7 +84,6 @@ impl AnalysisOptions {
             tail: false,
             tail_length: 3,
             tail_budget: 50_000,
-            max_rounds: 1,
         }
     }
 
@@ -95,7 +91,6 @@ impl AnalysisOptions {
     /// `"", "A", "AC", "ACM", "ACMD", "ACMDT"`.
     pub fn drill_down(level: &str) -> Self {
         let mut o = Self::none();
-        o.max_rounds = 8;
         for c in level.chars() {
             match c {
                 'A' => o.alliances = true,
@@ -127,95 +122,51 @@ pub struct AnalysisReport {
     /// Pairs disjoint-density detection added that no earlier constraint
     /// implied.
     pub num_disjoint_pairs: usize,
-    /// Indexes pinned by the tail analysis.
+    /// Indexes pinned by the tail analysis (0 or 1).
     pub num_tail_fixed: usize,
-    /// Fixed-point rounds executed.
-    pub rounds: usize,
     /// Total ordered pairs in the final closure.
     pub total_ordered_pairs: usize,
-    /// `true` when the last executed round added nothing — the constraints
-    /// are a genuine fixed point. `false` means the loop hit `max_rounds`
-    /// while still making progress, so the constraint set is *clipped*:
-    /// still sound (every pair individually holds) but not the full
-    /// closure. Callers that treat the analysis as complete — e.g. the
-    /// sharding decomposer, which derives its coupling graph from it —
-    /// must check this flag and fall back when it is `false`.
-    pub converged: bool,
 }
 
-/// Runs the enabled detectors to a fixed point.
+/// Runs each enabled detector once: alliances, colonized, dominated,
+/// disjoint, then the tail step.
 pub fn analyze(instance: &ProblemInstance, options: AnalysisOptions) -> AnalysisReport {
     let mut constraints = OrderConstraints::from_instance(instance);
-    let mut report = AnalysisReport {
-        constraints: constraints.clone(),
-        num_alliances: 0,
-        num_colonized_pairs: 0,
-        num_dominated_pairs: 0,
-        num_disjoint_pairs: 0,
-        num_tail_fixed: 0,
-        rounds: 0,
-        total_ordered_pairs: 0,
-        converged: false,
-    };
-
-    // `true` once a round adds no ordered pair. Round 0 runs every enabled
-    // detector; a later round only repeats the tail call, and that call
-    // cannot add a pair, since the tail step pins at most one index per
-    // analysis. So a second round, when `max_rounds` allows it, always
-    // confirms the fixed point; with `max_rounds` at 1 and a first round
-    // that added pairs, the result counts as clipped and this stays `false`.
-    let mut last_round_was_stable = false;
-    for round in 0..options.max_rounds.max(1) {
-        let before = constraints.num_ordered_pairs();
-        report.rounds = round + 1;
-
-        // These four detectors read only the instance: a later round would
-        // find nothing new.
-        if round == 0 {
-            if options.alliances {
-                for group in alliance::detect(instance) {
-                    constraints.add_alliance(group);
-                }
-                report.num_alliances = constraints.alliances().len();
-            }
-            if options.colonized {
-                report.num_colonized_pairs =
-                    add_new_pairs(&mut constraints, colonized::detect(instance));
-            }
-            if options.dominated {
-                report.num_dominated_pairs =
-                    add_new_pairs(&mut constraints, dominated::detect(instance));
-            }
-            if options.disjoint {
-                report.num_disjoint_pairs =
-                    add_new_pairs(&mut constraints, disjoint::detect(instance));
-            }
-        }
-        if options.tail {
-            let fixed = tail::analyze(
-                instance,
-                &mut constraints,
-                options.tail_length,
-                options.tail_budget,
-            );
-            report.num_tail_fixed += fixed;
-        }
-
-        last_round_was_stable = constraints.num_ordered_pairs() == before;
-        if last_round_was_stable && round > 0 {
-            break;
-        }
-        if last_round_was_stable && !options.tail {
-            // Round 0 added nothing, and a later round would run no
-            // detector at all: already at the fixed point.
-            break;
+    if options.alliances {
+        for group in alliance::detect(instance) {
+            constraints.add_alliance(group);
         }
     }
+    let mut run = |enabled: bool, detect: fn(&ProblemInstance) -> Vec<(IndexId, IndexId)>| {
+        if enabled {
+            add_new_pairs(&mut constraints, detect(instance))
+        } else {
+            0
+        }
+    };
+    let num_colonized_pairs = run(options.colonized, colonized::detect);
+    let num_dominated_pairs = run(options.dominated, dominated::detect);
+    let num_disjoint_pairs = run(options.disjoint, disjoint::detect);
+    let num_tail_fixed = if options.tail {
+        tail::analyze(
+            instance,
+            &mut constraints,
+            options.tail_length,
+            options.tail_budget,
+        )
+    } else {
+        0
+    };
 
-    report.converged = last_round_was_stable;
-    report.total_ordered_pairs = constraints.num_ordered_pairs();
-    report.constraints = constraints;
-    report
+    AnalysisReport {
+        num_alliances: constraints.alliances().len(),
+        num_colonized_pairs,
+        num_dominated_pairs,
+        num_disjoint_pairs,
+        num_tail_fixed,
+        total_ordered_pairs: constraints.num_ordered_pairs(),
+        constraints,
+    }
 }
 
 /// Adds each `(before, after)` pair and returns how many were new: neither
@@ -230,12 +181,12 @@ fn add_new_pairs(constraints: &mut OrderConstraints, pairs: Vec<(IndexId, IndexI
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
-    /// Figure 5-like instance: i0,i2 always together; i1,i5 in a plan with
-    /// others; i3,i5 together.
-    fn alliance_instance() -> ProblemInstance {
+    /// Figure 5-like instance: i0,i2 and i3,i5 only ever appear in plans
+    /// together (two alliances); i4 also appears with i1.
+    pub(crate) fn alliance_instance() -> ProblemInstance {
         let mut b = ProblemInstance::builder("alliance");
         let i: Vec<IndexId> = (0..6).map(|_| b.add_index(5.0)).collect();
         let q0 = b.add_query(100.0);
@@ -252,46 +203,11 @@ mod tests {
     fn full_analysis_runs_and_reports() {
         let inst = alliance_instance();
         let report = analyze(&inst, AnalysisOptions::all());
-        assert!(report.rounds >= 1);
         assert!(report.num_alliances >= 2, "report: {report:?}");
-        assert!(
-            report.converged,
-            "default budget must reach the fixed point"
-        );
         assert_eq!(
             report.total_ordered_pairs,
             report.constraints.num_ordered_pairs()
         );
-    }
-
-    #[test]
-    fn clipped_analysis_reports_not_converged() {
-        // Two disjoint indexes: round 0 adds their density pair, so with
-        // `max_rounds: 1` the loop ends while still making progress — the
-        // caller cannot know whether another round would have added more,
-        // and must be told so.
-        let mut b = ProblemInstance::builder("clip");
-        let i0 = b.add_index(2.0);
-        let i1 = b.add_index(5.0);
-        let q0 = b.add_query(50.0);
-        b.add_plan(q0, vec![i0], 10.0);
-        let q1 = b.add_query(50.0);
-        b.add_plan(q1, vec![i1], 10.0);
-        let inst = b.build().unwrap();
-
-        let clipped = analyze(
-            &inst,
-            AnalysisOptions {
-                max_rounds: 1,
-                ..AnalysisOptions::all()
-            },
-        );
-        assert!(!clipped.converged, "report: {clipped:?}");
-        assert_eq!(clipped.rounds, 1);
-
-        let full = analyze(&inst, AnalysisOptions::all());
-        assert!(full.converged);
-        assert_eq!(full.total_ordered_pairs, clipped.total_ordered_pairs);
     }
 
     #[test]
@@ -315,6 +231,7 @@ mod tests {
         assert!(!o.disjoint && !o.tail);
         let all = AnalysisOptions::drill_down("ACMDT");
         assert!(all.tail);
+        assert_eq!(AnalysisOptions::drill_down(""), AnalysisOptions::none());
     }
 
     #[test]

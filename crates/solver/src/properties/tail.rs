@@ -8,10 +8,11 @@
 //! some optimal solution and every other index can be constrained to precede
 //! it.
 //!
-//! One analysis pins at most one index. After a pin every tail ends with
-//! the pinned index, so every champion of a second call ends with it too
-//! and the pin adds nothing: the paper's "iterate and recurse", which would
-//! go on to pin the second-to-last index, is not implemented.
+//! [`analyze`] pins at most one index, and the property analysis calls it
+//! once. After a pin every tail ends with the pinned index, so every
+//! champion of a second call would end with it too and the pin would add
+//! nothing: the paper's "iterate and recurse", which would go on to pin the
+//! second-to-last index, is not implemented.
 //!
 //! Cost: a call first counts the feasible tails, without building them, up
 //! to `budget + 1`; past the budget it gives up. It then scores one tail set
@@ -129,9 +130,9 @@ fn tail_objective(
     area
 }
 
-/// Runs one round of tail analysis: if there are at most `budget` feasible
-/// tails and every tail champion ends with the same index, constrain all
-/// other indexes to precede it. Returns the number of indexes newly pinned
+/// Runs the tail analysis: if there are at most `budget` feasible tails and
+/// every tail champion ends with the same index, constrain all other
+/// indexes to precede it. Returns the number of indexes newly pinned
 /// (0 or 1).
 pub fn analyze(
     instance: &ProblemInstance,
