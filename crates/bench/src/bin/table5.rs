@@ -8,9 +8,10 @@
 //! (or ran out of memory).
 //!
 //! Wall-clock limits are scaled down (default 5 s per cell, `--time-limit`
-//! to change); the qualitative shape — plain MIP/CP die early, the
-//! additional constraints push the frontier far out, VNS is instant — is what
-//! the harness verifies.
+//! to change). The qualitative shape — plain MIP/CP die early, the
+//! additional constraints push the frontier far out, VNS is instant — is
+//! what the tables show; this binary asserts nothing. The CP half of that
+//! shape is pinned by node counts in `crates/bench/tests/exact_golden.rs`.
 
 use idd_bench::{minutes_label, HarnessArgs, Table};
 use idd_core::{reduce, Density, ProblemInstance, ReduceOptions};

@@ -3,7 +3,7 @@
 //! Runs the two instrumented layers against one shared `idd-telemetry`
 //! collector — a portfolio race (per-member tracks: `run` spans, incumbent
 //! publishes, iteration counters) followed by a deployment-runtime matrix
-//! (per-run event-loop and slot tracks: dispatch / replan / debounce marks,
+//! (per-run event-loop and slot tracks: event / replan / dispatch marks,
 //! `busy`/`idle` spans on the logical clock, queue-depth gauge) — then
 //! drains the merged stream and prints the deterministic text summary.
 //!

@@ -8,6 +8,11 @@
 //! | `table5` | Table 5 — exact search (MIP / CP / MIP+ / CP+ / VNS) on reduced TPC-H |
 //! | `table6` | Table 6 — pruning-power drill-down (+A, +AC, +ACM, +ACMD, +ACMDT) |
 //! | `table7` | Table 7 — greedy vs DP vs random initial solutions |
+//! | `table8` | Portfolio vs best single solver (not in the paper) |
+//! | `table9` | Realized cumulative cost under evolution: static vs replanning policies (not in the paper) |
+//! | `table10` | Realized cost under 1 / 2 / 4 concurrent build slots (not in the paper) |
+//! | `table11` | Incremental objective-evaluation throughput (not in the paper) |
+//! | `table12` | Shard-and-recombine solving vs the monolithic portfolio (not in the paper) |
 //! | `figure11` | Figure 11 — local-search anytime curves on TPC-H |
 //! | `figure12` | Figure 12 — local-search anytime curves on TPC-DS |
 //! | `figure13` | Figure 13 — VNS deployment time & average query runtime over time |
@@ -18,9 +23,9 @@
 //! Each binary prints a self-contained report (markdown-ish tables) and
 //! accepts `--time-limit <seconds>`, `--runs <n>` and `--scale <fraction>`
 //! where meaningful, so the whole suite finishes in minutes on a laptop
-//! rather than the paper's hours. The Criterion benches in `benches/` cover
-//! the micro-level costs (objective evaluation, greedy/DP construction,
-//! property analysis, CP nodes).
+//! rather than the paper's hours. The golden tests pin the `--tiny` output
+//! of the table binaries and, with node budgets, how far exact search gets
+//! at each drill-down level (`tests/exact_golden.rs`).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

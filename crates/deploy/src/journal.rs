@@ -3,10 +3,10 @@
 //!
 //! [`DeployRuntime::execute_journaled`](crate::DeployRuntime::execute_journaled)
 //! emits one typed [`JournalRecord`] per action taken (dispatch, failed
-//! attempt, completion, event landing, replan decision, debounce deferral),
-//! each stamped with the exact clock and slot. [`DeploymentJournal`] holds
-//! them in order and serializes to JSONL — one compact JSON object per line
-//! — via the vendored serde, so a journal survives a process boundary.
+//! attempt, completion, event landing, replan decision), each stamped with
+//! the exact clock and slot. [`DeploymentJournal`] holds them in order and
+//! serializes to JSONL — one compact JSON object per line — via the
+//! vendored serde, so a journal survives a process boundary.
 //!
 //! [`replay`] consumes a journal plus the *seed* of the run (the original
 //! instance and initial plan) and feeds each recorded decision into the
@@ -24,8 +24,7 @@
 //! What replay does *not* need is exactly what makes the journal a faithful
 //! record: no scenario (events are embedded verbatim, failure specs ride on
 //! the dispatch records), no solver (replans carry their chosen suffix), no
-//! policy knobs (debounce deferrals are recorded decisions, and slot
-//! assignment is explicit on every record).
+//! policy knobs (slot assignment is explicit on every record).
 
 use crate::report::DeploymentReport;
 use crate::runtime::{DeployError, RunState};
@@ -191,8 +190,8 @@ fn in_flight_at(
 /// transitions — the same state machine, [`idd_core::ExactSum`] accumulator
 /// and [`idd_core::ObjectiveStepper`] arithmetic as
 /// [`DeployRuntime::execute`](crate::DeployRuntime::execute) — taking every
-/// *decision* (what to dispatch where, what suffix a replan chose, when to
-/// defer) from the journal instead of from a scenario, solver, or config.
+/// *decision* (what to dispatch where, what suffix a replan chose) from
+/// the journal instead of from a scenario, solver, or config.
 /// Every stamp a transition derives is cross-checked against the recorded
 /// one; any mismatch is a [`ReplayError::Diverged`].
 pub fn replay(
@@ -223,11 +222,6 @@ pub fn replay(
                 drop(stepper); // it borrows the instance version just replaced
                 current = Rc::clone(&state.instance);
                 stepper = state.stepper(&current);
-            }
-
-            JournalRecord::Debounce(_) => {
-                // A recorded *non*-action: the live runtime deferred the
-                // replan to batch with an upcoming event. Nothing to do.
             }
 
             JournalRecord::Replan(d) => {

@@ -24,8 +24,7 @@
 //! * [`DeployConfig`] — the policy surface: replan strategy and budget,
 //!   `build_slots` (default 1 = the serial model of the paper),
 //!   [`DispatchPolicy`], [`ReplanTrigger`] (`OnFailure` also replans when
-//!   a build reports failed attempts), a replan `debounce` window that
-//!   batches event bursts into a single replan, and `slot_aware_replan`
+//!   a build reports failed attempts), and `slot_aware_replan`
 //!   (score replan candidates with the realized k-slot objective of
 //!   [`idd_core::SlotScheduleEvaluator`] instead of the serial proxy).
 //! * [`DeploymentReport`] — the realized timeline: executed builds (with

@@ -51,7 +51,7 @@
 //! realized cost, runtime levels), updates the report and returns the
 //! record. The event loop of [`DeployRuntime::execute_journaled`] only
 //! *decides*: which pending position goes into which slot, which failure
-//! spec a build gets, and whether to replan now or defer.
+//! spec a build gets, and which suffix a replan adopts.
 //! [`crate::journal::replay`] feeds the recorded decisions into the very
 //! same transitions and cross-checks the stamps they derive, so replay
 //! cannot drift from the runtime.
@@ -80,9 +80,9 @@
 use crate::journal::DeploymentJournal;
 use crate::report::{DeploymentReport, ExecutedBuild, ReplanRecord};
 use idd_core::{
-    CompleteRecord, CoreError, DebounceRecord, Deployment, DispatchRecord, EventKind, EventRecord,
-    EvolutionEvent, EvolutionScenario, IndexId, JournalRecord, ObjectiveEvaluator,
-    ObjectiveStepper, ProblemInstance, ReplanDecision, SlotSchedule,
+    CompleteRecord, CoreError, Deployment, DispatchRecord, EventKind, EventRecord, EvolutionEvent,
+    EvolutionScenario, IndexId, JournalRecord, ObjectiveEvaluator, ObjectiveStepper,
+    ProblemInstance, ReplanDecision, SlotSchedule,
 };
 use idd_solver::replan::{ReplanStrategy, Replanner, SuffixScoring};
 use idd_solver::SearchBudget;
@@ -165,15 +165,6 @@ pub struct DeployConfig {
     pub slot_aware_replan: bool,
     /// What fires a replan. Defaults to [`ReplanTrigger::OnEvent`].
     pub trigger: ReplanTrigger,
-    /// Replan debounce window, in deployment-clock seconds: when a replan
-    /// becomes due but another event is scheduled within `debounce` of the
-    /// current clock, the replan is deferred and the triggers batch into a
-    /// single replan once the burst is over. `0.0` (the default) replans at
-    /// every trigger boundary, exactly like the serial runtime. NaN and
-    /// negative values are normalized to `0.0`
-    /// ([`DeployConfig::with_debounce`] clamps eagerly, and the executor
-    /// clamps again for configs built by hand).
-    pub debounce: f64,
 }
 
 impl Default for DeployConfig {
@@ -184,7 +175,6 @@ impl Default for DeployConfig {
             dispatch: DispatchPolicy::default(),
             slot_aware_replan: false,
             trigger: ReplanTrigger::OnEvent,
-            debounce: 0.0,
         }
     }
 }
@@ -247,25 +237,6 @@ impl DeployConfig {
         self.trigger = trigger;
         self
     }
-
-    /// Sets the replan debounce window. NaN, infinite and negative windows
-    /// are normalized to `0.0` (replan at every trigger boundary).
-    pub fn with_debounce(mut self, debounce: f64) -> Self {
-        self.debounce = debounce_window(debounce);
-        self
-    }
-}
-
-/// A debounce window as the runtime uses it: NaN, infinite and negative
-/// windows are `0.0` (replan at every trigger boundary) — a NaN window
-/// would otherwise poison every "is the next event close enough to batch
-/// with?" comparison.
-fn debounce_window(debounce: f64) -> f64 {
-    if debounce.is_finite() && debounce > 0.0 {
-        debounce
-    } else {
-        0.0
-    }
 }
 
 /// The deployment runtime. See the module docs for the execution model.
@@ -325,10 +296,6 @@ impl Tracks {
                 self.deploy
                     .mark_at(r.clock, "event", trigger_label(&r.event.kind));
                 self.deploy.gauge_at(r.clock, "pending", pending as f64);
-            }
-            JournalRecord::Debounce(r) => {
-                let detail = format!("{} next={:.2}", r.deferred, r.next_event_at);
-                self.deploy.mark_at(r.clock, "debounce", detail);
             }
             JournalRecord::Replan(r) => {
                 let detail = format!(
@@ -703,7 +670,7 @@ impl DeployRuntime {
     /// Attaches a telemetry handle (builder style). The default is
     /// [`Telemetry::off`], under which execution is bit-identical to an
     /// uninstrumented run. With a recording handle, each run registers one
-    /// event-loop track (`deploy`: event / debounce / replan marks and a
+    /// event-loop track (`deploy`: event / replan marks and a
     /// `pending` queue-depth gauge) plus one track per build slot
     /// (`slot<j>`: dispatch / fail / complete marks, `busy` spans per
     /// build, and `idle` spans covering the gaps). The tracks are the
@@ -738,14 +705,14 @@ impl DeployRuntime {
 
     /// Executes like [`DeployRuntime::execute`] and additionally returns the
     /// run's [`DeploymentJournal`]: one typed record per action taken
-    /// (dispatch, failed attempt, completion, event landing, replan,
-    /// debounce deferral), stamped with the exact clock and slot.
+    /// (dispatch, failed attempt, completion, event landing, replan),
+    /// stamped with the exact clock and slot.
     /// [`crate::journal::replay`] reconstructs the identical report from the
     /// journal bit-for-bit.
     ///
     /// This loop only *decides* — which pending position goes into which
-    /// slot, which failure spec a build gets, whether to replan now or
-    /// defer; the run state's transitions do the rest (see the module docs).
+    /// slot, which failure spec a build gets, which suffix a replan adopts;
+    /// the run state's transitions do the rest (see the module docs).
     pub fn execute_journaled(
         &self,
         instance: &ProblemInstance,
@@ -760,13 +727,10 @@ impl DeployRuntime {
             .map_err(DeployError::InvalidScenario)?;
         let slots = self.config.build_slots.max(1);
         let policy = self.config.dispatch;
-        // Re-normalize for configs assembled by hand (the builder does it
-        // eagerly).
-        let debounce = debounce_window(self.config.debounce);
         let mut state = RunState::new(instance, initial);
         state.tracks = Tracks::register(&self.telemetry, &self.trace_scope, slots);
-        // Replan triggers accumulated but not yet acted on (debouncing).
-        let mut deferred: Vec<&'static str> = Vec::new();
+        // Replan triggers raised since the last replan.
+        let mut triggers: Vec<&'static str> = Vec::new();
 
         // Earliest event last, so `pop` yields events in time order.
         let mut queue = scenario.sorted_events();
@@ -782,44 +746,22 @@ impl DeployRuntime {
             {
                 let landed = state.land_event(queue.pop().expect("peeked"))?;
                 let label = trigger_label(&landed.event.kind);
-                if !deferred.contains(&label) {
-                    deferred.push(label);
+                if !triggers.contains(&label) {
+                    triggers.push(label);
                 }
                 state.append(JournalRecord::EventLanded(landed));
             }
 
-            // 2. Act on accumulated triggers, unless another event is close
-            //    enough (within the debounce window) to batch with.
-            //    Deferring is only sound while the clock can still advance
-            //    toward that event — something in flight, or a dispatchable
-            //    head. With neither, deferring again would spin forever, so
-            //    act now and let replan validation surface whatever the
-            //    events broke (e.g. an addition behind a retracted
-            //    prerequisite).
-            if !deferred.is_empty() {
-                let next_within_window = queue
-                    .last()
-                    .is_some_and(|e| e.at <= state.schedule.clock + debounce);
-                let can_progress = !state.schedule.in_flight().is_empty()
-                    || state
-                        .schedule
-                        .next_dispatchable(&state.instance, policy)
-                        .is_some();
-                if next_within_window && can_progress {
-                    let deferral = DebounceRecord {
-                        clock: state.schedule.clock,
-                        deferred: deferred.join("+"),
-                        next_event_at: queue.last().expect("within window").at,
-                    };
-                    state.append(JournalRecord::Debounce(deferral));
-                } else {
-                    let trigger = deferred.join("+");
-                    deferred.clear();
-                    if let Some(decision) = self.replan(&mut state, &trigger)? {
-                        state.append(JournalRecord::Replan(decision));
-                    }
-                    state.validate_plan()?;
+            // 2. Replan once for everything raised at this boundary, and
+            //    let plan validation surface whatever the events broke
+            //    (e.g. an addition behind a retracted prerequisite).
+            if !triggers.is_empty() {
+                let trigger = triggers.join("+");
+                triggers.clear();
+                if let Some(decision) = self.replan(&mut state, &trigger)? {
+                    state.append(JournalRecord::Replan(decision));
                 }
+                state.validate_plan()?;
             }
 
             // 3. Nothing pending, in flight, or queued: done.
@@ -870,12 +812,10 @@ impl DeployRuntime {
                 state.append(JournalRecord::Complete(completed));
 
                 // A failure-triggered replan fires at the failing build's
-                // completion boundary (subject to the same debouncing).
-                let failure_trigger = self.config.trigger == ReplanTrigger::OnFailure
-                    && failed
-                    && !deferred.contains(&"failure");
+                // completion boundary.
+                let failure_trigger = self.config.trigger == ReplanTrigger::OnFailure && failed;
                 if failure_trigger {
-                    deferred.push("failure");
+                    triggers.push("failure");
                 }
 
                 // Hand back to the outer loop when this completion made an
@@ -960,8 +900,8 @@ impl DeployRuntime {
 
     /// The serial executor exactly as shipped before concurrent build slots
     /// existed: one build at a time, events at build boundaries, replans on
-    /// events only, no debouncing. `build_slots`, `trigger` and `debounce`
-    /// are ignored.
+    /// events only: builds run one at a time whatever `build_slots` says,
+    /// and `trigger` is ignored.
     ///
     /// This is kept verbatim as the **reference oracle** for the
     /// serial-equivalence differential suite: `execute` with the default
@@ -1449,92 +1389,6 @@ mod tests {
     }
 
     #[test]
-    fn nan_and_negative_debounce_are_treated_as_zero() {
-        // with_debounce clamps non-finite and negative windows to 0.0 so a
-        // NaN can never poison the deferral comparison (`at <= clock + NaN`
-        // is always false, which silently disabled batching — and worse,
-        // left the force-fire guard comparing against NaN).
-        assert_eq!(
-            DeployConfig::static_plan().with_debounce(f64::NAN).debounce,
-            0.0
-        );
-        assert_eq!(
-            DeployConfig::static_plan().with_debounce(-3.0).debounce,
-            0.0
-        );
-        assert_eq!(
-            DeployConfig::static_plan()
-                .with_debounce(f64::INFINITY)
-                .debounce,
-            0.0
-        );
-        assert_eq!(DeployConfig::static_plan().with_debounce(5.0).debounce, 5.0);
-
-        let inst = instance();
-        let plan = Deployment::from_raw([0, 1, 2, 3]);
-        let scenario = EvolutionScenario {
-            name: "burst".into(),
-            events: vec![drift_at(4.5, 1, 3.0), drift_at(9.0, 0, 0.5)],
-            failures: vec![],
-        };
-        let zero = DeployRuntime::new(DeployConfig::static_plan().with_debounce(0.0))
-            .execute(&inst, &plan, &scenario)
-            .unwrap();
-        for bad in [f64::NAN, -1.0, f64::NEG_INFINITY] {
-            let mut config = DeployConfig::static_plan();
-            config.debounce = bad; // bypass the builder: worst case survives
-            let report = DeployRuntime::new(config)
-                .execute(&inst, &plan, &scenario)
-                .unwrap();
-            assert_eq!(report, zero, "debounce {bad} must behave as zero");
-        }
-    }
-
-    #[test]
-    fn nan_debounce_cannot_livelock_the_stuck_clock_guard() {
-        // The stuck-clock scenario from the deferral test, but with a NaN
-        // debounce smuggled past the builder. The executor's own clamp must
-        // keep the force-fire guard sound: the run surfaces the infeasible
-        // precedence instead of spinning on a deferral that never matures.
-        let inst = instance();
-        let plan = Deployment::from_raw([0, 1, 2, 3]);
-        let scenario = EvolutionScenario {
-            name: "stuck".into(),
-            events: vec![
-                EvolutionEvent {
-                    at: 3.0,
-                    kind: EventKind::Revision(DesignRevision {
-                        add: vec![],
-                        drop: vec![IndexId::new(1), IndexId::new(2), IndexId::new(3)],
-                    }),
-                },
-                EvolutionEvent {
-                    at: 3.5,
-                    kind: EventKind::Revision(DesignRevision {
-                        add: vec![IndexAddition {
-                            name: "orphaned".into(),
-                            creation_cost: 2.0,
-                            plans: vec![(QueryId::new(0), vec![], 10.0)],
-                            helped_by: vec![],
-                            helps: vec![],
-                            after: vec![IndexId::new(1)],
-                        }],
-                        drop: vec![],
-                    }),
-                },
-                drift_at(6.0, 0, 2.0),
-            ],
-            failures: vec![],
-        };
-        let mut config = DeployConfig::static_plan();
-        config.debounce = f64::NAN;
-        let err = DeployRuntime::new(config)
-            .execute(&inst, &plan, &scenario)
-            .unwrap_err();
-        assert!(matches!(err, DeployError::InfeasibleEvent(_)), "{err}");
-    }
-
-    #[test]
     fn build_slots_are_normalized_in_the_builder() {
         assert_eq!(
             DeployConfig::static_plan().with_build_slots(0).build_slots,
@@ -1616,7 +1470,7 @@ mod tests {
     }
 
     #[test]
-    fn debounce_batches_bursty_events_into_one_replan() {
+    fn drifts_at_two_boundaries_replan_once_each() {
         let inst = instance();
         let plan = Deployment::from_raw([0, 1, 2, 3]);
         // Serial boundaries: 4, 8, 11, 14.5. The two drifts land at
@@ -1630,26 +1484,16 @@ mod tests {
             .execute(&inst, &plan, &scenario)
             .unwrap();
         assert_eq!(eager.replans.len(), 2);
-        let debounced = DeployRuntime::new(DeployConfig::static_plan().with_debounce(5.0))
-            .execute(&inst, &plan, &scenario)
-            .unwrap();
-        assert_eq!(debounced.replans.len(), 1, "burst batches into one replan");
-        assert_eq!(debounced.replans[0].trigger, "drift");
-        assert_eq!(debounced.events_applied, 2);
-        // Events still apply at their own boundaries — only the replan is
-        // deferred — so the realized (static) order is unchanged.
-        assert_eq!(debounced.realized_order(), eager.realized_order());
     }
 
     #[test]
-    fn debounce_deferral_cannot_livelock_on_a_stuck_clock() {
+    fn a_permanently_blocked_head_surfaces_as_an_infeasible_event() {
         // A revision retracts i1, a second one adds X behind an
-        // `after = [i1]` precedence, and a third event waits inside the
-        // debounce window. After the batch lands, the pending head X is
-        // permanently ineligible and nothing is in flight — the clock can
-        // never reach the queued event, so deferring the replan again would
-        // spin forever. The runtime must act instead and surface the broken
-        // precedence, exactly like the undebounced run does.
+        // `after = [i1]` precedence, and a third event is still queued.
+        // After the batch lands, the pending head X is permanently
+        // ineligible and nothing is in flight — the clock can never reach
+        // the queued event. The replan at the landing boundary must surface
+        // the broken precedence instead of waiting for it.
         let inst = instance();
         let plan = Deployment::from_raw([0, 1, 2, 3]);
         let scenario = EvolutionScenario {
@@ -1683,14 +1527,7 @@ mod tests {
         let eager = DeployRuntime::new(DeployConfig::static_plan())
             .execute(&inst, &plan, &scenario)
             .unwrap_err();
-        let debounced = DeployRuntime::new(DeployConfig::static_plan().with_debounce(10.0))
-            .execute(&inst, &plan, &scenario)
-            .unwrap_err();
         assert!(matches!(eager, DeployError::InfeasibleEvent(_)), "{eager}");
-        assert!(
-            matches!(debounced, DeployError::InfeasibleEvent(_)),
-            "{debounced}"
-        );
     }
 
     #[test]

@@ -4,14 +4,12 @@
 //! `replay(instance, initial, journal)` reconstructs the identical
 //! [`DeploymentReport`] — **bit-for-bit**, field by field — across the
 //! serial-equivalence scenario grid, for `build_slots ∈ {1, 2, 4}` under
-//! both dispatch policies, through a JSONL round trip. Plus the two bugfix
+//! both dispatch policies, through a JSONL round trip. Plus the bugfix
 //! regressions the journal was built to audit:
 //!
-//! * debounce force-fire vs work-conserving dispatch (a deferral decided
-//!   while the head was blocked stays a *single* batched replan even when
-//!   an out-of-order dispatch advances the clock through the window, and
-//!   the force-fire guard still terminates when only ineligible work
-//!   remains);
+//! * replans between work-conserving overtakes (two drifts landing while
+//!   the head is blocked replan once each and replay bit-for-bit, and a
+//!   run left with only ineligible work terminates with a typed error);
 //! * coincident-event batching (journals with identical timestamps replay
 //!   deterministically regardless of record interleaving within the batch,
 //!   provided the events commute).
@@ -174,16 +172,14 @@ fn coincident_event_batches_replay_identically_under_any_interleaving() {
     }
 }
 
-/// Satellite 3 (regression): a deferral decided while the plan head is
-/// blocked behind a precedence is *not* double-fired or lost when a
-/// work-conserving overtake advances the clock through the debounce
-/// window. The burst batches into exactly one replan, every deferral is on
-/// the journal, and the whole run replays bit-for-bit.
+/// Regression: two drifts that land while the plan head is blocked behind
+/// a precedence, with work-conserving overtakes in between, replan once
+/// each, and the whole run replays bit-for-bit.
 #[test]
-fn deferred_replan_survives_work_conserving_overtakes_as_one_batch() {
+fn replans_between_work_conserving_overtakes_replay_bit_for_bit() {
     // i0 → i1 gate; i3, i4 give the work-conserving dispatcher something to
     // overtake with while i1 blocks the head.
-    let mut b = ProblemInstance::builder("wc-debounce");
+    let mut b = ProblemInstance::builder("wc-overtakes");
     let i0 = b.add_index(4.0);
     let i1 = b.add_index(6.0);
     let i2 = b.add_index(3.0);
@@ -205,53 +201,30 @@ fn deferred_replan_survives_work_conserving_overtakes_as_one_batch() {
         events: vec![drift_at(1.0, 0, 2.0), drift_at(5.0, 1, 6.0)],
         failures: vec![],
     };
-    let wc = |debounce: f64| {
-        DeployRuntime::new(
-            DeployConfig::greedy_replan()
-                .with_build_slots(2)
-                .with_dispatch(DispatchPolicy::WorkConserving)
-                .with_debounce(debounce),
-        )
-    };
+    let (report, journal) = DeployRuntime::new(
+        DeployConfig::greedy_replan()
+            .with_build_slots(2)
+            .with_dispatch(DispatchPolicy::WorkConserving),
+    )
+    .execute_journaled(&inst, &plan, &scenario)
+    .unwrap();
 
-    let (eager, eager_journal) = wc(0.0).execute_journaled(&inst, &plan, &scenario).unwrap();
-    let (debounced, journal) = wc(4.5).execute_journaled(&inst, &plan, &scenario).unwrap();
-
-    // Both runs land both events; the deferral changes *only* the replan
-    // cadence: the eager run replans per boundary, the debounced run
-    // batches the burst into exactly one (no double replan, none missed).
-    assert_eq!(eager.events_applied, 2);
-    assert_eq!(debounced.events_applied, 2);
-    assert_eq!(eager.replans.len(), 2);
-    assert_eq!(debounced.replans.len(), 1, "burst batches into one replan");
-    assert_eq!(debounced.replans[0].trigger, "drift");
-
-    // The deferral happened while the head was blocked — the overtake that
-    // advanced the clock through the window is on the record.
-    assert!(
-        debounced.out_of_order_dispatches > 0,
-        "the scenario must exercise a work-conserving overtake"
+    assert_eq!(report.events_applied, 2);
+    assert_eq!(report.replans.len(), 2, "one replan per landing boundary");
+    assert_eq!(
+        report.out_of_order_dispatches, 2,
+        "the scenario must exercise work-conserving overtakes"
     );
-    let tags: Vec<&str> = journal.records().iter().map(|r| r.tag()).collect();
-    let debounces = tags.iter().filter(|t| **t == "debounce").count();
-    let replans = tags.iter().filter(|t| **t == "replan").count();
-    assert_eq!(debounces, 1, "one deferral decision, on the record");
-    assert_eq!(replans, 1, "one batched replan, on the record");
-    let debounce_pos = tags.iter().position(|t| *t == "debounce").unwrap();
-    let replan_pos = tags.iter().position(|t| *t == "replan").unwrap();
-    assert!(debounce_pos < replan_pos, "deferral precedes its replan");
+    let replans = journal.records().iter().filter(|r| r.tag() == "replan");
+    assert_eq!(replans.count(), 2, "both replans are on the record");
 
-    // Both timelines replay bit-for-bit.
-    assert_bit_identical(&replay(&inst, &plan, &journal).unwrap(), &debounced);
-    assert_bit_identical(&replay(&inst, &plan, &eager_journal).unwrap(), &eager);
+    assert_bit_identical(&replay(&inst, &plan, &journal).unwrap(), &report);
 }
 
-/// Satellite 3 (regression): the debounce force-fire guard under
-/// work-conserving dispatch. A revision burst leaves only a permanently
-/// ineligible head; the dispatcher still drains the eligible work it can
-/// reach, and once nothing can advance the clock the deferred replan
-/// force-fires and surfaces the broken precedence — no livelock, under
-/// either dispatch policy.
+/// Regression: a revision burst leaves only a permanently ineligible head.
+/// The replan at the landing boundary surfaces the broken precedence
+/// instead of waiting for the far-future event, under either dispatch
+/// policy.
 #[test]
 fn force_fire_terminates_with_a_blocked_head_under_work_conserving_dispatch() {
     let mut b = ProblemInstance::builder("wc-stuck");
@@ -294,7 +267,7 @@ fn force_fire_terminates_with_a_blocked_head_under_work_conserving_dispatch() {
                     drop: vec![],
                 }),
             },
-            // A far-future event the deferral keeps waiting for.
+            // A far-future event the clock can never reach.
             drift_at(20.0, 0, 2.0),
         ],
         failures: vec![],
@@ -303,8 +276,7 @@ fn force_fire_terminates_with_a_blocked_head_under_work_conserving_dispatch() {
         let err = DeployRuntime::new(
             DeployConfig::greedy_replan()
                 .with_build_slots(2)
-                .with_dispatch(dispatch)
-                .with_debounce(25.0),
+                .with_dispatch(dispatch),
         )
         .execute_journaled(&inst, &plan, &scenario)
         .unwrap_err();

@@ -9,7 +9,7 @@
 //! journal: every slot track's dispatch / fail / complete marks are that
 //! slot's records in order and clock, each `busy` span is one build's
 //! [dispatch, completion], and the `deploy` track carries one event /
-//! debounce / replan mark per record.
+//! replan mark per record.
 
 mod common;
 
@@ -97,9 +97,7 @@ fn slot_of(record: &JournalRecord) -> Option<usize> {
         JournalRecord::Dispatch(r) => Some(r.slot),
         JournalRecord::Fail(r) => Some(r.slot),
         JournalRecord::Complete(r) => Some(r.slot),
-        JournalRecord::EventLanded(_) | JournalRecord::Replan(_) | JournalRecord::Debounce(_) => {
-            None
-        }
+        JournalRecord::EventLanded(_) | JournalRecord::Replan(_) => None,
     }
 }
 

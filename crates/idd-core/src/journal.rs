@@ -3,9 +3,8 @@
 //!
 //! A deployment runtime (the `idd-deploy` crate) appends one record per
 //! observable action — dispatching a build into a slot, a failed attempt, a
-//! completion, an evolution event landing, a replan decision, a deferred
-//! (debounced) replan — each stamped with the exact deployment clock and,
-//! where it applies, the slot. The journal is the *ground truth* of what a
+//! completion, an evolution event landing, a replan decision — each stamped
+//! with the exact deployment clock and, where it applies, the slot. The journal is the *ground truth* of what a
 //! run did: replaying it against the seed instance and initial plan must
 //! reconstruct the identical `DeploymentReport` bit-for-bit, which is why
 //! every `f64` here is the exact value the runtime computed (no rounding,
@@ -128,22 +127,6 @@ pub struct ReplanDecision {
     pub improved: bool,
 }
 
-/// A due replan was deferred: another event was scheduled inside the
-/// debounce window and the clock could still advance toward it.
-///
-/// Informational — replay takes no action on it — but it makes debouncing
-/// auditable: every deferral decision is on the record with the triggers it
-/// batched and the event it waited for.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DebounceRecord {
-    /// Deployment clock at the deferral decision.
-    pub clock: f64,
-    /// The `+`-joined triggers accumulated so far.
-    pub deferred: String,
-    /// Timestamp of the queued event the deferral is batching toward.
-    pub next_event_at: f64,
-}
-
 /// One record of a deployment journal, in the order the runtime acted.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JournalRecord {
@@ -157,8 +140,6 @@ pub enum JournalRecord {
     EventLanded(EventRecord),
     /// A replan chose a new pending suffix.
     Replan(ReplanDecision),
-    /// A due replan was deferred into the debounce window.
-    Debounce(DebounceRecord),
 }
 
 impl JournalRecord {
@@ -170,7 +151,6 @@ impl JournalRecord {
             JournalRecord::Complete(r) => r.clock,
             JournalRecord::EventLanded(r) => r.clock,
             JournalRecord::Replan(r) => r.clock,
-            JournalRecord::Debounce(r) => r.clock,
         }
     }
 
@@ -194,7 +174,6 @@ impl JournalRecord {
                     r.warm_start_objective.unwrap_or(0.0),
                 ),
             ],
-            JournalRecord::Debounce(r) => &[("clock", r.clock), ("next_event_at", r.next_event_at)],
         };
         for &(field, value) in numbers {
             check_finite(value, || format!("{} record's {field}", self.tag()))?;
@@ -203,7 +182,7 @@ impl JournalRecord {
     }
 
     /// The record's tag, as serialized ("dispatch", "fail", "complete",
-    /// "event", "replan", "debounce").
+    /// "event", "replan").
     pub fn tag(&self) -> &'static str {
         match self {
             JournalRecord::Dispatch(_) => "dispatch",
@@ -211,7 +190,6 @@ impl JournalRecord {
             JournalRecord::Complete(_) => "complete",
             JournalRecord::EventLanded(_) => "event",
             JournalRecord::Replan(_) => "replan",
-            JournalRecord::Debounce(_) => "debounce",
         }
     }
 }
@@ -227,7 +205,6 @@ impl Serialize for JournalRecord {
             JournalRecord::Complete(r) => ("complete", r.to_value()),
             JournalRecord::EventLanded(r) => ("event", r.to_value()),
             JournalRecord::Replan(r) => ("replan", r.to_value()),
-            JournalRecord::Debounce(r) => ("debounce", r.to_value()),
         };
         serde::Value::Object(vec![(tag.to_string(), value)])
     }
@@ -242,7 +219,6 @@ impl Deserialize for JournalRecord {
                 "complete" => Ok(JournalRecord::Complete(Deserialize::from_value(value)?)),
                 "event" => Ok(JournalRecord::EventLanded(Deserialize::from_value(value)?)),
                 "replan" => Ok(JournalRecord::Replan(Deserialize::from_value(value)?)),
-                "debounce" => Ok(JournalRecord::Debounce(Deserialize::from_value(value)?)),
                 other => Err(serde::Error::custom(format!(
                     "unknown JournalRecord tag `{other}`"
                 ))),
@@ -303,11 +279,6 @@ mod tests {
                 solver: "greedy".into(),
                 improved: true,
             }),
-            JournalRecord::Debounce(DebounceRecord {
-                clock: 3.0,
-                deferred: "drift".into(),
-                next_event_at: 4.5,
-            }),
         ]
     }
 
@@ -328,11 +299,11 @@ mod tests {
     #[test]
     fn clock_and_tag_accessors_cover_every_variant() {
         let clocks: Vec<f64> = sample_records().iter().map(JournalRecord::clock).collect();
-        assert_eq!(clocks, vec![0.0, 0.0, 7.0, 7.0, 7.0, 3.0]);
+        assert_eq!(clocks, vec![0.0, 0.0, 7.0, 7.0, 7.0]);
         let tags: Vec<&str> = sample_records().iter().map(JournalRecord::tag).collect();
         assert_eq!(
             tags,
-            vec!["dispatch", "fail", "complete", "event", "replan", "debounce"]
+            vec!["dispatch", "fail", "complete", "event", "replan"]
         );
     }
 
@@ -344,7 +315,7 @@ mod tests {
         assert!(JournalRecord::from_value(&unknown).is_err());
         // Multi-key object is ambiguous, not first-wins.
         let multi = Value::Object(vec![
-            ("debounce".into(), Value::Object(vec![])),
+            ("replan".into(), Value::Object(vec![])),
             ("dispatch".into(), Value::Object(vec![])),
         ]);
         assert!(JournalRecord::from_value(&multi).is_err());

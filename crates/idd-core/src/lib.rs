@@ -59,8 +59,7 @@ pub use index::IndexMeta;
 pub use instance::{InstanceBuilder, ProblemInstance};
 pub use interaction::{BuildInteraction, Precedence};
 pub use journal::{
-    CompleteRecord, DebounceRecord, DispatchRecord, EventRecord, FailRecord, JournalRecord,
-    ReplanDecision,
+    CompleteRecord, DispatchRecord, EventRecord, FailRecord, JournalRecord, ReplanDecision,
 };
 pub use matrix::{MatrixFile, SoaView};
 pub use objective::{

@@ -16,6 +16,12 @@
 //! * every drill-down level of Table 6, and under the levels that run the
 //!   tail step also tail lengths 1–3 and tail budgets from 10 to 50 000.
 //!
+//! `analyze` runs the tail step at length 3 and budget 50 000. A cell with
+//! a tail runs `analyze` at its level without the tail step and then the
+//! tail step at the cell's length and budget; the cells at length 3 and
+//! budget 50 000 also check that this equals `analyze` at their level,
+//! field for field.
+//!
 //! The grid must find an alliance and reach the tail step's pin and its
 //! budget overflow; the test asserts it does. Every pair a detector count
 //! includes is a new pair of the closure, so in every cell `C + M + D` is at
@@ -194,14 +200,40 @@ fn fingerprint(report: &AnalysisReport) -> String {
     )
 }
 
+/// The analysis of one cell at `level`: `analyze` itself when `tail` is
+/// `None`, else `analyze` without the tail step followed by the tail step
+/// at the cell's `(length, budget)`.
+fn analyze_cell(
+    instance: &ProblemInstance,
+    level: &str,
+    tail: Option<(usize, usize)>,
+) -> AnalysisReport {
+    let options = AnalysisOptions::drill_down(level);
+    let Some((length, budget)) = tail else {
+        return analyze(instance, options);
+    };
+    let mut report = analyze(
+        instance,
+        AnalysisOptions {
+            tail: false,
+            ..options
+        },
+    );
+    report.num_tail_fixed = tail::analyze(instance, &mut report.constraints, length, budget);
+    report.total_ordered_pairs = report.constraints.num_ordered_pairs();
+    report
+}
+
 /// Asserts that a second pass of the analysis would add nothing: every
 /// alliance the enabled alliance detector finds is registered, every pair an
 /// enabled pair detector returns is implied or would close a cycle, and one
-/// more tail call pins nothing and leaves the constraint set as it was.
+/// more tail call at the cell's `(length, budget)` pins nothing and leaves
+/// the constraint set as it was.
 fn assert_second_pass_adds_nothing(
     cell: &str,
     instance: &ProblemInstance,
     options: AnalysisOptions,
+    tail: Option<(usize, usize)>,
     report: &AnalysisReport,
 ) {
     let c = &report.constraints;
@@ -229,14 +261,9 @@ fn assert_second_pass_adds_nothing(
             "{cell}: a second pass would add {before:?} before {after:?}"
         );
     }
-    if options.tail {
+    if let Some((length, budget)) = tail {
         let mut again = c.clone();
-        let pinned = tail::analyze(
-            instance,
-            &mut again,
-            options.tail_length,
-            options.tail_budget,
-        );
+        let pinned = tail::analyze(instance, &mut again, length, budget);
         assert_eq!(pinned, 0, "{cell}: a second tail call pinned an index");
         assert_eq!(&again, c, "{cell}: a second tail call changed the set");
     }
@@ -261,21 +288,19 @@ fn property_analysis_grid_matches_golden() {
                 vec![None]
             };
             for tail in tails {
-                let options = match tail {
-                    Some((tail_length, tail_budget)) => AnalysisOptions {
-                        tail_length,
-                        tail_budget,
-                        ..options
-                    },
-                    None => options,
-                };
-                let report = analyze(&instance, options);
+                let report = analyze_cell(&instance, level, tail);
                 let cell = match tail {
                     Some((len, budget)) => {
                         format!("{label} level={level} len={len} budget={budget}")
                     }
                     None => format!("{label} level={level:?}"),
                 };
+                if tail == Some((3, 50_000)) {
+                    // The fingerprint prints every count field.
+                    let expected = analyze(&instance, options);
+                    assert_eq!(report.constraints, expected.constraints, "{cell}");
+                    assert_eq!(fingerprint(&report), fingerprint(&expected), "{cell}");
+                }
                 let detector_pairs = report.num_colonized_pairs
                     + report.num_dominated_pairs
                     + report.num_disjoint_pairs;
@@ -284,7 +309,7 @@ fn property_analysis_grid_matches_golden() {
                     "{cell}: C + M + D = {detector_pairs} exceeds total = {}",
                     report.total_ordered_pairs
                 );
-                assert_second_pass_adds_nothing(&cell, &instance, options, &report);
+                assert_second_pass_adds_nothing(&cell, &instance, options, tail, &report);
                 cells.push(Cell {
                     instance: label.clone(),
                     level,

@@ -34,6 +34,13 @@ use crate::constraints::OrderConstraints;
 use idd_core::{IndexId, ProblemInstance};
 use serde::{Deserialize, Serialize};
 
+/// Length of the tails the tail step scores.
+const TAIL_LENGTH: usize = 3;
+
+/// Most feasible tails the tail step scores: with more, it gives up
+/// without scoring any.
+const TAIL_BUDGET: usize = 50_000;
+
 /// Which detectors to run (used by the Table-6 drill-down).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AnalysisOptions {
@@ -45,13 +52,9 @@ pub struct AnalysisOptions {
     pub dominated: bool,
     /// Detect disjoint indexes (D).
     pub disjoint: bool,
-    /// Run the tail-index analysis (T).
+    /// Run the tail-index analysis (T) on tails of length 3, giving up
+    /// past 50 000 feasible tails.
     pub tail: bool,
-    /// Tail length to analyze.
-    pub tail_length: usize,
-    /// Maximum number of feasible tails: with more, the tail step gives up
-    /// without scoring any.
-    pub tail_budget: usize,
 }
 
 impl Default for AnalysisOptions {
@@ -69,8 +72,6 @@ impl AnalysisOptions {
             dominated: true,
             disjoint: true,
             tail: true,
-            tail_length: 3,
-            tail_budget: 50_000,
         }
     }
 
@@ -82,8 +83,6 @@ impl AnalysisOptions {
             dominated: false,
             disjoint: false,
             tail: false,
-            tail_length: 3,
-            tail_budget: 50_000,
         }
     }
 
@@ -148,12 +147,7 @@ pub fn analyze(instance: &ProblemInstance, options: AnalysisOptions) -> Analysis
     let num_dominated_pairs = run(options.dominated, dominated::detect);
     let num_disjoint_pairs = run(options.disjoint, disjoint::detect);
     let num_tail_fixed = if options.tail {
-        tail::analyze(
-            instance,
-            &mut constraints,
-            options.tail_length,
-            options.tail_budget,
-        )
+        tail::analyze(instance, &mut constraints, TAIL_LENGTH, TAIL_BUDGET)
     } else {
         0
     };
