@@ -63,7 +63,7 @@ pub use journal::{
 };
 pub use matrix::{MatrixFile, SoaView};
 pub use objective::{
-    DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, StepMetrics,
+    DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, PrefixState, StepMetrics,
     SuffixReplayEvaluator,
 };
 pub use plan::QueryPlan;

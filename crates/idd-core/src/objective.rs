@@ -11,11 +11,18 @@
 //! effective cost of building the i-th index, i.e. its base creation cost
 //! minus the best build interaction among already-built indexes.
 //!
-//! Three evaluators are provided:
+//! Four evaluators are provided, all on one step (the private `EvalState`
+//! and its push):
 //!
 //! * [`ObjectiveEvaluator`] — evaluates a [`Deployment`] from scratch in
 //!   `O(Σ_p |p| + |Q| + |I|·avg_helpers)` time and optionally produces the
-//!   full per-step trace used by reports and Figure 13.
+//!   full per-step trace used by reports and Figure 13;
+//!   [`ObjectiveStepper`] executes the same steps one build at a time.
+//! * [`PrefixState`] — a prefix that grows by one index and shrinks by
+//!   undoing the latest push, each in `O(plans using the index + helpers)`:
+//!   the state under every search (CP and the reinsertion of LNS/VNS, A*,
+//!   MIP, the DP merge, the lower bound and the tail step). Its runtime and
+//!   area read the same bits as [`ObjectiveEvaluator::evaluate`].
 //! * [`DeltaEvaluator`] — the local-search hot path: scores a move that
 //!   rewrites the span `[a, b)` of a *base* order in `O(b - a)` — `O(1)` for
 //!   an adjacent swap — over the [`SoaView`] layout,
@@ -205,13 +212,8 @@ impl<'a> ObjectiveEvaluator<'a> {
     /// Applies one deployment step to `state`, returning the step metrics.
     fn apply_step(&self, state: &mut EvalState, index: IndexId) -> StepMetrics {
         let runtime_before = state.runtime;
-        let build_cost = self.instance.effective_build_cost(index, &state.built);
         let elapsed_start = state.elapsed;
-
-        state.area_acc.add_prod(runtime_before, build_cost);
-        state.elapsed += build_cost;
-        self.make_available(state, index);
-
+        let build_cost = self.push(state, index, None);
         StepMetrics {
             index,
             build_cost,
@@ -222,12 +224,35 @@ impl<'a> ObjectiveEvaluator<'a> {
         }
     }
 
+    /// Builds `index` on top of `state` and returns its effective build
+    /// cost. The one step behind [`ObjectiveEvaluator::evaluate`],
+    /// [`ObjectiveStepper::step`] and [`PrefixState::push`]; `raised`
+    /// receives `(query, previous best speed-up)` for every best speed-up
+    /// the step raises, the undo record a pop needs.
+    fn push(
+        &self,
+        state: &mut EvalState,
+        index: IndexId,
+        raised: Option<&mut Vec<(usize, f64)>>,
+    ) -> f64 {
+        let build_cost = self.instance.effective_build_cost(index, &state.built);
+        state.area_acc.add_prod(state.runtime, build_cost);
+        state.elapsed += build_cost;
+        self.make_available(state, index, raised);
+        build_cost
+    }
+
     /// Marks `index` built and drops the runtime by its newly available
     /// plans. Shared by the serial [`ObjectiveEvaluator::apply_step`] and
     /// the slot-aware [`ObjectiveStepper::complete_build`] so the
     /// `step ≡ begin_build; accrue; complete_build` identity holds by
     /// construction — same floating-point operations in the same order.
-    fn make_available(&self, state: &mut EvalState, index: IndexId) {
+    fn make_available(
+        &self,
+        state: &mut EvalState,
+        index: IndexId,
+        mut raised: Option<&mut Vec<(usize, f64)>>,
+    ) {
         state.built[index.raw()] = true;
         // Newly available plans can only improve each query's best speed-up.
         let mut changed = false;
@@ -238,6 +263,9 @@ impl<'a> ObjectiveEvaluator<'a> {
                 let q = self.plan_query[p];
                 let s = self.plan_speedup[p];
                 if s > state.best_speedup[q] {
+                    if let Some(raised) = raised.as_deref_mut() {
+                        raised.push((q, state.best_speedup[q]));
+                    }
                     state.runtime_acc.add(state.best_speedup[q]);
                     state.runtime_acc.sub(s);
                     state.best_speedup[q] = s;
@@ -284,38 +312,14 @@ impl<'a> ObjectiveEvaluator<'a> {
         state.area()
     }
 
-    /// Evaluates the objective area of a *partial* prefix order (the
-    /// remaining indexes are treated as never built). Used by search
-    /// algorithms to compute lower-bound contributions of a fixed prefix.
-    pub fn evaluate_prefix_area(&self, prefix: &[IndexId]) -> f64 {
-        let mut state = EvalState::initial(self);
-        for &index in prefix {
-            self.apply_step(&mut state, index);
+    /// Starts an empty [`PrefixState`] over this evaluator.
+    pub fn prefix_state(&self) -> PrefixState<'_> {
+        PrefixState {
+            state: EvalState::initial(self),
+            evaluator: self,
+            frames: Vec::new(),
+            raised: Vec::new(),
         }
-        state.area()
-    }
-
-    /// Total workload runtime when exactly the indexes in `built` exist.
-    ///
-    /// Uses the same order-canonical rounding as the step-wise evaluators,
-    /// so the result agrees bit-for-bit with [`ObjectiveStepper::runtime`]
-    /// after stepping any order of the same set.
-    pub fn runtime_with(&self, built: &[bool]) -> f64 {
-        let mut best = vec![0.0_f64; self.instance.num_queries()];
-        for (p, plan) in self.instance.plans().iter().enumerate() {
-            if plan.available_in(built) {
-                let q = self.plan_query[p];
-                if self.plan_speedup[p] > best[q] {
-                    best[q] = self.plan_speedup[p];
-                }
-            }
-        }
-        let mut acc = ExactSum::new();
-        acc.add(self.baseline_runtime);
-        for b in best {
-            acc.sub(b);
-        }
-        acc.value()
     }
 
     /// The speed-up a single query currently enjoys given `built`.
@@ -421,7 +425,7 @@ impl<'a> ObjectiveStepper<'a> {
         debug_assert!(self.in_flight[index.raw()], "{index} completed unbegun");
         self.in_flight[index.raw()] = false;
         let runtime_before = self.state.runtime;
-        self.evaluator.make_available(&mut self.state, index);
+        self.evaluator.make_available(&mut self.state, index, None);
         (runtime_before, self.state.runtime)
     }
 
@@ -461,6 +465,111 @@ impl<'a> ObjectiveEvaluator<'a> {
             in_flight: vec![false; self.instance.num_indexes()],
             evaluator: self.clone(),
         }
+    }
+}
+
+/// A deployment prefix under search: [`PrefixState::push`] appends an
+/// index and [`PrefixState::pop`] undoes the latest push, each in
+/// `O(plans using the index + its helpers)`.
+///
+/// The runtime level and the area come from the same exact accumulators
+/// and the same step as [`ObjectiveEvaluator::evaluate`], so after any
+/// sequence of pushes and pops they read bit-for-bit what `evaluate` reads
+/// for the prefix. A pop subtracts the terms its push added and restores
+/// the best speed-ups it raised from a stack that is reused, so no push or
+/// pop allocates once the stack has grown to the search depth.
+#[derive(Debug)]
+pub struct PrefixState<'a> {
+    evaluator: &'a ObjectiveEvaluator<'a>,
+    state: EvalState,
+    /// One undo record per pushed index, latest last.
+    frames: Vec<Frame>,
+    /// `(query, previous best speed-up)` for every best speed-up a push
+    /// raised; each frame owns the entries from its `raised_from` on.
+    raised: Vec<(usize, f64)>,
+}
+
+/// What [`PrefixState::pop`] needs to undo one push.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    index: IndexId,
+    build_cost: f64,
+    runtime_before: f64,
+    elapsed_before: f64,
+    raised_from: usize,
+}
+
+impl PrefixState<'_> {
+    /// Appends `index`, which must not be in the prefix yet.
+    pub fn push(&mut self, index: IndexId) {
+        debug_assert!(!self.state.built[index.raw()], "{index} pushed twice");
+        let runtime_before = self.state.runtime;
+        let elapsed_before = self.state.elapsed;
+        let raised_from = self.raised.len();
+        let build_cost = self
+            .evaluator
+            .push(&mut self.state, index, Some(&mut self.raised));
+        self.frames.push(Frame {
+            index,
+            build_cost,
+            runtime_before,
+            elapsed_before,
+            raised_from,
+        });
+    }
+
+    /// Removes the latest pushed index and returns it (`None` when the
+    /// prefix is empty).
+    pub fn pop(&mut self) -> Option<IndexId> {
+        let frame = self.frames.pop()?;
+        let state = &mut self.state;
+        for (q, previous) in self.raised.drain(frame.raised_from..).rev() {
+            state.runtime_acc.sub(previous);
+            state.runtime_acc.add(state.best_speedup[q]);
+            state.best_speedup[q] = previous;
+        }
+        for &pid in self.evaluator.instance.plans_using_index(frame.index) {
+            state.missing[pid.raw()] += 1;
+        }
+        state.built[frame.index.raw()] = false;
+        state
+            .area_acc
+            .sub_prod(frame.runtime_before, frame.build_cost);
+        state.runtime = frame.runtime_before;
+        state.elapsed = frame.elapsed_before;
+        Some(frame.index)
+    }
+
+    /// Workload runtime once the prefix is built (`R_∅` when empty).
+    pub fn runtime(&self) -> f64 {
+        self.state.runtime
+    }
+
+    /// Objective area of the prefix (canonically rounded).
+    pub fn area(&self) -> f64 {
+        self.state.area()
+    }
+
+    /// Effective build cost `index` would have next.
+    pub fn build_cost(&self, index: IndexId) -> f64 {
+        self.evaluator
+            .instance
+            .effective_build_cost(index, &self.state.built)
+    }
+
+    /// Bitmap of the indexes in the prefix, keyed by raw index id.
+    pub fn built(&self) -> &[bool] {
+        &self.state.built
+    }
+
+    /// `true` when `index` is in the prefix.
+    pub fn is_built(&self, index: IndexId) -> bool {
+        self.state.built[index.raw()]
+    }
+
+    /// `true` when every index of the instance is in the prefix.
+    pub fn is_complete(&self) -> bool {
+        self.frames.len() == self.state.built.len()
     }
 }
 
@@ -1100,14 +1209,120 @@ mod tests {
     fn runtime_with_reports_best_available_plan() {
         let inst = competing_example();
         let eval = ObjectiveEvaluator::new(&inst);
-        assert_eq!(eval.runtime_with(&[false, false]), 30.0);
-        assert_eq!(eval.runtime_with(&[true, false]), 25.0);
-        assert_eq!(eval.runtime_with(&[false, true]), 10.0);
-        assert_eq!(eval.runtime_with(&[true, true]), 10.0);
+        let mut state = eval.prefix_state();
+        assert_eq!(state.runtime(), 30.0);
+        state.push(IndexId::new(0));
+        assert_eq!(state.runtime(), 25.0);
+        state.push(IndexId::new(1));
+        assert_eq!(state.runtime(), 10.0);
+        state.pop();
+        state.pop();
+        state.push(IndexId::new(1));
+        assert_eq!(state.runtime(), 10.0);
         assert_eq!(
             eval.query_speedup_with(QueryId::new(0), &[true, false]),
             5.0
         );
+    }
+
+    /// Three indexes, two queries, a two-index plan and a build interaction.
+    /// Building i2 after i1 completes both plans of `q2` at once, raising
+    /// its best speed-up twice in one step.
+    fn prefix_instance() -> ProblemInstance {
+        let mut b = ProblemInstance::builder("state");
+        let i0 = b.add_index(4.0);
+        let i1 = b.add_index(6.0);
+        let i2 = b.add_index(3.0);
+        let q = b.add_query(30.0);
+        b.add_plan(q, vec![i0], 5.0);
+        b.add_plan(q, vec![i1], 20.0);
+        let q2 = b.add_query(40.0);
+        b.add_plan(q2, vec![i2], 10.0);
+        b.add_plan(q2, vec![i1, i2], 25.0);
+        b.add_build_interaction(i0, i1, 3.0);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn push_matches_full_evaluator() {
+        let inst = prefix_instance();
+        let eval = ObjectiveEvaluator::new(&inst);
+        for order in [[0usize, 1, 2], [2, 1, 0], [1, 0, 2], [1, 2, 0]] {
+            let mut state = eval.prefix_state();
+            for &raw in &order {
+                state.push(IndexId::new(raw));
+            }
+            let expected = eval.evaluate(&Deployment::from_raw(order));
+            assert_eq!(state.area().to_bits(), expected.area.to_bits());
+            assert_eq!(state.runtime().to_bits(), expected.final_runtime.to_bits());
+            assert!(state.is_complete());
+        }
+    }
+
+    #[test]
+    fn pop_restores_previous_state_exactly() {
+        let inst = prefix_instance();
+        let eval = ObjectiveEvaluator::new(&inst);
+        let mut state = eval.prefix_state();
+        state.push(IndexId::new(1));
+        let runtime_after_first = state.runtime();
+        let area_after_first = state.area();
+        state.push(IndexId::new(2));
+        assert_ne!(state.runtime(), runtime_after_first);
+        assert_eq!(state.pop(), Some(IndexId::new(2)));
+        assert_eq!(state.runtime().to_bits(), runtime_after_first.to_bits());
+        assert_eq!(state.area().to_bits(), area_after_first.to_bits());
+        assert_eq!(state.built(), &[false, true, false]);
+        assert_eq!(state.pop(), Some(IndexId::new(1)));
+        assert_eq!(state.pop(), None);
+        assert_eq!(state.runtime(), inst.baseline_runtime());
+        assert_eq!(state.area().to_bits(), 0.0f64.to_bits());
+        assert!(!state.is_built(IndexId::new(1)));
+        // Nothing the pops restored lingers: i2 alone unlocks its plan.
+        state.push(IndexId::new(2));
+        assert_eq!(state.runtime(), inst.baseline_runtime() - 10.0);
+    }
+
+    #[test]
+    fn interleaved_push_pop_explores_consistently() {
+        // Explore every branch of a depth-first search and compare each
+        // prefix, after its pops, with a fresh evaluation.
+        let inst = delta_instance(2);
+        let n = inst.num_indexes();
+        let eval = ObjectiveEvaluator::new(&inst);
+        let mut state = eval.prefix_state();
+        let mut prefix = Vec::new();
+        let mut seed = 9u64;
+        for _ in 0..400 {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            if prefix.len() == n || (!prefix.is_empty() && seed >> 62 == 0) {
+                assert_eq!(state.pop(), prefix.pop());
+            } else {
+                let free: Vec<usize> = (0..n)
+                    .filter(|&r| !prefix.contains(&IndexId::new(r)))
+                    .collect();
+                let index = IndexId::new(free[(seed >> 33) as usize % free.len()]);
+                state.push(index);
+                prefix.push(index);
+            }
+            let mut expected = eval.stepper();
+            for &index in &prefix {
+                expected.step(index);
+            }
+            assert_eq!(state.area().to_bits(), expected.area().to_bits());
+            assert_eq!(state.runtime().to_bits(), expected.runtime().to_bits());
+            assert_eq!(state.built(), expected.built());
+        }
+    }
+
+    #[test]
+    fn build_cost_reflects_interactions() {
+        let inst = prefix_instance();
+        let eval = ObjectiveEvaluator::new(&inst);
+        let mut state = eval.prefix_state();
+        assert_eq!(state.build_cost(IndexId::new(0)), 4.0);
+        state.push(IndexId::new(1));
+        assert_eq!(state.build_cost(IndexId::new(0)), 1.0);
     }
 
     #[test]

@@ -334,7 +334,11 @@ mod tests {
         let built = built_bitmap(4, &[0, 2]);
         let residual = inst.residual_for_replan(&built, &[], &[false; 4]).unwrap();
         assert_eq!(residual.instance().num_indexes(), 2);
-        let prefix_area = eval.evaluate_prefix_area(&prefix);
+        let mut prefix_state = eval.prefix_state();
+        for &index in &prefix {
+            prefix_state.push(index);
+        }
+        let prefix_area = prefix_state.area();
 
         let res_eval = ObjectiveEvaluator::new(residual.instance());
         for suffix_raw in [[0usize, 1], [1, 0]] {
@@ -478,7 +482,11 @@ mod tests {
         // areas add up to the full area for any suffix order.
         let eval = ObjectiveEvaluator::new(&inst);
         let committed_prefix = [IndexId::new(0), IndexId::new(2)];
-        let prefix_area = eval.evaluate_prefix_area(&committed_prefix);
+        let mut prefix_state = eval.prefix_state();
+        for index in committed_prefix {
+            prefix_state.push(index);
+        }
+        let prefix_area = prefix_state.area();
         let res_eval = ObjectiveEvaluator::new(residual.instance());
         for raw in [[0usize, 1], [1, 0]] {
             let s = Deployment::from_raw(raw);

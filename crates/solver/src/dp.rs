@@ -14,7 +14,7 @@ use crate::constraints::OrderConstraints;
 use crate::mincut::min_cut_partition;
 use crate::result::SolveResult;
 use crate::solver::{SolveContext, Solver};
-use idd_core::{Deployment, IndexId, ObjectiveEvaluator, ProblemInstance};
+use idd_core::{Deployment, IndexId, ObjectiveEvaluator, PrefixState, ProblemInstance};
 use std::time::Instant;
 
 /// The DP baseline solver.
@@ -73,15 +73,18 @@ impl DpSolver {
         w
     }
 
-    /// Total workload speed-up when exactly `built` (bitmap) exists.
-    fn benefit(evaluator: &ObjectiveEvaluator<'_>, built: &[bool]) -> f64 {
-        evaluator.baseline_runtime() - evaluator.runtime_with(built)
+    /// Total workload speed-up once `index` is added to the prefix of
+    /// `state` (which is left as it was).
+    fn benefit_with(state: &mut PrefixState<'_>, baseline: f64, index: usize) -> f64 {
+        state.push(IndexId::new(index));
+        let benefit = baseline - state.runtime();
+        state.pop();
+        benefit
     }
 
     /// Recursive DP ordering of the given (global-id) index subset.
     fn order_subset(
         &self,
-        instance: &ProblemInstance,
         evaluator: &ObjectiveEvaluator<'_>,
         weights: &[Vec<f64>],
         subset: &[usize],
@@ -98,29 +101,25 @@ impl DpSolver {
         let cluster_a: Vec<usize> = side_a.iter().map(|&i| subset[i]).collect();
         let cluster_b: Vec<usize> = side_b.iter().map(|&i| subset[i]).collect();
 
-        let ordered_a = self.order_subset(instance, evaluator, weights, &cluster_a);
-        let ordered_b = self.order_subset(instance, evaluator, weights, &cluster_b);
+        let ordered_a = self.order_subset(evaluator, weights, &cluster_a);
+        let ordered_b = self.order_subset(evaluator, weights, &cluster_b);
 
         // Merge by interleaving: take whichever front index gives the larger
         // marginal benefit on top of what is already merged.
-        let n = instance.num_indexes();
-        let mut built = vec![false; n];
+        let baseline = evaluator.baseline_runtime();
+        let mut state = evaluator.prefix_state();
         let mut merged = Vec::with_capacity(ordered_a.len() + ordered_b.len());
         let (mut ia, mut ib) = (0usize, 0usize);
         while ia < ordered_a.len() && ib < ordered_b.len() {
-            let current = Self::benefit(evaluator, &built);
-            let mut with_a = built.clone();
-            with_a[ordered_a[ia]] = true;
-            let benefit_a = Self::benefit(evaluator, &with_a) - current;
-            let mut with_b = built.clone();
-            with_b[ordered_b[ib]] = true;
-            let benefit_b = Self::benefit(evaluator, &with_b) - current;
+            let current = baseline - state.runtime();
+            let benefit_a = Self::benefit_with(&mut state, baseline, ordered_a[ia]) - current;
+            let benefit_b = Self::benefit_with(&mut state, baseline, ordered_b[ib]) - current;
             if benefit_a >= benefit_b {
-                built[ordered_a[ia]] = true;
+                state.push(IndexId::new(ordered_a[ia]));
                 merged.push(ordered_a[ia]);
                 ia += 1;
             } else {
-                built[ordered_b[ib]] = true;
+                state.push(IndexId::new(ordered_b[ib]));
                 merged.push(ordered_b[ib]);
                 ib += 1;
             }
@@ -135,7 +134,7 @@ impl DpSolver {
         let evaluator = ObjectiveEvaluator::new(instance);
         let weights = Self::interaction_weights(instance);
         let all: Vec<usize> = (0..instance.num_indexes()).collect();
-        let order = self.order_subset(instance, &evaluator, &weights, &all);
+        let order = self.order_subset(&evaluator, &weights, &all);
         // Schnaitter's algorithm predates hard precedence constraints, so the
         // cluster merge can emit an index before its required predecessor.
         // Repair with a stable topological pass: emit indexes in DP order,

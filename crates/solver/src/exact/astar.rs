@@ -107,6 +107,7 @@ impl AStarSolver {
         let n = instance.num_indexes();
         let words = n.div_ceil(64);
         let evaluator = ObjectiveEvaluator::new(instance);
+        let mut state = evaluator.prefix_state();
         let bound = LowerBound::new(instance);
         let constraints = OrderConstraints::from_instance(instance);
 
@@ -176,19 +177,21 @@ impl AStarSolver {
                 };
             }
 
-            // Expand: runtime and built bitmap for this subset.
-            let built: Vec<bool> = (0..n).map(|raw| key_contains(&node.key, raw)).collect();
-            let runtime = evaluator.runtime_with(&built);
+            // Expand: the state holds this subset (in raw-id order; its
+            // runtime and costs depend on the set only), and each child is
+            // one push and one pop on top of it.
+            while state.pop().is_some() {}
+            for raw in (0..n).filter(|&raw| key_contains(&node.key, raw)) {
+                state.push(IndexId::new(raw));
+            }
+            let runtime = state.runtime();
 
             for raw in 0..n {
-                if built[raw] {
-                    continue;
-                }
                 let index = IndexId::new(raw);
-                if !constraints.can_place(index, &built) {
+                if state.is_built(index) || !constraints.can_place(index, state.built()) {
                     continue;
                 }
-                let cost = instance.effective_build_cost(index, &built);
+                let cost = state.build_cost(index);
                 let g = node.g + runtime * cost;
                 let child_key = key_with(&node.key, raw);
                 let better = best_g
@@ -198,10 +201,9 @@ impl AStarSolver {
                 if better {
                     best_g.insert(child_key.clone(), g);
                     parent.insert(child_key.clone(), (node.key.clone(), index));
-                    let mut child_built = built.clone();
-                    child_built[raw] = true;
-                    let child_runtime = evaluator.runtime_with(&child_built);
-                    let h = bound.remaining(&child_built, child_runtime);
+                    state.push(index);
+                    let h = bound.remaining(state.built(), state.runtime());
+                    state.pop();
                     heap.push(Node {
                         f: g + h,
                         g,

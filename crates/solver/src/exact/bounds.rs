@@ -28,8 +28,11 @@ impl LowerBound {
     /// Precomputes the bound data for an instance.
     pub fn new(instance: &ProblemInstance) -> Self {
         let evaluator = ObjectiveEvaluator::new(instance);
-        let all_built = vec![true; instance.num_indexes()];
-        let final_runtime = evaluator.runtime_with(&all_built);
+        let mut state = evaluator.prefix_state();
+        for index in instance.index_ids() {
+            state.push(index);
+        }
+        let final_runtime = state.runtime();
         let min_costs = instance
             .index_ids()
             .map(|i| instance.min_build_cost(i))
@@ -132,10 +135,10 @@ mod tests {
         let bound = LowerBound::new(&inst);
         let eval = ObjectiveEvaluator::new(&inst);
         // Prefix [1]: remaining = {0, 2}.
-        let prefix_area = eval.evaluate_prefix_area(&[idd_core::IndexId::new(1)]);
-        let built = [false, true, false];
-        let runtime_after = eval.runtime_with(&built);
-        let lb = bound.remaining(&built, runtime_after);
+        let mut state = eval.prefix_state();
+        state.push(idd_core::IndexId::new(1));
+        let prefix_area = state.area();
+        let lb = bound.remaining(state.built(), state.runtime());
         for completion in [[0, 2], [2, 0]] {
             let full: Vec<usize> = std::iter::once(1).chain(completion).collect();
             let area = eval.evaluate_area(&Deployment::from_raw(full));

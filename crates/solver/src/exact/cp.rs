@@ -19,11 +19,10 @@ use crate::anytime::Trajectory;
 use crate::budget::{BudgetClock, SearchBudget};
 use crate::constraints::OrderConstraints;
 use crate::exact::bounds::LowerBound;
-use crate::exact::state::SearchState;
 use crate::properties::{self, AnalysisOptions};
 use crate::result::{CoopStats, SolveOutcome, SolveResult};
 use crate::solver::{SolveContext, Solver};
-use idd_core::{Deployment, IndexId, ProblemInstance};
+use idd_core::{Deployment, IndexId, ObjectiveEvaluator, PrefixState, ProblemInstance};
 
 /// Configuration of the CP solver.
 #[derive(Debug, Clone, Default)]
@@ -65,8 +64,10 @@ pub struct CpSolver {
 }
 
 struct SearchContext<'a> {
-    instance: &'a ProblemInstance,
     constraints: &'a OrderConstraints,
+    /// Per raw index: its best `speedup / width` over the plans using it,
+    /// the numerator of the candidate-order density.
+    plan_share: Vec<f64>,
     shared: &'a SolveContext,
     bound: LowerBound,
     clock: BudgetClock,
@@ -135,9 +136,19 @@ impl CpSolver {
         shared: &SolveContext,
         clock: BudgetClock,
     ) -> SolveResult {
+        let plan_share = instance
+            .index_ids()
+            .map(|i| {
+                instance
+                    .plans_using_index(i)
+                    .iter()
+                    .map(|&p| instance.plan_speedup(p) / instance.plan(p).width() as f64)
+                    .fold(0.0, f64::max)
+            })
+            .collect();
         let mut ctx = SearchContext {
-            instance,
             constraints,
+            plan_share,
             shared,
             bound: LowerBound::new(instance),
             clock,
@@ -149,9 +160,10 @@ impl CpSolver {
         };
 
         // Warm start from the explicit initial deployment, if any.
+        let evaluator = ObjectiveEvaluator::new(instance);
         if let Some(initial) = &self.config.initial {
             if initial.is_valid_for(instance) {
-                let area = idd_core::ObjectiveEvaluator::new(instance).evaluate_area(initial);
+                let area = evaluator.evaluate_area(initial);
                 ctx.best_area = area;
                 ctx.best_order = Some(initial.order().to_vec());
                 ctx.trajectory.record(ctx.clock.elapsed_seconds(), area);
@@ -172,7 +184,7 @@ impl CpSolver {
             if let Some(snapshot) = shared.incumbent().best_deployment() {
                 let adopted = Deployment::new(snapshot.order);
                 if adopted.is_valid_for(instance) {
-                    let area = idd_core::ObjectiveEvaluator::new(instance).evaluate_area(&adopted);
+                    let area = evaluator.evaluate_area(&adopted);
                     if area < ctx.best_area {
                         ctx.best_area = area;
                         ctx.best_order = Some(adopted.order().to_vec());
@@ -182,7 +194,7 @@ impl CpSolver {
             }
         }
 
-        let mut state = SearchState::new(instance);
+        let mut state = evaluator.prefix_state();
         let mut order: Vec<IndexId> = Vec::with_capacity(instance.num_indexes());
         Self::dfs(&mut ctx, &mut state, &mut order);
 
@@ -214,9 +226,8 @@ impl CpSolver {
         }
     }
 
-    fn candidate_order(ctx: &SearchContext<'_>, state: &SearchState<'_>) -> Vec<IndexId> {
-        let instance = ctx.instance;
-        let n = instance.num_indexes();
+    fn candidate_order(ctx: &SearchContext<'_>, state: &PrefixState<'_>) -> Vec<IndexId> {
+        let n = ctx.plan_share.len();
 
         // Alliance gluing: while a group is open, only its remaining members
         // may be placed.
@@ -235,13 +246,8 @@ impl CpSolver {
             .filter(|&i| !state.is_built(i) && ctx.constraints.can_place(i, state.built()))
             .map(|i| {
                 // Density heuristic: immediate best-plan speed-up over cost.
-                let speedup: f64 = instance
-                    .plans_using_index(i)
-                    .iter()
-                    .map(|&p| instance.plan_speedup(p) / instance.plan(p).width() as f64)
-                    .fold(0.0, f64::max);
-                let cost = state.build_cost_of(i).max(1e-12);
-                (speedup / cost, i)
+                let cost = state.build_cost(i).max(1e-12);
+                (ctx.plan_share[i.raw()] / cost, i)
             })
             .collect();
         candidates.sort_by(|a, b| {
@@ -252,7 +258,7 @@ impl CpSolver {
         candidates.into_iter().map(|(_, i)| i).collect()
     }
 
-    fn dfs(ctx: &mut SearchContext<'_>, state: &mut SearchState<'_>, order: &mut Vec<IndexId>) {
+    fn dfs(ctx: &mut SearchContext<'_>, state: &mut PrefixState<'_>, order: &mut Vec<IndexId>) {
         if ctx.clock.exhausted() {
             ctx.complete = false;
             return;
@@ -260,23 +266,14 @@ impl CpSolver {
         ctx.clock.count_node();
 
         if state.is_complete() {
-            if state.area() < ctx.best_area {
-                // Canonicalize before recording: the search state keeps a
-                // naive running sum (fine for bounding), but published and
-                // returned objectives must carry the canonical evaluator's
-                // bits — cooperating members compare foreign incumbents
-                // against their own canonical areas at ulp-level
-                // tolerances. The naive comparison above is a cheap
-                // pre-filter; improvements are rare enough that the O(n)
-                // re-evaluation is free.
-                let area = idd_core::ObjectiveEvaluator::new(ctx.instance)
-                    .evaluate_area(&Deployment::new(order.clone()));
-                if area < ctx.best_area {
-                    ctx.best_area = area;
-                    ctx.best_order = Some(order.clone());
-                    ctx.trajectory.record(ctx.clock.elapsed_seconds(), area);
-                    ctx.shared.publish_deployment(area, order);
-                }
+            // The state's area is the canonical evaluator's, so what is
+            // recorded and published carries its bits.
+            let area = state.area();
+            if area < ctx.best_area {
+                ctx.best_area = area;
+                ctx.best_order = Some(order.clone());
+                ctx.trajectory.record(ctx.clock.elapsed_seconds(), area);
+                ctx.shared.publish_deployment(area, order);
             }
             return;
         }
@@ -321,11 +318,11 @@ impl CpSolver {
                 }
             }
 
-            let undo = state.push(index);
+            state.push(index);
             order.push(index);
             Self::dfs(ctx, state, order);
             order.pop();
-            state.pop(undo);
+            state.pop();
             ctx.open_alliance = previous_alliance;
         }
     }

@@ -67,9 +67,7 @@ pub struct ModelSize {
 struct OpenNode {
     bound: f64,
     area: f64,
-    runtime: f64,
     order: Vec<IndexId>,
-    built: Vec<bool>,
 }
 
 impl Eq for OpenNode {}
@@ -144,6 +142,7 @@ impl MipSolver {
         let mut clock = self.config.budget.start_cancellable(ctx.cancel_token());
         let n = instance.num_indexes();
         let evaluator = ObjectiveEvaluator::new(instance);
+        let mut state = evaluator.prefix_state();
         let bound = LowerBound::new(instance);
         let constraints = OrderConstraints::from_instance(instance);
 
@@ -156,9 +155,7 @@ impl MipSolver {
         heap.push(OpenNode {
             bound: bound.remaining_weak(&vec![false; n]),
             area: 0.0,
-            runtime: instance.baseline_runtime(),
             order: Vec::new(),
-            built: vec![false; n],
         });
 
         let mut best_area = f64::INFINITY;
@@ -203,20 +200,23 @@ impl MipSolver {
                 continue;
             }
 
+            // Expand: the state holds this prefix, and each child is one
+            // push and one pop on top of it.
+            while state.pop().is_some() {}
+            for &index in &node.order {
+                state.push(index);
+            }
+            let runtime = state.runtime();
             for raw in 0..n {
-                if node.built[raw] {
-                    continue;
-                }
                 let index = IndexId::new(raw);
-                if !constraints.can_place(index, &node.built) {
+                if state.is_built(index) || !constraints.can_place(index, state.built()) {
                     continue;
                 }
-                let cost = quantize(instance.effective_build_cost(index, &node.built));
-                let area = node.area + node.runtime * cost;
-                let mut built = node.built.clone();
-                built[raw] = true;
-                let runtime = evaluator.runtime_with(&built);
-                let child_bound = area + bound.remaining_weak(&built);
+                let cost = quantize(state.build_cost(index));
+                let area = node.area + runtime * cost;
+                state.push(index);
+                let child_bound = area + bound.remaining_weak(state.built());
+                state.pop();
                 if child_bound >= best_area - 1e-9 {
                     continue;
                 }
@@ -225,9 +225,7 @@ impl MipSolver {
                 heap.push(OpenNode {
                     bound: child_bound,
                     area,
-                    runtime,
                     order,
-                    built,
                 });
             }
         }

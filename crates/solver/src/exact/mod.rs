@@ -5,10 +5,8 @@ pub mod astar;
 pub mod bounds;
 pub mod cp;
 pub mod mip;
-pub mod state;
 
 pub use astar::{AStarConfig, AStarSolver};
 pub use bounds::LowerBound;
 pub use cp::{CpConfig, CpSolver};
 pub use mip::{MipConfig, MipSolver};
-pub use state::SearchState;

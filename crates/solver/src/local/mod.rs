@@ -8,7 +8,10 @@
 //! with a schedule that never fires, plus hint stealing and delta repair),
 //! built on the CP-powered *reinsertion search* in this module: a subset of
 //! indexes is removed from the current order and optimally re-inserted by a
-//! small branch-and-prune search with a failure (backtrack) limit.
+//! small branch-and-prune search with a failure (backtrack) limit. The
+//! search pushes and pops indexes on an exact [`PrefixState`], so the area
+//! it compares with the incumbent is the canonical one: an order it
+//! returns is strictly better in the bits every member publishes.
 //!
 //! All three share one `Walk`: the budget clock, the trajectory, incumbent
 //! publication and the cooperative warm-start machinery. The clock starts
@@ -28,10 +31,9 @@ use crate::anytime::Trajectory;
 use crate::budget::{BudgetClock, SearchBudget};
 use crate::constraints::OrderConstraints;
 use crate::exact::bounds::LowerBound;
-use crate::exact::state::SearchState;
 use crate::result::{CoopStats, SolveOutcome, SolveResult};
 use crate::solver::SolveContext;
-use idd_core::{DeltaEvaluator, Deployment, IndexId, ProblemInstance};
+use idd_core::{DeltaEvaluator, Deployment, IndexId, PrefixState};
 use std::ops::RangeInclusive;
 
 /// Derives a stall threshold (iterations without improvement before a
@@ -209,6 +211,7 @@ impl<'c> Walk<'c> {
     /// publishes it and, under a stealing policy, shares `hint` — the index
     /// set whose move paid off — valued at the improvement it bought.
     pub fn improved(&mut self, area: f64, order: &[IndexId], hint: Vec<IndexId>) {
+        debug_assert!(area < self.best, "{area} does not improve on {}", self.best);
         let gain = self.best - area;
         self.set_best(area);
         self.ctx.publish_deployment(area, order);
@@ -284,8 +287,6 @@ pub(crate) fn relocate_best(
 pub(crate) struct ReinsertionResult {
     /// The best complete order found, if it improves on the incumbent.
     pub order: Option<Vec<IndexId>>,
-    /// Its objective area (only meaningful when `order` is `Some`).
-    pub area: f64,
     /// `true` when the neighbourhood was searched exhaustively (no better
     /// solution exists in it); `false` when the failure limit was hit first.
     pub proved: bool,
@@ -294,8 +295,11 @@ pub(crate) struct ReinsertionResult {
 /// Optimally re-inserts `relaxed` into the sequence `fixed` (whose relative
 /// order is preserved), looking for an order strictly better than
 /// `incumbent_area`. The search backtracks at most `failure_limit` times.
+/// It runs on `state`, which must hold the empty prefix and holds it again
+/// on return; its areas are the canonical evaluator's, so a returned
+/// order's area is exactly what [`DeltaEvaluator`] reads for it.
 pub(crate) fn reinsert(
-    instance: &ProblemInstance,
+    state: &mut PrefixState<'_>,
     constraints: &OrderConstraints,
     bound: &LowerBound,
     fixed: &[IndexId],
@@ -304,7 +308,6 @@ pub(crate) fn reinsert(
     failure_limit: u64,
 ) -> ReinsertionResult {
     struct Ctx<'a> {
-        instance: &'a ProblemInstance,
         constraints: &'a OrderConstraints,
         bound: &'a LowerBound,
         fixed: &'a [IndexId],
@@ -318,7 +321,7 @@ pub(crate) fn reinsert(
 
     fn dfs(
         ctx: &mut Ctx<'_>,
-        state: &mut SearchState<'_>,
+        state: &mut PrefixState<'_>,
         order: &mut Vec<IndexId>,
         next_fixed: usize,
         relaxed_used: &mut Vec<bool>,
@@ -327,8 +330,9 @@ pub(crate) fn reinsert(
             return;
         }
         if state.is_complete() {
-            if state.area() < ctx.best_area - 1e-12 {
-                ctx.best_area = state.area();
+            let area = state.area();
+            if area < ctx.best_area - 1e-12 {
+                ctx.best_area = area;
                 ctx.best_order = Some(order.clone());
             }
             return;
@@ -364,7 +368,7 @@ pub(crate) fn reinsert(
                 continue;
             }
             any_feasible = true;
-            let undo = state.push(index);
+            state.push(index);
             order.push(index);
             if is_fixed {
                 dfs(ctx, state, order, next_fixed + 1, relaxed_used);
@@ -374,7 +378,7 @@ pub(crate) fn reinsert(
                 relaxed_used[pos] = false;
             }
             order.pop();
-            state.pop(undo);
+            state.pop();
         }
         if !any_feasible {
             ctx.failures += 1;
@@ -384,8 +388,11 @@ pub(crate) fn reinsert(
         }
     }
 
+    debug_assert!(
+        state.built().iter().all(|&b| !b),
+        "reinsert needs an empty prefix"
+    );
     let mut ctx = Ctx {
-        instance,
         constraints,
         bound,
         fixed,
@@ -396,15 +403,12 @@ pub(crate) fn reinsert(
         failure_limit,
         aborted: false,
     };
-    let mut state = SearchState::new(instance);
-    let mut order = Vec::with_capacity(instance.num_indexes());
+    let mut order = Vec::with_capacity(fixed.len() + relaxed.len());
     let mut relaxed_used = vec![false; relaxed.len()];
-    dfs(&mut ctx, &mut state, &mut order, 0, &mut relaxed_used);
-    let _ = ctx.instance;
+    dfs(&mut ctx, state, &mut order, 0, &mut relaxed_used);
 
     ReinsertionResult {
         order: ctx.best_order,
-        area: ctx.best_area,
         proved: !ctx.aborted,
     }
 }
@@ -469,7 +473,7 @@ pub(crate) fn shift_is_feasible(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use idd_core::{Deployment, ObjectiveEvaluator};
+    use idd_core::{Deployment, ObjectiveEvaluator, ProblemInstance};
 
     fn instance() -> ProblemInstance {
         let mut b = ProblemInstance::builder("local");
@@ -491,8 +495,10 @@ mod tests {
         let constraints = OrderConstraints::from_instance(&inst);
         let bound = LowerBound::new(&inst);
         let all: Vec<IndexId> = inst.index_ids().collect();
+        let eval = ObjectiveEvaluator::new(&inst);
+        let mut state = eval.prefix_state();
         let result = reinsert(
-            &inst,
+            &mut state,
             &constraints,
             &bound,
             &[],
@@ -501,14 +507,15 @@ mod tests {
             u64::MAX,
         );
         assert!(result.proved);
-        let best = result.order.expect("some order must beat infinity");
+        assert_eq!(state.pop(), None, "the search leaves the prefix empty");
+        let best = Deployment::new(result.order.expect("some order must beat infinity"));
         // Compare against the CP optimum.
         let cp = crate::exact::cp::CpSolver::with_config(crate::exact::cp::CpConfig::plain(
             crate::budget::SearchBudget::unlimited(),
         ))
         .solve(&inst);
-        assert!((result.area - cp.objective).abs() < 1e-6);
-        assert!(Deployment::new(best).is_valid_for(&inst));
+        assert!((eval.evaluate_area(&best) - cp.objective).abs() < 1e-6);
+        assert!(best.is_valid_for(&inst));
     }
 
     #[test]
@@ -522,7 +529,7 @@ mod tests {
         // Relax nothing: the only completion is the incumbent itself, which
         // is not strictly better, so no order is returned.
         let result = reinsert(
-            &inst,
+            &mut eval.prefix_state(),
             &constraints,
             &bound,
             identity.order(),
@@ -539,7 +546,16 @@ mod tests {
         let constraints = OrderConstraints::from_instance(&inst);
         let bound = LowerBound::new(&inst);
         let all: Vec<IndexId> = inst.index_ids().collect();
-        let result = reinsert(&inst, &constraints, &bound, &[], &all, 1e-9, 0);
+        let eval = ObjectiveEvaluator::new(&inst);
+        let result = reinsert(
+            &mut eval.prefix_state(),
+            &constraints,
+            &bound,
+            &[],
+            &all,
+            1e-9,
+            0,
+        );
         // Nothing beats an incumbent of ~0, and the failure limit of zero is
         // exceeded by the very first pruned node.
         assert!(!result.proved);

@@ -32,7 +32,7 @@ use crate::greedy::GreedySolver;
 use crate::local::{reinsert, relocate_best, Walk};
 use crate::result::SolveResult;
 use crate::solver::{SolveContext, Solver};
-use idd_core::{DeltaEvaluator, Deployment, IndexId, ProblemInstance};
+use idd_core::{DeltaEvaluator, Deployment, IndexId, ObjectiveEvaluator, ProblemInstance};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 
@@ -150,6 +150,8 @@ impl VnsSolver {
         let n = instance.num_indexes();
         let constraints = &OrderConstraints::from_instance(instance);
         let bound = LowerBound::new(instance);
+        let evaluator = ObjectiveEvaluator::new(instance);
+        let mut state = evaluator.prefix_state();
         let mut rng = ChaCha8Rng::seed_from_u64(config.seed);
 
         // The evaluator's base is the current order. It canonicalizes every
@@ -189,7 +191,7 @@ impl VnsSolver {
                 .collect();
 
             let result = reinsert(
-                instance,
+                &mut state,
                 constraints,
                 &bound,
                 &fixed,
@@ -198,14 +200,7 @@ impl VnsSolver {
                 failure_limit,
             );
             let improved = if let Some(order) = result.order {
-                // The reinsertion search's running sum is naive; publish the
-                // canonical evaluation instead.
                 delta.set_base(Deployment::new(order));
-                debug_assert!(
-                    (result.area - delta.base_area()).abs()
-                        <= 1e-6 * delta.base_area().abs().max(1.0),
-                    "naive reinsertion sum drifted from the canonical area"
-                );
                 // Polish: a bounded-radius shift descent. The reinsertion
                 // explores *subset* neighbourhoods; this cheap pass catches
                 // the orthogonal "one index sits a few slots off" moves.

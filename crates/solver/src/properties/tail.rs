@@ -17,11 +17,13 @@
 //! Cost: a call first counts the feasible tails, without building them, up
 //! to `budget + 1`; past the budget it gives up. It then scores one tail set
 //! at a time and stops at the first champion whose last index differs from
-//! the first set's. Only a call that pins scores every feasible tail, at
-//! `len` full runtime scans per tail.
+//! the first set's. Each scored set pushes every other index onto one
+//! [`PrefixState`] (`O(Σ plans using an index)`), and each of its orderings
+//! then costs `len` pushes and pops on top. Only a call that pins scores
+//! every feasible tail.
 
 use crate::constraints::OrderConstraints;
-use idd_core::{IndexId, ObjectiveEvaluator, ProblemInstance};
+use idd_core::{IndexId, ObjectiveEvaluator, PrefixState, ProblemInstance};
 
 /// The feasible tails of `len` indexes under a constraint set. A tail is
 /// walked backwards from the last position as a suffix (`suffix[0]` is the
@@ -109,23 +111,15 @@ impl Tails {
 }
 
 /// Objective contribution of a tail sequence given that every other index is
-/// already built.
-fn tail_objective(
-    instance: &ProblemInstance,
-    evaluator: &ObjectiveEvaluator<'_>,
-    tail: &[IndexId],
-) -> f64 {
-    let n = instance.num_indexes();
-    let mut built = vec![true; n];
-    for &t in tail {
-        built[t.raw()] = false;
-    }
+/// already built: `state` holds exactly the other indexes, and is left so.
+fn tail_objective(state: &mut PrefixState<'_>, tail: &[IndexId]) -> f64 {
     let mut area = 0.0;
     for &t in tail {
-        let runtime = evaluator.runtime_with(&built);
-        let cost = instance.effective_build_cost(t, &built);
-        area += runtime * cost;
-        built[t.raw()] = true;
+        area += state.runtime() * state.build_cost(t);
+        state.push(t);
+    }
+    for _ in tail {
+        state.pop();
     }
     area
 }
@@ -162,6 +156,10 @@ pub fn analyze(
         }
         let mut members = suffix.to_vec();
         members.sort_unstable();
+        let mut state = evaluator.prefix_state();
+        for raw in (0..n).filter(|raw| members.binary_search(raw).is_err()) {
+            state.push(IndexId::new(raw));
+        }
         let mut champion: Option<(f64, usize)> = None;
         tails.walk(&members, |ordering| {
             let tail: Vec<IndexId> = ordering
@@ -169,7 +167,7 @@ pub fn analyze(
                 .rev()
                 .map(|&raw| IndexId::new(raw))
                 .collect();
-            let objective = tail_objective(instance, &evaluator, &tail);
+            let objective = tail_objective(&mut state, &tail);
             match champion {
                 Some((best, _)) if best <= objective => {}
                 _ => champion = Some((objective, ordering[0])),
@@ -284,8 +282,10 @@ mod tests {
         b.add_build_interaction(i0, i1, 6.0);
         let inst = b.build().unwrap();
         let evaluator = ObjectiveEvaluator::new(&inst);
+        let mut state = evaluator.prefix_state();
+        state.push(i1);
         // Tail [i0] (everything else built): i0 costs 10-6=4, runtime is 25.
-        let obj = tail_objective(&inst, &evaluator, &[i0]);
+        let obj = tail_objective(&mut state, &[i0]);
         assert!((obj - (50.0 - 25.0) * 4.0).abs() < 1e-9);
     }
 

@@ -18,7 +18,7 @@
 //! pin, a budget overflow, an already-pinned call and an objective tie
 //! between two orderings of one set.
 
-use idd_core::{IndexId, ObjectiveEvaluator, ProblemInstance};
+use idd_core::{ExactSum, IndexId, PlanId, ProblemInstance};
 use idd_solver::properties::{analyze, tail, AnalysisOptions};
 use idd_solver::OrderConstraints;
 use rand::prelude::*;
@@ -94,19 +94,37 @@ fn enumerate_tails(
     .then_some(result)
 }
 
+/// Workload runtime when exactly the indexes in `built` exist, by a scan of
+/// every plan: `R_∅` minus each query's best available speed-up, summed
+/// exactly and rounded once like the library's evaluators.
+fn runtime_with(instance: &ProblemInstance, built: &[bool]) -> f64 {
+    let mut best = vec![0.0_f64; instance.num_queries()];
+    for (p, plan) in instance.plans().iter().enumerate() {
+        if plan.available_in(built) {
+            let q = plan.query.raw();
+            let speedup = instance.plan_speedup(PlanId::new(p));
+            if speedup > best[q] {
+                best[q] = speedup;
+            }
+        }
+    }
+    let mut acc = ExactSum::new();
+    acc.add(instance.baseline_runtime());
+    for b in best {
+        acc.sub(b);
+    }
+    acc.value()
+}
+
 /// Area the tail adds when every other index is already built.
-fn tail_objective(
-    instance: &ProblemInstance,
-    evaluator: &ObjectiveEvaluator<'_>,
-    tail: &[IndexId],
-) -> f64 {
+fn tail_objective(instance: &ProblemInstance, tail: &[IndexId]) -> f64 {
     let mut built = vec![true; instance.num_indexes()];
     for &t in tail {
         built[t.raw()] = false;
     }
     let mut area = 0.0;
     for &t in tail {
-        area += evaluator.runtime_with(&built) * instance.effective_build_cost(t, &built);
+        area += runtime_with(instance, &built) * instance.effective_build_cost(t, &built);
         built[t.raw()] = true;
     }
     area
@@ -139,12 +157,11 @@ fn reference(
             return (0, seen);
         }
     };
-    let evaluator = ObjectiveEvaluator::new(instance);
     let mut champions: HashMap<Vec<usize>, (f64, Vec<IndexId>)> = HashMap::new();
     for tail in tails {
         let mut key: Vec<usize> = tail.iter().map(|i| i.raw()).collect();
         key.sort_unstable();
-        let objective = tail_objective(instance, &evaluator, &tail);
+        let objective = tail_objective(instance, &tail);
         match champions.get(&key) {
             Some((best, _)) if *best <= objective => seen.tie |= *best == objective,
             _ => {
