@@ -20,9 +20,9 @@
 //!   [`ObjectiveStepper`] executes the same steps one build at a time.
 //! * [`PrefixState`] — a prefix that grows by one index and shrinks by
 //!   undoing the latest push, each in `O(plans using the index + helpers)`:
-//!   the state under every search (CP and the reinsertion of LNS/VNS, A*,
-//!   MIP, the DP merge, the lower bound and the tail step). Its runtime and
-//!   area read the same bits as [`ObjectiveEvaluator::evaluate`].
+//!   the state under every search (the greedy, CP and the reinsertion of
+//!   LNS/VNS, A*, MIP, the DP merge, the lower bound and the tail step). Its
+//!   runtime and area read the same bits as [`ObjectiveEvaluator::evaluate`].
 //! * [`DeltaEvaluator`] — the local-search hot path: scores a move that
 //!   rewrites the span `[a, b)` of a *base* order in `O(b - a)` — `O(1)` for
 //!   an adjacent swap — over the [`SoaView`] layout,
@@ -49,7 +49,7 @@ use crate::accsum::ExactSum;
 use crate::instance::ProblemInstance;
 use crate::matrix::SoaView;
 use crate::solution::Deployment;
-use crate::types::{IndexId, QueryId};
+use crate::types::{IndexId, PlanId, QueryId};
 use serde::{Deserialize, Serialize};
 
 /// Per-step metrics of a deployment, used for reports and Figure 13.
@@ -321,21 +321,6 @@ impl<'a> ObjectiveEvaluator<'a> {
             raised: Vec::new(),
         }
     }
-
-    /// The speed-up a single query currently enjoys given `built`.
-    pub fn query_speedup_with(&self, query: QueryId, built: &[bool]) -> f64 {
-        let mut best = 0.0_f64;
-        for &pid in self.instance.plans_of_query(query) {
-            let plan = self.instance.plan(pid);
-            if plan.available_in(built) {
-                let s = self.plan_speedup[pid.raw()];
-                if s > best {
-                    best = s;
-                }
-            }
-        }
-        best
-    }
 }
 
 /// A re-entrant stepper over the evaluation state, for consumers that
@@ -565,6 +550,17 @@ impl PrefixState<'_> {
     /// `true` when `index` is in the prefix.
     pub fn is_built(&self, index: IndexId) -> bool {
         self.state.built[index.raw()]
+    }
+
+    /// The best speed-up `query` gets from a plan the prefix completes
+    /// (`0.0` when none).
+    pub fn best_speedup(&self, query: QueryId) -> f64 {
+        self.state.best_speedup[query.raw()]
+    }
+
+    /// How many of `plan`'s indexes are not in the prefix yet.
+    pub fn missing(&self, plan: PlanId) -> usize {
+        self.state.missing[plan.raw()] as usize
     }
 
     /// `true` when every index of the instance is in the prefix.
@@ -1206,23 +1202,29 @@ mod tests {
     }
 
     #[test]
-    fn runtime_with_reports_best_available_plan() {
+    fn prefix_runtime_follows_the_best_available_plan() {
         let inst = competing_example();
         let eval = ObjectiveEvaluator::new(&inst);
+        let q = QueryId::new(0);
+        let (p_city, p_cov) = (PlanId::new(0), PlanId::new(1));
         let mut state = eval.prefix_state();
         assert_eq!(state.runtime(), 30.0);
+        assert_eq!((state.missing(p_city), state.missing(p_cov)), (1, 1));
         state.push(IndexId::new(0));
         assert_eq!(state.runtime(), 25.0);
+        assert_eq!(state.best_speedup(q), 5.0);
         state.push(IndexId::new(1));
         assert_eq!(state.runtime(), 10.0);
+        assert_eq!(state.best_speedup(q), 20.0);
+        assert_eq!((state.missing(p_city), state.missing(p_cov)), (0, 0));
         state.pop();
+        assert_eq!(state.best_speedup(q), 5.0);
+        assert_eq!((state.missing(p_city), state.missing(p_cov)), (0, 1));
         state.pop();
+        assert_eq!(state.best_speedup(q), 0.0);
         state.push(IndexId::new(1));
         assert_eq!(state.runtime(), 10.0);
-        assert_eq!(
-            eval.query_speedup_with(QueryId::new(0), &[true, false]),
-            5.0
-        );
+        assert_eq!(state.best_speedup(q), 20.0);
     }
 
     /// Three indexes, two queries, a two-index plan and a build interaction.

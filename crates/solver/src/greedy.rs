@@ -7,12 +7,41 @@
 //! the indexes already chosen. The interaction credit is what distinguishes
 //! this greedy from a naive benefit/cost ranking: it values indexes that
 //! unlock future multi-index plans.
+//!
+//! # Cost of a step
+//!
+//! The order grows on one [`PrefixState`], and every unbuilt index keeps a
+//! cached density. A density reads only the best speed-ups of the queries
+//! the index has a plan for, the missing counts of those plans and the
+//! index's effective build cost. So once the chosen index is pushed, only
+//! the indexes in a plan of a query it serves and the targets it helps build
+//! are re-scored, each in `O(plans using the index + its helpers)`. A step
+//! costs an `O(n)` scan for the densest placeable index plus those
+//! re-scores; scoring every query for every candidate, as Algorithm 1
+//! reads, costs `O(n · Σ_p |p|)` a step. An index is placeable once its
+//! direct hard predecessors are built. Counting them suffices, because the
+//! built set stays closed under predecessors.
+//!
+//! # The same bits as scoring every query from scratch
+//!
+//! Algorithm 1 read literally re-derives every query's runtime with and
+//! without each candidate. A cached density adds the same terms in the same
+//! order. For each query with a plan that uses the candidate, in ascending
+//! query order, it adds `previous − next`, then the credits of the query's
+//! plans that use the candidate, in plan order. Any other query adds
+//! `x − x = +0.0`, which leaves the sum unchanged: every term is finite and
+//! non-negative, so the sum is never `−0.0`. The best speed-up with the
+//! candidate is the state's best raised by the candidate's plans that miss
+//! only it, and a maximum is exact. The scan keeps the first index of the
+//! highest density in raw-id order, as the literal reading does.
+//! `crates/idd/tests/greedy_differential.rs` compares the two.
 
 use crate::budget::SearchBudget;
-use crate::constraints::OrderConstraints;
 use crate::result::SolveResult;
 use crate::solver::{SolveContext, Solver};
-use idd_core::{Deployment, IndexId, ObjectiveEvaluator, ProblemInstance};
+use idd_core::{
+    Deployment, IndexId, ObjectiveEvaluator, PlanId, PrefixState, ProblemInstance, QueryId,
+};
 use std::time::Instant;
 
 /// The greedy solver.
@@ -28,97 +57,155 @@ impl GreedySolver {
     /// Builds a deployment order for `instance`, honouring its hard
     /// precedence constraints.
     pub fn construct(&self, instance: &ProblemInstance) -> Deployment {
-        let n = instance.num_indexes();
-        let evaluator = ObjectiveEvaluator::new(instance);
-        let constraints = OrderConstraints::from_instance(instance);
-
-        let mut order: Vec<IndexId> = Vec::with_capacity(n);
-        let mut built = vec![false; n];
-
-        for _ in 0..n {
-            let mut best_index: Option<IndexId> = None;
-            let mut best_density = f64::NEG_INFINITY;
-
-            let current_runtime_by_query: Vec<f64> = instance
-                .query_ids()
-                .map(|q| instance.query_runtime(q) - evaluator.query_speedup_with(q, &built))
-                .collect();
-
-            for raw in 0..n {
-                if built[raw] {
-                    continue;
-                }
-                let candidate = IndexId::new(raw);
-                if !constraints.can_place(candidate, &built) {
-                    continue;
-                }
-
-                // Immediate benefit of adding the candidate.
-                let mut with_candidate = built.clone();
-                with_candidate[raw] = true;
-                let mut benefit = 0.0;
-                for q in instance.query_ids() {
-                    let previous = current_runtime_by_query[q.raw()];
-                    let next = instance.query_runtime(q)
-                        - evaluator.query_speedup_with(q, &with_candidate);
-                    benefit += previous - next;
-
-                    // Credit for plans the candidate participates in that
-                    // are still missing other indexes (`interaction / |p \ N|`
-                    // of Algorithm 1).
-                    for &pid in instance.plans_of_query(q) {
-                        let plan = instance.plan(pid);
-                        if !plan.uses(candidate) {
-                            continue;
-                        }
-                        let runtime_if_plan =
-                            instance.query_runtime(q) - instance.plan_speedup(pid);
-                        let interaction = next - runtime_if_plan;
-                        let missing = plan
-                            .indexes
-                            .iter()
-                            .filter(|i| !with_candidate[i.raw()])
-                            .count();
-                        if interaction > 0.0 && missing > 0 {
-                            benefit += interaction / missing as f64;
-                        }
-                    }
-                }
-
-                let cost = instance.effective_build_cost(candidate, &built).max(1e-12);
-                let density = benefit / cost;
-                if density > best_density {
-                    best_density = density;
-                    best_index = Some(candidate);
-                }
-            }
-
-            // All remaining candidates blocked or zero-benefit: fall back to
-            // any placeable index (ties broken by id for determinism).
-            let chosen = best_index.unwrap_or_else(|| {
-                (0..n)
-                    .map(IndexId::new)
-                    .find(|&i| !built[i.raw()] && constraints.can_place(i, &built))
-                    .expect("no placeable index left; precedence constraints are cyclic")
-            });
-            built[chosen.raw()] = true;
-            order.push(chosen);
-        }
-
-        Deployment::new(order)
+        construct(instance).0
     }
 
     /// Runs the greedy and wraps the result in a [`SolveResult`].
     pub fn solve(&self, instance: &ProblemInstance) -> SolveResult {
         let started = Instant::now();
-        let deployment = self.construct(instance);
-        let objective = ObjectiveEvaluator::new(instance).evaluate_area(&deployment);
+        let (deployment, objective) = construct(instance);
         SolveResult::heuristic(
             self.name(),
             deployment,
             objective,
             started.elapsed().as_secs_f64(),
         )
+    }
+}
+
+/// Algorithm 1 on one prefix state: the order and its area.
+fn construct(instance: &ProblemInstance) -> (Deployment, f64) {
+    let n = instance.num_indexes();
+    let scorer = Scorer::new(instance);
+    let evaluator = ObjectiveEvaluator::new(instance);
+    let mut state = evaluator.prefix_state();
+
+    // Unbuilt direct predecessors per index; an index is placeable at 0.
+    let mut waiting = vec![0usize; n];
+    let mut successors = vec![Vec::new(); n];
+    for pr in instance.precedences() {
+        waiting[pr.after.raw()] += 1;
+        successors[pr.before.raw()].push(pr.after);
+    }
+
+    let mut order = Vec::with_capacity(n);
+    // The unbuilt indexes, in raw-id order.
+    let mut unbuilt: Vec<IndexId> = instance.index_ids().collect();
+    let mut density = vec![0.0; n];
+    // The indexes whose density the latest push may have changed.
+    let mut stale = vec![true; n];
+    for _ in 0..n {
+        let mut chosen = None;
+        let mut best_density = f64::NEG_INFINITY;
+        for (position, &i) in unbuilt.iter().enumerate() {
+            if stale[i.raw()] {
+                stale[i.raw()] = false;
+                density[i.raw()] = scorer.density(&state, i);
+            }
+            if waiting[i.raw()] == 0 && density[i.raw()] > best_density {
+                best_density = density[i.raw()];
+                chosen = Some(position);
+            }
+        }
+        let position = chosen.expect("no placeable index left; precedence constraints are cyclic");
+        let chosen = unbuilt.remove(position);
+        state.push(chosen);
+        order.push(chosen);
+        for after in &successors[chosen.raw()] {
+            waiting[after.raw()] -= 1;
+        }
+        for (q, _) in scorer.by_query(chosen) {
+            for &pid in instance.plans_of_query(q) {
+                for i in &instance.plan(pid).indexes {
+                    stale[i.raw()] = true;
+                }
+            }
+        }
+        for (target, _) in instance.helps(chosen) {
+            stale[target.raw()] = true;
+        }
+    }
+    let area = state.area();
+    (Deployment::new(order), area)
+}
+
+/// What a density reads, laid out per index.
+struct Scorer<'a> {
+    instance: &'a ProblemInstance,
+    /// The plans that use each index, by ascending query, in plan order
+    /// within a query.
+    plans: Vec<Vec<PlanId>>,
+    /// Per query, the best speed-up of its plans that need no index
+    /// (`0.0` when it has none). Such a plan is available from the start,
+    /// though no prefix state ever completes it.
+    free: Vec<f64>,
+}
+
+impl<'a> Scorer<'a> {
+    fn new(instance: &'a ProblemInstance) -> Self {
+        let plans = instance
+            .index_ids()
+            .map(|i| {
+                let mut plans = instance.plans_using_index(i).to_vec();
+                plans.sort_by_key(|&p| instance.plan(p).query);
+                plans
+            })
+            .collect();
+        let mut free = vec![0.0; instance.num_queries()];
+        for plan in instance.plans().iter().filter(|p| p.indexes.is_empty()) {
+            let s = instance.plan_speedup(plan.id);
+            if s > free[plan.query.raw()] {
+                free[plan.query.raw()] = s;
+            }
+        }
+        Self {
+            instance,
+            plans,
+            free,
+        }
+    }
+
+    /// The queries `index` has a plan for, ascending, each with those plans.
+    fn by_query(&self, index: IndexId) -> impl Iterator<Item = (QueryId, &[PlanId])> + '_ {
+        let query = |p: PlanId| self.instance.plan(p).query;
+        self.plans[index.raw()]
+            .chunk_by(move |&a, &b| query(a) == query(b))
+            .map(move |plans| (query(plans[0]), plans))
+    }
+
+    /// The density of adding `index` to `state`, which must not hold it.
+    fn density(&self, state: &PrefixState<'_>, index: IndexId) -> f64 {
+        let instance = self.instance;
+        let mut benefit = 0.0;
+        for (q, plans) in self.by_query(index) {
+            let runtime = instance.query_runtime(q);
+            let mut best = state.best_speedup(q);
+            if self.free[q.raw()] > best {
+                best = self.free[q.raw()];
+            }
+            let previous = runtime - best;
+            for &pid in plans {
+                let s = instance.plan_speedup(pid);
+                if state.missing(pid) == 1 && s > best {
+                    best = s;
+                }
+            }
+            // Immediate benefit of adding the candidate.
+            let next = runtime - best;
+            benefit += previous - next;
+
+            // Credit for plans the candidate participates in that are still
+            // missing other indexes (`interaction / |p \ N|` of Algorithm 1).
+            for &pid in plans {
+                let runtime_if_plan = runtime - instance.plan_speedup(pid);
+                let interaction = next - runtime_if_plan;
+                let missing = state.missing(pid) - 1;
+                if interaction > 0.0 && missing > 0 {
+                    benefit += interaction / missing as f64;
+                }
+            }
+        }
+        benefit / state.build_cost(index).max(1e-12)
     }
 }
 
