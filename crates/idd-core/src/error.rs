@@ -30,6 +30,9 @@ pub enum CoreError {
     UnknownIndex(IndexId),
     /// A reference to a plan id that does not exist.
     UnknownPlan(PlanId),
+    /// A plan needs no index. The unindexed runtime is the query's own
+    /// `original_runtime`, so a stored plan must name at least one index.
+    EmptyPlan(PlanId),
     /// A plan contains the same index more than once.
     DuplicateIndexInPlan {
         /// The offending plan.
@@ -107,6 +110,7 @@ impl fmt::Display for CoreError {
             CoreError::UnknownQuery(q) => write!(f, "unknown query {q}"),
             CoreError::UnknownIndex(i) => write!(f, "unknown index {i}"),
             CoreError::UnknownPlan(p) => write!(f, "unknown plan {p}"),
+            CoreError::EmptyPlan(p) => write!(f, "plan {p} needs no index"),
             CoreError::DuplicateIndexInPlan { plan, index } => {
                 write!(f, "plan {plan} contains index {index} more than once")
             }

@@ -24,7 +24,8 @@ pub struct IndexMeta {
     /// Included (covering) columns, if any.
     pub include_columns: Vec<String>,
     /// Whether this is the clustered index of its table (or of a materialized
-    /// view). Clustered indexes typically precede their secondaries.
+    /// view). Informational: a clustered index that must precede its
+    /// secondaries enters the model only as a [`crate::Precedence`].
     pub clustered: bool,
     /// Estimated on-disk size in pages. Purely informational.
     pub size_pages: f64,

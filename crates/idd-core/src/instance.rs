@@ -414,6 +414,9 @@ impl InstanceBuilder {
                 return Err(CoreError::UnknownQuery(plan.query));
             }
             check_value(plan.speedup, || format!("speed-up of {}", plan.id))?;
+            if plan.indexes.is_empty() {
+                return Err(CoreError::EmptyPlan(plan.id));
+            }
             let qtime = self.queries[plan.query.raw()].original_runtime;
             if plan.speedup > qtime + 1e-9 {
                 return Err(CoreError::SpeedupExceedsRuntime {

@@ -61,7 +61,7 @@ pub use interaction::{BuildInteraction, Precedence};
 pub use journal::{
     CompleteRecord, DispatchRecord, EventRecord, FailRecord, JournalRecord, ReplanDecision,
 };
-pub use matrix::{MatrixFile, SoaView};
+pub use matrix::MatrixFile;
 pub use objective::{
     DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, PrefixState, StepMetrics,
     SuffixReplayEvaluator,

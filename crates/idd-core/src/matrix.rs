@@ -6,11 +6,12 @@
 //! JSON envelope around a [`ProblemInstance`], plus a human-readable summary
 //! writer used by the experiment harness.
 //!
-//! [`SoaView`] is the same data flattened into a struct-of-arrays (CSR)
-//! layout for the local-search inner loop: every adjacency the delta
-//! evaluator walks (index → plans, plan → members, query → plans, target →
-//! helpers) is a contiguous `u32`/`f64` slice, so a move evaluation touches
-//! a handful of cache lines instead of chasing `Vec<Vec<…>>` pointers.
+//! The crate-private `SoaView` is the same data flattened into a
+//! struct-of-arrays (CSR) layout for the local-search inner loop: every
+//! adjacency the delta evaluator walks (index → plans, plan → members, query
+//! → plans, target → helpers) is a contiguous `u32`/`f64` slice, so a move
+//! evaluation touches a handful of cache lines instead of chasing
+//! `Vec<Vec<…>>` pointers.
 
 use crate::error::{CoreError, Result};
 use crate::instance::ProblemInstance;
@@ -104,8 +105,7 @@ impl MatrixFile {
 /// The view borrows nothing: it is a self-contained snapshot, cheap to
 /// build once per search and immutable afterwards.
 #[derive(Debug, Clone)]
-pub struct SoaView {
-    num_indexes: usize,
+pub(crate) struct SoaView {
     num_queries: usize,
     // index → plans using it
     plans_by_index_off: Vec<u32>,
@@ -119,19 +119,17 @@ pub struct SoaView {
     // per-plan scalars
     plan_speedup: Vec<f64>,
     plan_query: Vec<u32>,
-    plan_width: Vec<u32>,
     // target index → (helper index, build-cost saving)
     helpers_off: Vec<u32>,
     helper_ids: Vec<u32>,
     helper_savings: Vec<f64>,
     // per-index scalars
     creation_cost: Vec<f64>,
-    baseline_runtime: f64,
 }
 
 impl SoaView {
     /// Flattens `instance` into the SoA layout.
-    pub fn new(instance: &ProblemInstance) -> Self {
+    pub(crate) fn new(instance: &ProblemInstance) -> Self {
         let n = instance.num_indexes();
         let nq = instance.num_queries();
         let np = instance.num_plans();
@@ -178,7 +176,6 @@ impl SoaView {
         let mut plan_members = Vec::new();
         let mut plan_speedup = Vec::with_capacity(np);
         let mut plan_query = Vec::with_capacity(np);
-        let mut plan_width = Vec::with_capacity(np);
         plan_members_off.push(0);
         for p in 0..np {
             let pid = PlanId::new(p);
@@ -187,11 +184,9 @@ impl SoaView {
             plan_members_off.push(plan_members.len() as u32);
             plan_speedup.push(instance.plan_speedup(pid));
             plan_query.push(plan.query.raw() as u32);
-            plan_width.push(plan.indexes.len() as u32);
         }
 
         Self {
-            num_indexes: n,
             num_queries: nq,
             plans_by_index_off,
             plans_by_index,
@@ -201,75 +196,61 @@ impl SoaView {
             plan_members,
             plan_speedup,
             plan_query,
-            plan_width,
             helpers_off,
             helper_ids,
             helper_savings,
             creation_cost,
-            baseline_runtime: instance.baseline_runtime(),
         }
-    }
-
-    /// Number of indexes.
-    #[inline]
-    pub fn num_indexes(&self) -> usize {
-        self.num_indexes
     }
 
     /// Number of queries.
     #[inline]
-    pub fn num_queries(&self) -> usize {
+    pub(crate) fn num_queries(&self) -> usize {
         self.num_queries
     }
 
     /// Number of plans.
     #[inline]
-    pub fn num_plans(&self) -> usize {
+    pub(crate) fn num_plans(&self) -> usize {
         self.plan_speedup.len()
     }
 
     /// Plans containing index `i`.
     #[inline]
-    pub fn plans_using(&self, i: usize) -> &[u32] {
+    pub(crate) fn plans_using(&self, i: usize) -> &[u32] {
         &self.plans_by_index
             [self.plans_by_index_off[i] as usize..self.plans_by_index_off[i + 1] as usize]
     }
 
     /// Plans of query `q`.
     #[inline]
-    pub fn plans_of_query(&self, q: usize) -> &[u32] {
+    pub(crate) fn plans_of_query(&self, q: usize) -> &[u32] {
         &self.plans_by_query
             [self.plans_by_query_off[q] as usize..self.plans_by_query_off[q + 1] as usize]
     }
 
     /// Member indexes of plan `p`.
     #[inline]
-    pub fn members(&self, p: usize) -> &[u32] {
+    pub(crate) fn members(&self, p: usize) -> &[u32] {
         &self.plan_members[self.plan_members_off[p] as usize..self.plan_members_off[p + 1] as usize]
     }
 
     /// Weighted speed-up of plan `p` (plan speed-up × query weight).
     #[inline]
-    pub fn speedup(&self, p: usize) -> f64 {
+    pub(crate) fn speedup(&self, p: usize) -> f64 {
         self.plan_speedup[p]
     }
 
     /// Query of plan `p`.
     #[inline]
-    pub fn query_of(&self, p: usize) -> usize {
+    pub(crate) fn query_of(&self, p: usize) -> usize {
         self.plan_query[p] as usize
-    }
-
-    /// Number of member indexes of plan `p`.
-    #[inline]
-    pub fn width(&self, p: usize) -> u32 {
-        self.plan_width[p]
     }
 
     /// Build-interaction helpers of target index `i`: parallel slices of
     /// helper ids and build-cost savings.
     #[inline]
-    pub fn helpers(&self, i: usize) -> (&[u32], &[f64]) {
+    pub(crate) fn helpers(&self, i: usize) -> (&[u32], &[f64]) {
         let lo = self.helpers_off[i] as usize;
         let hi = self.helpers_off[i + 1] as usize;
         (&self.helper_ids[lo..hi], &self.helper_savings[lo..hi])
@@ -277,14 +258,8 @@ impl SoaView {
 
     /// Base creation cost of index `i`.
     #[inline]
-    pub fn creation_cost(&self, i: usize) -> f64 {
+    pub(crate) fn creation_cost(&self, i: usize) -> f64 {
         self.creation_cost[i]
-    }
-
-    /// Weighted baseline workload runtime.
-    #[inline]
-    pub fn baseline_runtime(&self) -> f64 {
-        self.baseline_runtime
     }
 }
 
@@ -379,13 +354,8 @@ mod tests {
     fn soa_view_mirrors_instance_adjacency() {
         let inst = instance();
         let soa = SoaView::new(&inst);
-        assert_eq!(soa.num_indexes(), inst.num_indexes());
         assert_eq!(soa.num_queries(), inst.num_queries());
         assert_eq!(soa.num_plans(), inst.num_plans());
-        assert_eq!(
-            soa.baseline_runtime().to_bits(),
-            inst.baseline_runtime().to_bits()
-        );
         for i in 0..inst.num_indexes() {
             let id = IndexId::new(i);
             let expect: Vec<u32> = inst
@@ -423,7 +393,6 @@ mod tests {
             let plan = inst.plan(pid);
             let expect: Vec<u32> = plan.indexes.iter().map(|i| i.raw() as u32).collect();
             assert_eq!(soa.members(p), expect.as_slice());
-            assert_eq!(soa.width(p) as usize, plan.indexes.len());
             assert_eq!(soa.query_of(p), plan.query.raw());
             assert_eq!(soa.speedup(p).to_bits(), inst.plan_speedup(pid).to_bits());
         }

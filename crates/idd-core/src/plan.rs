@@ -8,7 +8,8 @@ use serde::{Deserialize, Serialize};
 /// [`QueryPlan::speedup`] seconds compared to its original runtime.
 ///
 /// The empty plan (original runtime, zero speed-up) is implicit and never
-/// stored. A query may have many plans; the optimizer always uses the fastest
+/// stored: [`crate::InstanceBuilder::build`] rejects a plan with no index.
+/// A query may have many plans; the optimizer always uses the fastest
 /// *available* one, which creates the paper's *competing interactions*.
 /// Plans with two or more indexes encode *query interactions*.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

@@ -10,7 +10,7 @@ pub use crate::evolution::{
 pub use crate::index::IndexMeta;
 pub use crate::instance::{InstanceBuilder, ProblemInstance};
 pub use crate::interaction::{BuildInteraction, Precedence};
-pub use crate::matrix::{MatrixFile, SoaView};
+pub use crate::matrix::MatrixFile;
 pub use crate::objective::{
     DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, PrefixState, StepMetrics,
     SuffixReplayEvaluator,

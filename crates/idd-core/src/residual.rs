@@ -18,9 +18,9 @@
 //! The reduction is exact: for any suffix order, `prefix area + residual
 //! area == full area` (up to floating-point association), so optimizing the
 //! residual instance with any solver optimizes the real remaining decision.
-//! [`ResidualInstance`] carries the id mapping between the two worlds and
-//! the [`ResidualInstance::splice_around`] that reassembles a full
-//! deployment.
+//! [`ResidualInstance`] carries the id mapping between the two worlds; a
+//! full deployment is reassembled with [`Deployment::splice`] as
+//! `built ++ in-flight ++ lifted suffix`.
 
 use crate::error::{CoreError, Result};
 use crate::instance::ProblemInstance;
@@ -35,8 +35,8 @@ use crate::types::IndexId;
 /// reordered than the built prefix, yet their completions still discount
 /// query costs and future builds. [`ProblemInstance::residual_for_replan`]
 /// therefore conditions the residual on built ∪ in-flight and records the
-/// in-flight order here, so [`ResidualInstance::splice_around`] can
-/// reassemble `built ++ in-flight ++ replanned suffix` and callers can
+/// in-flight order here, so callers can reassemble
+/// `built ++ in-flight ++ replanned suffix` with [`Deployment::splice`] and
 /// assert no in-flight index leaked into the reordering.
 #[derive(Debug, Clone)]
 pub struct ResidualInstance {
@@ -99,26 +99,6 @@ impl ResidualInstance {
     pub fn in_flight(&self) -> &[IndexId] {
         &self.in_flight
     }
-
-    /// Splices a residual-order suffix behind the commitments, producing a
-    /// deployment order in parent ids: `built_prefix ++ in-flight ++ lifted
-    /// suffix`, both commitments taken verbatim, never reordered. With no
-    /// build in flight this is `built_prefix ++ lifted suffix`.
-    ///
-    /// This is the canonical *completed-then-in-flight* normal form, for
-    /// callers that track the two commitments separately. A concurrent
-    /// scheduler whose completions interleave with dispatches should splice
-    /// onto its own dispatch-order committed sequence instead
-    /// ([`Deployment::splice`]) — the two agree exactly when every
-    /// completed build was dispatched before every in-flight one.
-    pub fn splice_around(&self, built_prefix: &[IndexId], suffix: &Deployment) -> Deployment {
-        let mut order =
-            Vec::with_capacity(built_prefix.len() + self.in_flight.len() + suffix.len());
-        order.extend_from_slice(built_prefix);
-        order.extend_from_slice(&self.in_flight);
-        order.extend(self.lift_order(suffix.order()));
-        Deployment::new(order)
-    }
 }
 
 impl ProblemInstance {
@@ -131,8 +111,7 @@ impl ProblemInstance {
     /// the built prefix — their completions *will* discount query costs and
     /// future builds — but, like the prefix, they are excluded from the
     /// reordering decision: they appear in no residual id and the replanned
-    /// suffix is spliced *behind* them
-    /// ([`ResidualInstance::splice_around`]).
+    /// suffix is spliced *behind* them ([`Deployment::splice`]).
     ///
     /// Indexes marked `excluded` (and not built) are dropped from the target
     /// set entirely — they appear in no residual plan, help no residual
@@ -325,6 +304,14 @@ mod tests {
         bm
     }
 
+    /// `built ++ in-flight ++ lifted suffix` in parent ids, spliced as a
+    /// replan does.
+    fn spliced(residual: &ResidualInstance, built: &[IndexId], suffix: &Deployment) -> Deployment {
+        let mut committed = built.to_vec();
+        committed.extend_from_slice(residual.in_flight());
+        Deployment::splice(&committed, &residual.lift_order(suffix.order()))
+    }
+
     #[test]
     fn residual_area_is_additive_with_the_prefix() {
         let inst = parent();
@@ -344,7 +331,7 @@ mod tests {
         for suffix_raw in [[0usize, 1], [1, 0]] {
             let suffix = Deployment::from_raw(suffix_raw);
             let res_area = res_eval.evaluate_area(&suffix);
-            let full = residual.splice_around(&prefix, &suffix);
+            let full = spliced(&residual, &prefix, &suffix);
             let full_area = eval.evaluate_area(&full);
             assert!(
                 (prefix_area + res_area - full_area).abs() < 1e-9,
@@ -472,9 +459,9 @@ mod tests {
         // The i2→i3 precedence is discharged by the in-flight commitment.
         assert!(a.precedences().is_empty());
 
-        // splice_around keeps both commitments verbatim, in order.
+        // Splicing keeps both commitments verbatim, in order.
         let suffix = Deployment::from_raw([1, 0]);
-        let full = residual.splice_around(&[IndexId::new(0)], &suffix);
+        let full = spliced(&residual, &[IndexId::new(0)], &suffix);
         assert!(full.starts_with(&[IndexId::new(0), IndexId::new(2)]));
         assert_eq!(full.len(), 4);
 
@@ -490,7 +477,7 @@ mod tests {
         let res_eval = ObjectiveEvaluator::new(residual.instance());
         for raw in [[0usize, 1], [1, 0]] {
             let s = Deployment::from_raw(raw);
-            let full_area = eval.evaluate_area(&residual.splice_around(&[IndexId::new(0)], &s));
+            let full_area = eval.evaluate_area(&spliced(&residual, &[IndexId::new(0)], &s));
             assert!((prefix_area + res_eval.evaluate_area(&s) - full_area).abs() < 1e-9);
         }
     }
@@ -505,10 +492,9 @@ mod tests {
         let residual = inst.residual_for_replan(&built, &[], &[false; 4]).unwrap();
         assert!(residual.in_flight().is_empty());
         let suffix = Deployment::from_raw([2, 0, 1]);
-        let lifted = residual.lift_order(suffix.order());
         assert_eq!(
-            residual.splice_around(&[IndexId::new(0)], &suffix),
-            Deployment::splice(&[IndexId::new(0)], &lifted)
+            spliced(&residual, &[IndexId::new(0)], &suffix),
+            Deployment::from_raw([0, 3, 1, 2])
         );
     }
 

@@ -92,12 +92,6 @@ impl Deployment {
         self.order.insert(to, idx);
     }
 
-    /// Overwrites positions `at .. at + span.len()` with `span` (a local
-    /// reordering, e.g. an LNS repair of a destroyed window).
-    pub fn replace_span(&mut self, at: usize, span: &[IndexId]) {
-        self.order[at..at + span.len()].copy_from_slice(span);
-    }
-
     /// Concatenates a frozen prefix and a suffix into one order (mid-flight
     /// replanning: the built prefix is taken verbatim, never reordered).
     pub fn splice(prefix: &[IndexId], suffix: &[IndexId]) -> Self {

@@ -20,8 +20,8 @@
 
 use idd_core::{
     BuildFailure, CompleteRecord, DesignRevision, DispatchRecord, EventKind, EventRecord,
-    EvolutionEvent, EvolutionScenario, FailRecord, IndexAddition, IndexId, JournalRecord, QueryId,
-    ReplanDecision, WorkloadDrift,
+    EvolutionEvent, EvolutionScenario, FailRecord, IndexAddition, IndexId, InstanceBuilder,
+    JournalRecord, ProblemInstance, QueryId, ReplanDecision, WorkloadDrift,
 };
 use proptest::prelude::*;
 use serde::{Deserialize, Value};
@@ -310,6 +310,22 @@ fn duplicate_fields_are_rejected_through_the_derive() {
     let parsed: BuildFailure = serde_json::from_str(clean).expect("clean object parses");
     assert_eq!(parsed.index, IndexId::new(1));
     assert_eq!(parsed.failures, 2);
+}
+
+/// An instance whose plan needs no index fails to parse, as it fails to
+/// build: the unindexed runtime is the query's own `original_runtime`.
+#[test]
+fn an_instance_with_an_empty_plan_fails_to_parse() {
+    let mut b = InstanceBuilder::new("empty-plan");
+    let i0 = b.add_index(2.0);
+    let q = b.add_query(10.0);
+    b.add_plan(q, vec![i0], 4.0);
+    let text = serde_json::to_string(&b.build().unwrap()).unwrap();
+    assert!(serde_json::from_str::<ProblemInstance>(&text).is_ok());
+    let empty = text.replacen(r#""indexes":[0]"#, r#""indexes":[]"#, 1);
+    assert_ne!(empty, text);
+    let err = serde_json::from_str::<ProblemInstance>(&empty).unwrap_err();
+    assert!(err.to_string().contains("needs no index"), "{err}");
 }
 
 /// Unknown tags, multi-key tagged objects, and non-object payloads error —

@@ -296,20 +296,28 @@ fn integer_instances_with_density_ties() {
     );
 }
 
-/// A plan that needs no index is available before anything is built, so
-/// the reference counts it from the first step: here it outweighs i0's only
-/// plan, and i1 goes first.
+/// A plan that needs no index would be available before anything is
+/// built, yet no push ever completes it, so the greedy, the evaluators and
+/// the residual derivation would disagree on it. The builder rejects it;
+/// the instance without it is accepted.
 #[test]
-fn a_plan_that_needs_no_index_counts_from_the_start() {
-    let mut b = InstanceBuilder::new("empty-plan");
-    let i0 = b.add_index(1.0);
-    let i1 = b.add_index(1.0);
-    let q0 = b.add_query(40.0);
-    b.add_plan(q0, Vec::new(), 12.0);
-    b.add_plan(q0, vec![i0], 10.0);
-    let q1 = b.add_query(20.0);
-    b.add_plan(q1, vec![i1], 6.0);
-    let instance = b.build().unwrap();
-    check("empty plan", &instance);
-    assert_eq!(GreedySolver::new().construct(&instance).order(), [i1, i0]);
+fn a_plan_that_needs_no_index_is_rejected() {
+    let build = |with_empty_plan: bool| {
+        let mut b = InstanceBuilder::new("empty-plan");
+        let i0 = b.add_index(1.0);
+        let i1 = b.add_index(1.0);
+        let q0 = b.add_query(40.0);
+        if with_empty_plan {
+            b.add_plan(q0, Vec::new(), 12.0);
+        }
+        b.add_plan(q0, vec![i0], 10.0);
+        let q1 = b.add_query(20.0);
+        b.add_plan(q1, vec![i1], 6.0);
+        b.build()
+    };
+    assert!(matches!(
+        build(true),
+        Err(CoreError::EmptyPlan(p)) if p == PlanId::new(0)
+    ));
+    check("without the empty plan", &build(false).unwrap());
 }

@@ -135,10 +135,6 @@ struct Scorer<'a> {
     /// The plans that use each index, by ascending query, in plan order
     /// within a query.
     plans: Vec<Vec<PlanId>>,
-    /// Per query, the best speed-up of its plans that need no index
-    /// (`0.0` when it has none). Such a plan is available from the start,
-    /// though no prefix state ever completes it.
-    free: Vec<f64>,
 }
 
 impl<'a> Scorer<'a> {
@@ -151,18 +147,7 @@ impl<'a> Scorer<'a> {
                 plans
             })
             .collect();
-        let mut free = vec![0.0; instance.num_queries()];
-        for plan in instance.plans().iter().filter(|p| p.indexes.is_empty()) {
-            let s = instance.plan_speedup(plan.id);
-            if s > free[plan.query.raw()] {
-                free[plan.query.raw()] = s;
-            }
-        }
-        Self {
-            instance,
-            plans,
-            free,
-        }
+        Self { instance, plans }
     }
 
     /// The queries `index` has a plan for, ascending, each with those plans.
@@ -180,9 +165,6 @@ impl<'a> Scorer<'a> {
         for (q, plans) in self.by_query(index) {
             let runtime = instance.query_runtime(q);
             let mut best = state.best_speedup(q);
-            if self.free[q.raw()] > best {
-                best = self.free[q.raw()];
-            }
             let previous = runtime - best;
             for &pid in plans {
                 let s = instance.plan_speedup(pid);

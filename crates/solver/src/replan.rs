@@ -291,10 +291,10 @@ impl Replanner {
     /// lifted back to parent ids. In-flight indexes never appear in the
     /// returned order — they are not residual indexes, so no strategy can
     /// schedule (or rebuild) them; callers splice the result behind their
-    /// frozen commitment (the deploy runtime appends it to its
-    /// dispatch-order committed sequence;
-    /// [`ResidualInstance::splice_around`] is the equivalent for callers
-    /// tracking the built prefix and in-flight set separately).
+    /// frozen commitment with [`idd_core::Deployment::splice`] (the deploy
+    /// runtime appends it to its dispatch-order committed sequence; a caller
+    /// tracking the built prefix and the in-flight set separately splices
+    /// onto `built ++ in-flight`).
     ///
     /// Returns `None` when `pending` is not a permutation of the residual
     /// indexes — plan maintenance went out of sync with the instance, which
@@ -483,10 +483,9 @@ mod tests {
             let warm_area = outcome.warm_start_objective.expect("projected cleanly");
             assert!(outcome.objective <= warm_area + 1e-12);
             // The spliced order extends the frozen commitment verbatim.
-            let spliced = residual.splice_around(
-                &[IndexId::new(0)],
-                &residual.project_order(&new_pending).unwrap(),
-            );
+            let mut committed = vec![IndexId::new(0)];
+            committed.extend_from_slice(residual.in_flight());
+            let spliced = Deployment::splice(&committed, &new_pending);
             assert!(spliced.starts_with(&[IndexId::new(0), IndexId::new(1), IndexId::new(4)]));
             assert!(spliced.is_valid_for(&parent));
         }

@@ -10,28 +10,17 @@
 
 use crate::catalog::Catalog;
 use crate::cost::model::CostModel;
-use crate::cost::params::CostParams;
+use crate::cost::params::{
+    to_seconds, CPU_INDEX_TUPLE_COST, CPU_TUPLE_COST, PAGE_WRITE_FACTOR, SEQ_PAGE_COST,
+};
 use crate::physical::CandidateIndex;
 
-/// Computes creation costs and build interactions for candidate indexes.
-#[derive(Debug, Clone, Default)]
-pub struct BuildCostModel {
-    model: CostModel,
-}
+/// Computes creation costs and build interactions for candidate indexes,
+/// priced with the substrate's fixed cost constants.
+#[derive(Debug, Clone, Copy)]
+pub struct BuildCostModel;
 
 impl BuildCostModel {
-    /// Creates a build-cost model with the given parameters.
-    pub fn new(params: CostParams) -> Self {
-        Self {
-            model: CostModel::new(params),
-        }
-    }
-
-    /// Cost parameters in use.
-    pub fn params(&self) -> &CostParams {
-        self.model.params()
-    }
-
     /// Cost (in cost units) of building `index` when the indexes in
     /// `existing` are already materialized.
     pub fn creation_cost_units(
@@ -40,7 +29,6 @@ impl BuildCostModel {
         index: &CandidateIndex,
         existing: &[&CandidateIndex],
     ) -> f64 {
-        let params = self.params();
         let table = match catalog.table(&index.table) {
             Some(t) => t,
             None => return 0.0,
@@ -49,7 +37,7 @@ impl BuildCostModel {
 
         // Source scan: the base table, or the cheapest existing index on the
         // same table that stores every column we need.
-        let table_scan = table.pages() * params.seq_page_cost + table.rows * params.cpu_tuple_cost;
+        let table_scan = table.pages() * SEQ_PAGE_COST + table.rows * CPU_TUPLE_COST;
         let mut best_scan = table_scan;
         let mut best_source: Option<&CandidateIndex> = None;
         for other in existing {
@@ -59,8 +47,8 @@ impl BuildCostModel {
             if !other.covers(&needed) {
                 continue;
             }
-            let scan = other.size_pages(catalog) * params.seq_page_cost
-                + table.rows * params.cpu_index_tuple_cost;
+            let scan =
+                other.size_pages(catalog) * SEQ_PAGE_COST + table.rows * CPU_INDEX_TUPLE_COST;
             if scan < best_scan {
                 best_scan = scan;
                 best_source = Some(other);
@@ -74,21 +62,20 @@ impl BuildCostModel {
             None => true,
         };
         let sort = if sort_needed {
-            self.model.sort_cost(table.rows, index.entry_width(catalog))
+            CostModel.sort_cost(table.rows, index.entry_width(catalog))
         } else {
             0.0
         };
 
         // Write out the new index pages.
-        let write = index.size_pages(catalog) * params.seq_page_cost * params.page_write_factor;
+        let write = index.size_pages(catalog) * SEQ_PAGE_COST * PAGE_WRITE_FACTOR;
 
         best_scan + sort + write
     }
 
     /// Base creation cost in seconds (`ctime(i)`): no helper available.
     pub fn base_creation_cost(&self, catalog: &Catalog, index: &CandidateIndex) -> f64 {
-        self.params()
-            .to_seconds(self.creation_cost_units(catalog, index, &[]))
+        to_seconds(self.creation_cost_units(catalog, index, &[]))
     }
 
     /// Creation cost in seconds when one helper index exists.
@@ -98,8 +85,7 @@ impl BuildCostModel {
         index: &CandidateIndex,
         helper: &CandidateIndex,
     ) -> f64 {
-        self.params()
-            .to_seconds(self.creation_cost_units(catalog, index, &[helper]))
+        to_seconds(self.creation_cost_units(catalog, index, &[helper]))
     }
 
     /// `cspdup(index, helper)`: seconds saved off the base creation cost when
@@ -173,7 +159,7 @@ mod tests {
     #[test]
     fn wider_index_costs_more_to_build() {
         let cat = catalog();
-        let model = BuildCostModel::default();
+        let model = BuildCostModel;
         let narrow = CandidateIndex::new("PEOPLE", vec!["LANG".into()]);
         let wide =
             CandidateIndex::new("PEOPLE", vec!["LANG".into(), "AGE".into(), "REGION".into()]);
@@ -184,7 +170,7 @@ mod tests {
     fn paper_example_wide_index_helps_narrow_one() {
         // i1(LANG, REGION) should build faster after i2(LANG, AGE, REGION).
         let cat = catalog();
-        let model = BuildCostModel::default();
+        let model = BuildCostModel;
         let i1 = CandidateIndex::new("PEOPLE", vec!["LANG".into(), "REGION".into()]);
         let i2 = CandidateIndex::new("PEOPLE", vec!["LANG".into(), "AGE".into(), "REGION".into()]);
         let saving = model.build_speedup(&cat, &i1, &i2);
@@ -198,7 +184,7 @@ mod tests {
     #[test]
     fn prefix_helper_also_skips_the_sort() {
         let cat = catalog();
-        let model = BuildCostModel::default();
+        let model = BuildCostModel;
         // Helper with the same leading keys in the same order.
         let target = CandidateIndex::new("PEOPLE", vec!["LANG".into()]);
         let prefix_helper = CandidateIndex::new("PEOPLE", vec!["LANG".into(), "AGE".into()]);
@@ -215,7 +201,7 @@ mod tests {
     fn savings_can_reach_large_fractions() {
         // The paper observes build-cost reductions of up to ~80%.
         let cat = catalog();
-        let model = BuildCostModel::default();
+        let model = BuildCostModel;
         let target = CandidateIndex::new("PEOPLE", vec!["LANG".into()]);
         let helper = CandidateIndex::new("PEOPLE", vec!["LANG".into(), "AGE".into()]);
         let base = model.base_creation_cost(&cat, &target);
@@ -227,7 +213,7 @@ mod tests {
     #[test]
     fn unrelated_index_gives_no_saving() {
         let cat = catalog();
-        let model = BuildCostModel::default();
+        let model = BuildCostModel;
         let target = CandidateIndex::new("PEOPLE", vec!["LANG".into()]);
         let unrelated = CandidateIndex::new("PEOPLE", vec!["SALARY".into()]);
         assert_eq!(model.build_speedup(&cat, &target, &unrelated), 0.0);
@@ -236,7 +222,7 @@ mod tests {
     #[test]
     fn all_interactions_filters_by_ratio_and_table() {
         let cat = catalog();
-        let model = BuildCostModel::default();
+        let model = BuildCostModel;
         let candidates = vec![
             CandidateIndex::new("PEOPLE", vec!["LANG".into()]),
             CandidateIndex::new("PEOPLE", vec!["LANG".into(), "AGE".into()]),

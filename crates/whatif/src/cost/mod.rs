@@ -1,4 +1,4 @@
-//! The cost model: parameters, selectivity estimation and operator costs.
+//! The cost model: constants, selectivity estimation and operator costs.
 //!
 //! The model follows the shape of textbook / PostgreSQL-style costing:
 //! sequential and random page I/O, per-tuple CPU, B-tree descent, sort and
@@ -9,9 +9,8 @@
 //! narrow ones cheap to build.
 
 pub mod model;
-pub mod params;
+pub(crate) mod params;
 pub mod selectivity;
 
 pub use model::CostModel;
-pub use params::CostParams;
 pub use selectivity::{predicate_selectivity, table_selectivity};

@@ -1,7 +1,10 @@
 //! Operator-level cost formulas and per-table access-path selection.
 
 use crate::catalog::{Catalog, Table};
-use crate::cost::params::CostParams;
+use crate::cost::params::{
+    BTREE_DESCENT_PAGES, CPU_INDEX_TUPLE_COST, CPU_OPERATOR_COST, CPU_TUPLE_COST, HASH_BUILD_COST,
+    RANDOM_PAGE_COST, SEQ_PAGE_COST,
+};
 use crate::cost::selectivity::{selectivity_of_columns, table_selectivity};
 use crate::physical::{CandidateIndex, PhysicalConfig};
 use crate::query::QuerySpec;
@@ -18,26 +21,15 @@ pub struct AccessPath {
     pub output_rows: f64,
 }
 
-/// The cost model: turns catalog statistics and configurations into costs.
-#[derive(Debug, Clone, Default)]
-pub struct CostModel {
-    params: CostParams,
-}
+/// The cost model: turns catalog statistics and configurations into costs,
+/// priced with the substrate's fixed cost constants.
+#[derive(Debug, Clone, Copy)]
+pub struct CostModel;
 
 impl CostModel {
-    /// Creates a cost model with the given parameters.
-    pub fn new(params: CostParams) -> Self {
-        Self { params }
-    }
-
-    /// The parameters in use.
-    pub fn params(&self) -> &CostParams {
-        &self.params
-    }
-
     /// Cost of a full sequential scan of a table.
     pub fn seq_scan_cost(&self, table: &Table) -> f64 {
-        table.pages() * self.params.seq_page_cost + table.rows * self.params.cpu_tuple_cost
+        table.pages() * SEQ_PAGE_COST + table.rows * CPU_TUPLE_COST
     }
 
     /// Cost of sorting `rows` tuples of `width` bytes (`n log n` CPU plus a
@@ -49,17 +41,17 @@ impl CostModel {
         }
         let comparisons = rows * rows.log2().max(1.0);
         let pages = (rows * width_bytes / crate::catalog::PAGE_SIZE_BYTES).max(1.0);
-        comparisons * self.params.cpu_operator_cost + pages * self.params.seq_page_cost
+        comparisons * CPU_OPERATOR_COST + pages * SEQ_PAGE_COST
     }
 
     /// Cost of building a hash table over `rows` tuples.
     pub fn hash_build_cost(&self, rows: f64) -> f64 {
-        rows * (self.params.cpu_tuple_cost + self.params.hash_build_cost)
+        rows * (CPU_TUPLE_COST + HASH_BUILD_COST)
     }
 
     /// Cost of probing a hash table with `rows` tuples.
     pub fn hash_probe_cost(&self, rows: f64) -> f64 {
-        rows * self.params.cpu_operator_cost
+        rows * CPU_OPERATOR_COST
     }
 
     /// Cost of accessing `table` through `index` for a query, given whether
@@ -78,19 +70,18 @@ impl CostModel {
         residual_selectivity: f64,
         covering: bool,
     ) -> f64 {
-        let p = &self.params;
         let matched = table.rows * sargable_selectivity;
-        let descent = p.btree_descent_pages * p.random_page_cost;
+        let descent = BTREE_DESCENT_PAGES * RANDOM_PAGE_COST;
         let leaf_pages = index.size_pages(catalog) * sargable_selectivity;
-        let index_io = descent + leaf_pages * p.seq_page_cost;
-        let index_cpu = matched * p.cpu_index_tuple_cost;
+        let index_io = descent + leaf_pages * SEQ_PAGE_COST;
+        let index_cpu = matched * CPU_INDEX_TUPLE_COST;
         let heap = if covering {
             0.0
         } else {
             // Random fetches for matched rows, capped by a full scan.
-            (matched * p.random_page_cost).min(table.pages() * p.seq_page_cost)
+            (matched * RANDOM_PAGE_COST).min(table.pages() * SEQ_PAGE_COST)
         };
-        let residual_cpu = matched * p.cpu_operator_cost;
+        let residual_cpu = matched * CPU_OPERATOR_COST;
         let _ = residual_selectivity;
         index_io + index_cpu + heap + residual_cpu
     }
@@ -196,17 +187,17 @@ mod tests {
     #[test]
     fn seq_scan_scales_with_pages_and_rows() {
         let cat = catalog();
-        let model = CostModel::default();
+        let model = CostModel;
         let t = cat.table("PEOPLE").unwrap();
         let cost = model.seq_scan_cost(t);
         assert!(cost > t.pages());
-        assert!(cost > t.rows * model.params().cpu_tuple_cost);
+        assert!(cost > t.rows * CPU_TUPLE_COST);
     }
 
     #[test]
     fn selective_index_beats_seq_scan() {
         let cat = catalog();
-        let model = CostModel::default();
+        let model = CostModel;
         let q = salary_query();
         let mut config = PhysicalConfig::empty();
         config.add(CandidateIndex::new("PEOPLE", vec!["CITY".into()]));
@@ -219,7 +210,7 @@ mod tests {
     #[test]
     fn covering_index_beats_non_covering() {
         let cat = catalog();
-        let model = CostModel::default();
+        let model = CostModel;
         let q = salary_query();
         let narrow = {
             let mut c = PhysicalConfig::empty();
@@ -240,7 +231,7 @@ mod tests {
     #[test]
     fn irrelevant_index_is_ignored() {
         let cat = catalog();
-        let model = CostModel::default();
+        let model = CostModel;
         let q = salary_query();
         let mut config = PhysicalConfig::empty();
         config.add(CandidateIndex::new("PEOPLE", vec!["REPORTTO".into()]));
@@ -254,7 +245,7 @@ mod tests {
         // serves the query's predicate: the same columns in the other order
         // cannot.
         let cat = catalog();
-        let model = CostModel::default();
+        let model = CostModel;
         let q = salary_query();
         let path_with = |keys: [&str; 2]| {
             let mut config = PhysicalConfig::empty();
@@ -270,7 +261,7 @@ mod tests {
 
     #[test]
     fn sort_cost_grows_superlinearly() {
-        let model = CostModel::default();
+        let model = CostModel;
         let small = model.sort_cost(1_000.0, 16.0);
         let big = model.sort_cost(100_000.0, 16.0);
         assert!(big > 100.0 * small * 0.9);
@@ -280,7 +271,7 @@ mod tests {
     #[test]
     fn unknown_table_access_is_free_and_empty() {
         let cat = catalog();
-        let model = CostModel::default();
+        let model = CostModel;
         let q = salary_query();
         let path = model.best_access_path(&cat, &q, "MISSING", &PhysicalConfig::empty());
         assert_eq!(path.cost, 0.0);

@@ -1,58 +1,36 @@
-//! Tunable constants of the cost model.
+//! Constants of the cost model, in abstract "cost units" per page / tuple.
+//!
+//! They mirror the familiar PostgreSQL ratios (random I/O four times the
+//! cost of sequential I/O, CPU two orders of magnitude below I/O). Like the
+//! cost constants of the DBMS whose what-if interface the paper queries,
+//! they belong to the substrate, not to the advisor, so every extraction
+//! prices with the same values. [`to_seconds`] converts optimizer cost units
+//! to the wall-clock seconds used by the ordering model.
 
-use serde::{Deserialize, Serialize};
+/// Cost of reading one page sequentially.
+pub(crate) const SEQ_PAGE_COST: f64 = 1.0;
+/// Cost of reading one page at a random location.
+pub(crate) const RANDOM_PAGE_COST: f64 = 4.0;
+/// CPU cost of processing one heap tuple.
+pub(crate) const CPU_TUPLE_COST: f64 = 0.01;
+/// CPU cost of processing one index entry.
+pub(crate) const CPU_INDEX_TUPLE_COST: f64 = 0.005;
+/// CPU cost of one operator / comparison evaluation.
+pub(crate) const CPU_OPERATOR_COST: f64 = 0.0025;
+/// Extra CPU cost per tuple inserted into a hash table.
+pub(crate) const HASH_BUILD_COST: f64 = 0.02;
+/// Number of page reads charged for one B-tree descent (root→leaf).
+pub(crate) const BTREE_DESCENT_PAGES: f64 = 3.0;
+/// Cost units per second of wall-clock time: query runtimes and index build
+/// times handed to the ordering problem are `cost / COST_TO_SECONDS`.
+pub(crate) const COST_TO_SECONDS: f64 = 1000.0;
+/// Write amplification factor charged when materializing index pages during
+/// a build (writes are more expensive than reads).
+pub(crate) const PAGE_WRITE_FACTOR: f64 = 2.0;
 
-/// Cost-model constants, in abstract "cost units" per page / tuple.
-///
-/// Defaults mirror the familiar PostgreSQL ratios (random I/O four times the
-/// cost of sequential I/O, CPU two orders of magnitude below I/O).
-/// [`CostParams::cost_to_seconds`] converts optimizer cost units to the
-/// wall-clock seconds used by the ordering model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CostParams {
-    /// Cost of reading one page sequentially.
-    pub seq_page_cost: f64,
-    /// Cost of reading one page at a random location.
-    pub random_page_cost: f64,
-    /// CPU cost of processing one heap tuple.
-    pub cpu_tuple_cost: f64,
-    /// CPU cost of processing one index entry.
-    pub cpu_index_tuple_cost: f64,
-    /// CPU cost of one operator / comparison evaluation.
-    pub cpu_operator_cost: f64,
-    /// Extra CPU cost per tuple inserted into a hash table.
-    pub hash_build_cost: f64,
-    /// Number of page reads charged for one B-tree descent (root→leaf).
-    pub btree_descent_pages: f64,
-    /// Cost units per second of wall-clock time: query runtimes and index
-    /// build times handed to the ordering problem are `cost / cost_to_seconds`.
-    pub cost_to_seconds: f64,
-    /// Write amplification factor charged when materializing index pages
-    /// during a build (writes are more expensive than reads).
-    pub page_write_factor: f64,
-}
-
-impl Default for CostParams {
-    fn default() -> Self {
-        Self {
-            seq_page_cost: 1.0,
-            random_page_cost: 4.0,
-            cpu_tuple_cost: 0.01,
-            cpu_index_tuple_cost: 0.005,
-            cpu_operator_cost: 0.0025,
-            hash_build_cost: 0.02,
-            btree_descent_pages: 3.0,
-            cost_to_seconds: 1000.0,
-            page_write_factor: 2.0,
-        }
-    }
-}
-
-impl CostParams {
-    /// Converts optimizer cost units into seconds.
-    pub fn to_seconds(&self, cost: f64) -> f64 {
-        cost / self.cost_to_seconds
-    }
+/// Converts optimizer cost units into seconds.
+pub(crate) fn to_seconds(cost: f64) -> f64 {
+    cost / COST_TO_SECONDS
 }
 
 #[cfg(test)]
@@ -61,15 +39,13 @@ mod tests {
 
     #[test]
     fn defaults_follow_postgres_ratios() {
-        let p = CostParams::default();
-        assert_eq!(p.random_page_cost / p.seq_page_cost, 4.0);
-        assert!(p.cpu_tuple_cost < p.seq_page_cost);
-        assert!(p.cpu_index_tuple_cost < p.cpu_tuple_cost);
+        assert_eq!(RANDOM_PAGE_COST / SEQ_PAGE_COST, 4.0);
+        const { assert!(CPU_TUPLE_COST < SEQ_PAGE_COST) };
+        const { assert!(CPU_INDEX_TUPLE_COST < CPU_TUPLE_COST) };
     }
 
     #[test]
     fn seconds_conversion() {
-        let p = CostParams::default();
-        assert_eq!(p.to_seconds(2000.0), 2.0);
+        assert_eq!(to_seconds(2000.0), 2.0);
     }
 }

@@ -20,16 +20,17 @@ pub struct ExtractionConfig {
     /// Advisor configuration (how many indexes to suggest, which candidate
     /// shapes to enumerate).
     pub advisor: AdvisorConfig,
-    /// What-if options (plan iterations per query, singleton probing).
+    /// What-if options (plan iterations per query, minimum speed-up).
     pub whatif: WhatIfOptions,
     /// Minimum relative build-interaction effect to record
     /// (`cspdup / ctime ≥ min_build_interaction_ratio`).
     pub min_build_interaction_ratio: f64,
-    /// Keep only the strongest `max_helpers_per_target` build interactions
-    /// per target index. Real instances have roughly one helper per index
-    /// (the paper's TPC-H has 31 interactions for 31 indexes).
-    pub max_helpers_per_target: usize,
 }
+
+/// Build interactions kept per target index: the strongest two. Real
+/// instances have roughly one helper per index (the paper's TPC-H has 31
+/// interactions for 31 indexes).
+const MAX_HELPERS_PER_TARGET: usize = 2;
 
 impl Default for ExtractionConfig {
     fn default() -> Self {
@@ -37,7 +38,6 @@ impl Default for ExtractionConfig {
             advisor: AdvisorConfig::default(),
             whatif: WhatIfOptions::default(),
             min_build_interaction_ratio: 0.05,
-            max_helpers_per_target: 2,
         }
     }
 }
@@ -57,16 +57,16 @@ impl ExtractionConfig {
 /// The instance's indexes are the advisor's suggestions (best first), its
 /// queries are the workload queries with their unindexed baseline runtimes,
 /// its plans are the extracted atomic configurations, and its build
-/// interactions come from the build-cost model.
+/// interactions come from the build-cost model. It has no hard precedences:
+/// the substrate models no clustered index or materialized view that a
+/// secondary index would have to follow.
 pub fn extract_instance(workload: &Workload, config: ExtractionConfig) -> Result<ProblemInstance> {
     let advisor = Advisor::new(config.advisor);
     let suggested = advisor.suggest(workload);
     let candidates: Vec<_> = suggested.iter().map(|s| s.index.clone()).collect();
 
-    let optimizer = Optimizer::new(workload.catalog.clone());
-    let params = *optimizer.params();
-    let whatif = WhatIfOptimizer::new(optimizer);
-    let build_model = BuildCostModel::new(params);
+    let whatif = WhatIfOptimizer::new(Optimizer::new(workload.catalog.clone()));
+    let build_model = BuildCostModel;
 
     let mut builder = ProblemInstance::builder(workload.name.clone());
 
@@ -79,7 +79,7 @@ pub fn extract_instance(workload: &Workload, config: ExtractionConfig) -> Result
             table: cand.table.clone(),
             key_columns: cand.key_columns.clone(),
             include_columns: cand.include_columns.clone(),
-            clustered: cand.clustered,
+            clustered: false,
             size_pages: cand.size_pages(&workload.catalog),
             creation_cost,
         };
@@ -118,25 +118,11 @@ pub fn extract_instance(workload: &Workload, config: ExtractionConfig) -> Result
     });
     let mut kept_per_target = vec![0usize; candidates.len()];
     for (target, helper, saving) in interactions {
-        if kept_per_target[target] >= config.max_helpers_per_target {
+        if kept_per_target[target] >= MAX_HELPERS_PER_TARGET {
             continue;
         }
         kept_per_target[target] += 1;
         builder.add_build_interaction(IndexId::new(target), IndexId::new(helper), saving);
-    }
-
-    // Precedence constraints: secondary indexes on a table whose clustered
-    // index is also part of the design must follow that clustered index
-    // (the paper's materialized-view example).
-    for (pos, cand) in candidates.iter().enumerate() {
-        if !cand.clustered {
-            continue;
-        }
-        for (other_pos, other) in candidates.iter().enumerate() {
-            if other_pos != pos && !other.clustered && other.table == cand.table {
-                builder.add_precedence(IndexId::new(pos), IndexId::new(other_pos));
-            }
-        }
     }
 
     Ok(builder.build()?)

@@ -15,7 +15,8 @@
 //! * [`physical`] — candidate indexes and physical configurations.
 //! * [`cost`] — a textbook cost model (sequential/random page I/O, per-tuple
 //!   CPU, sort cost, hash and index-nested-loop joins) with selectivity
-//!   estimation.
+//!   estimation. Its constants are fixed, as the paper's instances all come
+//!   from one DBMS's cost model, so the model holds no state.
 //! * [`optimizer`] — picks the cheapest access path / join strategy for a
 //!   query under a given physical configuration and reports which indexes the
 //!   winning plan uses.

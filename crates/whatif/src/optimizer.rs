@@ -15,7 +15,9 @@
 
 use crate::catalog::Catalog;
 use crate::cost::model::CostModel;
-use crate::cost::params::CostParams;
+use crate::cost::params::{
+    to_seconds, BTREE_DESCENT_PAGES, CPU_INDEX_TUPLE_COST, RANDOM_PAGE_COST, SEQ_PAGE_COST,
+};
 use crate::cost::selectivity::{selectivity_of_columns, table_selectivity};
 use crate::physical::PhysicalConfig;
 use crate::query::QuerySpec;
@@ -40,52 +42,28 @@ impl PlanChoice {
     }
 }
 
-/// Cost-based query optimizer over a [`Catalog`].
+/// Cost-based query optimizer over a [`Catalog`], pricing with the
+/// [`CostModel`].
 #[derive(Debug, Clone)]
 pub struct Optimizer {
     catalog: Catalog,
-    model: CostModel,
 }
 
 impl Optimizer {
-    /// Creates an optimizer with default cost parameters.
+    /// Creates an optimizer that plans against `catalog`.
     pub fn new(catalog: Catalog) -> Self {
-        Self::with_params(catalog, CostParams::default())
-    }
-
-    /// Creates an optimizer with explicit cost parameters.
-    pub fn with_params(catalog: Catalog, params: CostParams) -> Self {
-        Self {
-            catalog,
-            model: CostModel::new(params),
-        }
-    }
-
-    /// The catalog the optimizer plans against.
-    pub fn catalog(&self) -> &Catalog {
-        &self.catalog
-    }
-
-    /// The underlying cost model.
-    pub fn model(&self) -> &CostModel {
-        &self.model
-    }
-
-    /// Cost parameters.
-    pub fn params(&self) -> &CostParams {
-        self.model.params()
+        Self { catalog }
     }
 
     /// Estimated cost (in seconds) of a query under a configuration.
     pub fn cost_seconds(&self, query: &QuerySpec, config: &PhysicalConfig) -> f64 {
-        self.params().to_seconds(self.optimize(query, config).cost)
+        to_seconds(self.optimize(query, config).cost)
     }
 
     /// Finds the cheapest plan for `query` under `config`.
     pub fn optimize(&self, query: &QuerySpec, config: &PhysicalConfig) -> PlanChoice {
         let cat = &self.catalog;
-        let model = &self.model;
-        let params = self.params();
+        let model = CostModel;
 
         let fact_table = match cat.table(&query.fact_table) {
             Some(t) => t,
@@ -174,15 +152,13 @@ impl Optimizer {
                 let needed = query.referenced_columns(&query.fact_table);
                 let covering = fact_ix.covers(&needed);
 
-                let descents =
-                    dim.output_rows * params.btree_descent_pages * params.random_page_cost;
-                let leaf = fetched * params.cpu_index_tuple_cost
-                    + fact_ix.size_pages(cat) * dim.selectivity * params.seq_page_cost;
+                let descents = dim.output_rows * BTREE_DESCENT_PAGES * RANDOM_PAGE_COST;
+                let leaf = fetched * CPU_INDEX_TUPLE_COST
+                    + fact_ix.size_pages(cat) * dim.selectivity * SEQ_PAGE_COST;
                 let heap = if covering {
                     0.0
                 } else {
-                    (fetched * params.random_page_cost)
-                        .min(fact_table.pages() * params.seq_page_cost)
+                    (fetched * RANDOM_PAGE_COST).min(fact_table.pages() * SEQ_PAGE_COST)
                 };
 
                 // Remaining dimensions joined by hash on the reduced stream.
@@ -229,6 +205,7 @@ impl Optimizer {
 mod tests {
     use super::*;
     use crate::catalog::{Column, Table};
+    use crate::cost::params::COST_TO_SECONDS;
     use crate::physical::CandidateIndex;
     use crate::query::{Aggregate, ColumnRef, Predicate};
 
@@ -346,7 +323,7 @@ mod tests {
         let q = star_query();
         let plan = opt.optimize(&q, &PhysicalConfig::empty());
         let secs = opt.cost_seconds(&q, &PhysicalConfig::empty());
-        assert!((secs - plan.cost / opt.params().cost_to_seconds).abs() < 1e-9);
+        assert_eq!(secs.to_bits(), (plan.cost / COST_TO_SECONDS).to_bits());
     }
 
     #[test]

@@ -16,8 +16,6 @@ pub struct CandidateIndex {
     pub key_columns: Vec<String>,
     /// Included (covering-only) columns.
     pub include_columns: Vec<String>,
-    /// Whether this would be the table's clustered index.
-    pub clustered: bool,
 }
 
 impl CandidateIndex {
@@ -34,7 +32,6 @@ impl CandidateIndex {
             table,
             key_columns,
             include_columns: Vec::new(),
-            clustered: false,
         }
     }
 

@@ -3,7 +3,7 @@
 pub use crate::advisor::{Advisor, AdvisorConfig, ScoredCandidate};
 pub use crate::build_cost::BuildCostModel;
 pub use crate::catalog::{Catalog, Column, Table};
-pub use crate::cost::{CostModel, CostParams};
+pub use crate::cost::CostModel;
 pub use crate::error::{Result as WhatIfResult, WhatIfError};
 pub use crate::extract::{extract_instance, ExtractionConfig};
 pub use crate::optimizer::{Optimizer, PlanChoice};

@@ -11,6 +11,7 @@
 //! configuration and re-optimizing, yielding progressively weaker plans until
 //! no candidate index helps anymore.
 
+use crate::cost::params::to_seconds;
 use crate::optimizer::Optimizer;
 use crate::physical::{CandidateIndex, PhysicalConfig};
 use crate::query::QuerySpec;
@@ -32,10 +33,6 @@ pub struct AtomicConfiguration {
 pub struct WhatIfOptions {
     /// Maximum number of remove-and-reoptimize iterations per query.
     pub max_iterations: usize,
-    /// Also evaluate each index of a multi-index configuration on its own,
-    /// producing the single-index competing plans the paper's *competing
-    /// interactions* need.
-    pub probe_singletons: bool,
     /// Minimum speed-up (as a fraction of the query's baseline runtime) for a
     /// configuration to be recorded.
     pub min_speedup_ratio: f64,
@@ -45,7 +42,6 @@ impl Default for WhatIfOptions {
     fn default() -> Self {
         Self {
             max_iterations: 8,
-            probe_singletons: true,
             min_speedup_ratio: 0.001,
         }
     }
@@ -88,6 +84,10 @@ impl WhatIfOptimizer {
     }
 
     /// Extracts the competing atomic configurations of one query.
+    ///
+    /// Each index of a multi-index configuration is also evaluated on its
+    /// own, producing the single-index competing plans the paper's
+    /// *competing interactions* need.
     pub fn atomic_configurations(
         &self,
         query: &QuerySpec,
@@ -130,7 +130,7 @@ impl WhatIfOptimizer {
                 break;
             }
             let plan = self.optimizer.optimize(query, &config);
-            let cost = self.optimizer.params().to_seconds(plan.cost);
+            let cost = to_seconds(plan.cost);
             if plan.used_indexes.is_empty() || baseline - cost < min_speedup {
                 break;
             }
@@ -141,7 +141,7 @@ impl WhatIfOptimizer {
                 .collect();
             record(positions.clone(), cost, &mut results, &mut seen);
 
-            if options.probe_singletons && positions.len() > 1 {
+            if positions.len() > 1 {
                 for &p in &positions {
                     let cost_single = self.cost_with(query, candidates, &[p]);
                     record(vec![p], cost_single, &mut results, &mut seen);

@@ -603,11 +603,9 @@ pub fn extraction_config() -> ExtractionConfig {
         advisor: AdvisorConfig::with_budget(148),
         whatif: WhatIfOptions {
             max_iterations: 16,
-            probe_singletons: true,
             min_speedup_ratio: 0.0005,
         },
         min_build_interaction_ratio: 0.05,
-        max_helpers_per_target: 2,
     }
 }
 

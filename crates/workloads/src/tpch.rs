@@ -372,11 +372,9 @@ pub fn extraction_config() -> ExtractionConfig {
         advisor: AdvisorConfig::with_budget(31),
         whatif: WhatIfOptions {
             max_iterations: 10,
-            probe_singletons: true,
             min_speedup_ratio: 0.001,
         },
         min_build_interaction_ratio: 0.02,
-        max_helpers_per_target: 2,
     }
 }
 
