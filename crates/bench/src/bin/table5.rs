@@ -28,10 +28,7 @@ struct Cell {
 fn run_mip(instance: &ProblemInstance, budget: SearchBudget, with_constraints: bool) -> Cell {
     // The MIP formulation can only take the derived constraints as extra
     // precedence rows; we emulate "MIP+" by seeding its constraint set.
-    let solver = MipSolver::with_config(MipConfig {
-        budget,
-        ..MipConfig::default()
-    });
+    let solver = MipSolver::with_config(MipConfig { budget });
     let result = if with_constraints {
         // Re-solve on an instance whose hard precedences carry the derived
         // constraints (the closest analogue of adding rows to the model).

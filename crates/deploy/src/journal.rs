@@ -28,7 +28,9 @@
 
 use crate::report::DeploymentReport;
 use crate::runtime::{DeployError, RunState};
-use idd_core::{CoreError, Deployment, IndexId, JournalRecord, ProblemInstance};
+use idd_core::{
+    CoreError, Deployment, IndexId, JournalRecord, ObjectiveEvaluator, ProblemInstance,
+};
 use std::rc::Rc;
 
 /// An ordered, append-only record of one deployment run.
@@ -188,7 +190,7 @@ fn in_flight_at(
 ///
 /// The reconstruction is **bit-for-bit** because it drives the runtime's own
 /// transitions — the same state machine, [`idd_core::ExactSum`] accumulator
-/// and [`idd_core::ObjectiveStepper`] arithmetic as
+/// and [`idd_core::PrefixState`] over the completed set as
 /// [`DeployRuntime::execute`](crate::DeployRuntime::execute) — taking every
 /// *decision* (what to dispatch where, what suffix a replan chose) from
 /// the journal instead of from a scenario, solver, or config.
@@ -203,10 +205,11 @@ pub fn replay(
         .validate(instance)
         .map_err(DeployError::InvalidInitialPlan)?;
     let mut state = RunState::new(instance, initial);
-    // One stepper, rebuilt only when a landed event changes the instance —
-    // exactly as the live loop keeps it.
+    // One completed set, rebuilt only when a landed event changes the
+    // instance — exactly as the live loop keeps it.
     let mut current = Rc::clone(&state.instance);
-    let mut stepper = state.stepper(&current);
+    let mut evaluator = ObjectiveEvaluator::new(&current);
+    let mut completed = state.completed(&evaluator);
 
     for (k, record) in journal.records().iter().enumerate() {
         record
@@ -219,9 +222,9 @@ pub fn replay(
             JournalRecord::EventLanded(r) => {
                 let landed = state.land_event(r.event.clone())?;
                 check_bits("event clock", r.clock, landed.clock)?;
-                drop(stepper); // it borrows the instance version just replaced
                 current = Rc::clone(&state.instance);
-                stepper = state.stepper(&current);
+                evaluator = ObjectiveEvaluator::new(&current);
+                completed = state.completed(&evaluator);
             }
 
             JournalRecord::Replan(d) => {
@@ -246,7 +249,7 @@ pub fn replay(
                 if let Some(why) = refused {
                     return Err(diverged(format!("dispatch of {} {why}", d.index)));
                 }
-                let derived = state.dispatch(&mut stepper, d.plan_offset, d.slot, |_, _| {
+                let derived = state.dispatch(&completed, d.plan_offset, d.slot, |_, _| {
                     (d.retries, d.waste_per_failure)
                 });
                 if derived.position != d.position {
@@ -278,7 +281,7 @@ pub fn replay(
 
             JournalRecord::Complete(c) => {
                 let at = in_flight_at(&state, "completion", c.index, c.slot)?;
-                let derived = state.complete(&mut stepper, at);
+                let derived = state.complete(&mut completed, at);
                 check_bits("completion clock", c.clock, derived.clock)?;
                 check_bits("realized cost at completion", c.realized, derived.realized)?;
             }

@@ -39,8 +39,8 @@
 //!   executor as shipped before concurrent slots existed — **bit-for-bit**,
 //!   report field by report field;
 //! * with a quiet scenario and one slot the realized cumulative cost equals
-//!   the offline objective exactly (the runtime drives the same
-//!   [`idd_core::ObjectiveStepper`] arithmetic the evaluator uses).
+//!   the offline objective exactly (the runtime pushes its completions onto
+//!   an [`idd_core::PrefixState`], the evaluator's own step).
 //!
 //! # One state machine, one event stream
 //!
@@ -81,8 +81,8 @@ use crate::journal::DeploymentJournal;
 use crate::report::{DeploymentReport, ExecutedBuild, ReplanRecord};
 use idd_core::{
     CompleteRecord, CoreError, Deployment, DispatchRecord, EventKind, EventRecord, EvolutionEvent,
-    EvolutionScenario, IndexId, JournalRecord, ObjectiveEvaluator, ObjectiveStepper,
-    ProblemInstance, ReplanDecision, SlotSchedule,
+    EvolutionScenario, IndexId, JournalRecord, ObjectiveEvaluator, PrefixState, ProblemInstance,
+    ReplanDecision, SlotSchedule,
 };
 use idd_solver::replan::{ReplanStrategy, Replanner, SuffixScoring};
 use idd_solver::SearchBudget;
@@ -359,8 +359,9 @@ impl Tracks {
 /// replay supplies the recorded ones.
 pub(crate) struct RunState {
     /// The current (drifted / revised) instance. Shared, so that an
-    /// [`ObjectiveStepper`] can borrow one version of it while the
-    /// transitions update the rest of the state.
+    /// [`ObjectiveEvaluator`] and the completed set's [`PrefixState`] over
+    /// it can borrow one version of it while the transitions update the
+    /// rest of the state.
     pub(crate) instance: Rc<ProblemInstance>,
     /// The k-slot schedule, in parent ids; its exact accumulator is
     /// `report.realized_cost`, rounded once at the end of the run.
@@ -368,8 +369,8 @@ pub(crate) struct RunState {
     /// Parent-id dispatch order of every committed build — completed *and*
     /// in-flight (append-only; the frozen commitment at any moment).
     committed: Vec<IndexId>,
-    /// Parent-id completion order of finished builds (used to replay the
-    /// stepper after the instance changes).
+    /// Parent-id completion order of finished builds, pushed onto a fresh
+    /// prefix state when the instance changes ([`RunState::completed`]).
     completed_order: Vec<IndexId>,
     /// Parent-id bitmap of retracted (dropped, unbuilt) indexes.
     excluded: Vec<bool>,
@@ -501,27 +502,28 @@ impl RunState {
         Ok(trigger_label(&event.kind))
     }
 
-    /// An [`ObjectiveStepper`] over `instance` — the current version of
-    /// `self.instance` — in this state: the completions stepped in order,
-    /// the in-flight builds begun. A pure function of (instance, completion
-    /// order, in-flight set); the dispatch and complete transitions keep it
-    /// in step until the instance changes.
-    pub(crate) fn stepper<'i>(&self, instance: &'i ProblemInstance) -> ObjectiveStepper<'i> {
-        debug_assert!(std::ptr::eq(instance, &*self.instance), "stale instance");
-        let mut stepper = ObjectiveEvaluator::new(instance).stepper();
+    /// The completed set over `evaluator` — an evaluator of the current
+    /// version of `self.instance`: the completions pushed in order. A pure
+    /// function of (instance, completion order); in-flight builds hold no
+    /// state until they complete. The dispatch and complete transitions
+    /// keep it in step until the instance changes.
+    pub(crate) fn completed<'e>(&self, evaluator: &'e ObjectiveEvaluator<'e>) -> PrefixState<'e> {
+        debug_assert_eq!(
+            evaluator.baseline_runtime(),
+            self.instance.baseline_runtime()
+        );
+        let mut completed = evaluator.prefix_state();
         for &i in &self.completed_order {
-            stepper.step(i);
+            completed.push(i);
         }
-        for fl in self.schedule.in_flight() {
-            stepper.begin_build(fl.index);
-        }
-        stepper
+        completed
     }
 
     /// Transition for an [`EventRecord`]: `event` lands at the first
     /// boundary at or after its timestamp — a post-deployment event
     /// advances the clock, with no idle cost in between — and is applied.
-    /// The caller rebuilds its stepper on the changed instance.
+    /// The caller rebuilds its evaluator and completed set on the changed
+    /// instance.
     pub(crate) fn land_event(&mut self, event: EvolutionEvent) -> Result<EventRecord, DeployError> {
         self.schedule.clock = self.schedule.clock.max(event.at);
         self.apply_event(&event)?;
@@ -564,12 +566,14 @@ impl RunState {
     /// new in-flight build.
     pub(crate) fn dispatch(
         &mut self,
-        stepper: &mut ObjectiveStepper<'_>,
+        completed: &PrefixState<'_>,
         plan_offset: usize,
         slot: usize,
         failure: impl FnOnce(IndexId, f64) -> (u32, f64),
     ) -> DispatchRecord {
-        let build = self.schedule.dispatch(stepper, plan_offset, slot, failure);
+        let build = self
+            .schedule
+            .dispatch(completed, plan_offset, slot, failure);
         debug_assert_eq!(build.position, self.committed.len());
         self.report.builds.push(ExecutedBuild {
             position: build.position,
@@ -581,7 +585,7 @@ impl RunState {
             wasted: build.wasted,
             retries: build.retries,
             plan_offset,
-            runtime_before: stepper.runtime(),
+            runtime_before: completed.runtime(),
             runtime_after: f64::NAN, // filled at completion
         });
         self.report.total_build_time += build.cost;
@@ -604,11 +608,11 @@ impl RunState {
     /// finishes ([`SlotSchedule::complete`] accrues its span and lands it).
     pub(crate) fn complete(
         &mut self,
-        stepper: &mut ObjectiveStepper<'_>,
+        completed: &mut PrefixState<'_>,
         at: usize,
     ) -> CompleteRecord {
-        let build = self.schedule.complete(stepper, at);
-        self.report.builds[build.position].runtime_after = stepper.runtime();
+        let build = self.schedule.complete(completed, at);
+        self.report.builds[build.position].runtime_after = completed.runtime();
         self.completed_order.push(build.index);
         CompleteRecord {
             clock: build.finish,
@@ -628,12 +632,13 @@ impl RunState {
         self.journal.push(record);
     }
 
-    /// The closing step: the final runtime is the completion order replayed
+    /// The closing step: the final runtime is the completion order pushed
     /// on the final (drifted / revised) instance — the offline evaluator's
     /// own arithmetic — the exact realized cost is rounded once, and each
     /// slot track gets its idle spans.
     pub(crate) fn finish(mut self) -> (DeploymentReport, DeploymentJournal) {
-        self.report.final_runtime = self.stepper(&self.instance).runtime();
+        let evaluator = ObjectiveEvaluator::new(&self.instance);
+        self.report.final_runtime = self.completed(&evaluator).runtime();
         self.report.realized_cost = self.schedule.realized.value();
         self.report.total_clock = self.schedule.clock;
         self.report.out_of_order_dispatches = self.schedule.overtakes();
@@ -770,10 +775,12 @@ impl DeployRuntime {
             }
 
             // Events and replans only happen in this outer loop, so one
-            // stepper serves the dispatch/complete inner loop below; it is
-            // rebuilt because a landed event may have changed the instance.
+            // completed set serves the dispatch/complete inner loop below;
+            // it is rebuilt because a landed event may have changed the
+            // instance.
             let current = Rc::clone(&state.instance);
-            let mut stepper = state.stepper(&current);
+            let evaluator = ObjectiveEvaluator::new(&current);
+            let mut completed = state.completed(&evaluator);
 
             loop {
                 // 4. Dispatch pending work into free slots (lowest slot id
@@ -790,7 +797,7 @@ impl DeployRuntime {
                     else {
                         break;
                     };
-                    let dispatched = state.dispatch(&mut stepper, pos, slot, |index, cost| {
+                    let dispatched = state.dispatch(&completed, pos, slot, |index, cost| {
                         failure_spec(scenario, index, cost)
                     });
                     let build = *state.schedule.in_flight().last().expect("just dispatched");
@@ -808,8 +815,8 @@ impl DeployRuntime {
                     break;
                 };
                 let failed = state.schedule.in_flight()[at].retries > 0;
-                let completed = state.complete(&mut stepper, at);
-                state.append(JournalRecord::Complete(completed));
+                let record = state.complete(&mut completed, at);
+                state.append(JournalRecord::Complete(record));
 
                 // A failure-triggered replan fires at the failing build's
                 // completion boundary.
@@ -820,7 +827,7 @@ impl DeployRuntime {
 
                 // Hand back to the outer loop when this completion made an
                 // event due or raised a trigger — landing and replanning
-                // mutate the instance, which invalidates the stepper.
+                // mutate the instance, which invalidates the completed set.
                 if failure_trigger || queue.last().is_some_and(|e| e.at <= state.schedule.clock) {
                     break;
                 }
@@ -946,23 +953,15 @@ impl DeployRuntime {
             }
 
             // 2. Nothing pending and nothing queued: done.
+            let evaluator = ObjectiveEvaluator::new(&state.instance);
+            let mut completed = state.completed(&evaluator);
             if state.schedule.pending.is_empty() && queue.is_empty() {
-                let evaluator = ObjectiveEvaluator::new(&state.instance);
-                let mut stepper = evaluator.stepper();
-                for &i in &state.committed {
-                    stepper.step(i);
-                }
-                state.report.final_runtime = stepper.runtime();
+                state.report.final_runtime = completed.runtime();
                 break;
             }
 
             // 3. Execute builds until the next event is due (or the plan
             //    runs out).
-            let evaluator = ObjectiveEvaluator::new(&state.instance);
-            let mut stepper = evaluator.stepper();
-            for &i in &state.committed {
-                stepper.step(i);
-            }
             while !state.schedule.pending.is_empty() {
                 if queue.last().is_some_and(|e| e.at <= state.schedule.clock) {
                     break; // event boundary: back to step 1
@@ -977,36 +976,34 @@ impl DeployRuntime {
                 // Failed attempts waste clock at the current runtime.
                 let mut wasted = 0.0;
                 let mut retries = 0u32;
+                let runtime_before = completed.runtime();
+                let cost = completed.build_cost(next);
                 if let Some(failure) = scenario.failure_for(next) {
-                    let cost = state.instance.effective_build_cost(next, stepper.built());
                     let waste = cost * failure.waste_fraction.clamp(0.0, 1.0);
                     for _ in 0..failure.failures {
-                        state.schedule.realized.add_prod(stepper.runtime(), waste);
+                        state.schedule.realized.add_prod(runtime_before, waste);
                         wasted += waste;
                         retries += 1;
                     }
                 }
 
-                let step = stepper.step(next);
-                state
-                    .schedule
-                    .realized
-                    .add_prod(step.runtime_before, step.build_cost);
-                state.schedule.clock += wasted + step.build_cost;
+                completed.push(next);
+                state.schedule.realized.add_prod(runtime_before, cost);
+                state.schedule.clock += wasted + cost;
                 state.report.builds.push(ExecutedBuild {
                     position: state.committed.len(),
                     index: next,
                     slot: 0,
                     start,
                     finish: state.schedule.clock,
-                    cost: step.build_cost,
+                    cost,
                     wasted,
                     retries,
                     plan_offset: 0,
-                    runtime_before: step.runtime_before,
-                    runtime_after: step.runtime_after,
+                    runtime_before,
+                    runtime_after: completed.runtime(),
                 });
-                state.report.total_build_time += step.build_cost;
+                state.report.total_build_time += cost;
                 state.report.total_wasted += wasted;
                 state.report.retries += retries;
                 state.committed.push(next);

@@ -63,7 +63,7 @@ pub use journal::{
 };
 pub use matrix::MatrixFile;
 pub use objective::{
-    DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, PrefixState, StepMetrics,
+    DeltaEvaluator, ObjectiveEvaluator, ObjectiveValue, PrefixState, StepMetrics,
     SuffixReplayEvaluator,
 };
 pub use plan::QueryPlan;

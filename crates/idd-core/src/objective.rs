@@ -16,13 +16,14 @@
 //!
 //! * [`ObjectiveEvaluator`] — evaluates a [`Deployment`] from scratch in
 //!   `O(Σ_p |p| + |Q| + |I|·avg_helpers)` time and optionally produces the
-//!   full per-step trace used by reports and Figure 13;
-//!   [`ObjectiveStepper`] executes the same steps one build at a time.
+//!   full per-step trace used by reports and Figure 13.
 //! * [`PrefixState`] — a prefix that grows by one index and shrinks by
 //!   undoing the latest push, each in `O(plans using the index + helpers)`:
 //!   the state under every search (the greedy, CP and the reinsertion of
-//!   LNS/VNS, A*, MIP, the DP merge, the lower bound and the tail step). Its
-//!   runtime and area read the same bits as [`ObjectiveEvaluator::evaluate`].
+//!   LNS/VNS, A*, MIP, the DP merge, the lower bound and the tail step) and
+//!   the completed set of a k-slot schedule (`SlotSchedule`, hence the
+//!   deploy runtime and its replay). Its runtime and area read the same bits
+//!   as [`ObjectiveEvaluator::evaluate`].
 //! * [`DeltaEvaluator`] — the local-search hot path: scores a swap or a
 //!   shift of a *base* order, which rewrites the span `[a, b)`, in
 //!   `O(b - a)` — `O(1)` for an adjacent swap — over the struct-of-arrays
@@ -136,9 +137,6 @@ struct EvalState {
     runtime_acc: ExactSum,
     /// Exact accumulated objective area (`Σ R·C` terms, unrounded).
     area_acc: ExactSum,
-    /// Accumulated deployment time (plain `f64`, matching the clock
-    /// arithmetic of schedules and the deploy runtime).
-    elapsed: f64,
 }
 
 impl EvalState {
@@ -152,7 +150,6 @@ impl EvalState {
             runtime: eval.baseline_runtime,
             runtime_acc,
             area_acc: ExactSum::new(),
-            elapsed: 0.0,
         }
     }
 
@@ -206,50 +203,20 @@ impl<'a> ObjectiveEvaluator<'a> {
         self.baseline_runtime
     }
 
-    /// Applies one deployment step to `state`, returning the step metrics.
-    fn apply_step(&self, state: &mut EvalState, index: IndexId) -> StepMetrics {
-        let runtime_before = state.runtime;
-        let elapsed_start = state.elapsed;
-        let build_cost = self.push(state, index, None);
-        StepMetrics {
-            index,
-            build_cost,
-            runtime_before,
-            runtime_after: state.runtime,
-            elapsed_start,
-            elapsed_end: state.elapsed,
-        }
-    }
-
     /// Builds `index` on top of `state` and returns its effective build
-    /// cost. The one step behind [`ObjectiveEvaluator::evaluate`],
-    /// [`ObjectiveStepper::step`] and [`PrefixState::push`]; `raised`
-    /// receives `(query, previous best speed-up)` for every best speed-up
-    /// the step raises, the undo record a pop needs.
+    /// cost: the one step behind [`ObjectiveEvaluator::evaluate`] and
+    /// [`PrefixState::push`]. The index is priced against the built set,
+    /// marked built, and the runtime drops by its newly available plans;
+    /// `raised` receives `(query, previous best speed-up)` for every best
+    /// speed-up the step raises, the undo record a pop needs.
     fn push(
         &self,
         state: &mut EvalState,
         index: IndexId,
-        raised: Option<&mut Vec<(usize, f64)>>,
+        mut raised: Option<&mut Vec<(usize, f64)>>,
     ) -> f64 {
         let build_cost = self.instance.effective_build_cost(index, &state.built);
         state.area_acc.add_prod(state.runtime, build_cost);
-        state.elapsed += build_cost;
-        self.make_available(state, index, raised);
-        build_cost
-    }
-
-    /// Marks `index` built and drops the runtime by its newly available
-    /// plans. Shared by the serial [`ObjectiveEvaluator::apply_step`] and
-    /// the slot-aware [`ObjectiveStepper::complete_build`] so the
-    /// `step ≡ begin_build; complete_build` identity holds by construction —
-    /// same floating-point operations in the same order.
-    fn make_available(
-        &self,
-        state: &mut EvalState,
-        index: IndexId,
-        mut raised: Option<&mut Vec<(usize, f64)>>,
-    ) {
         state.built[index.raw()] = true;
         // Newly available plans can only improve each query's best speed-up.
         let mut changed = false;
@@ -276,6 +243,7 @@ impl<'a> ObjectiveEvaluator<'a> {
             // delta evaluator splice spans bit-for-bit.
             state.runtime = state.runtime_acc.value();
         }
+        build_cost
     }
 
     /// Evaluates a deployment and returns the full per-step trace.
@@ -286,13 +254,25 @@ impl<'a> ObjectiveEvaluator<'a> {
     pub fn evaluate(&self, deployment: &Deployment) -> ObjectiveValue {
         debug_assert!(deployment.validate(self.instance).is_ok());
         let mut state = EvalState::initial(self);
+        let mut elapsed = 0.0;
         let mut steps = Vec::with_capacity(deployment.len());
         for (_, index) in deployment.iter() {
-            steps.push(self.apply_step(&mut state, index));
+            let runtime_before = state.runtime;
+            let elapsed_start = elapsed;
+            let build_cost = self.push(&mut state, index, None);
+            elapsed += build_cost;
+            steps.push(StepMetrics {
+                index,
+                build_cost,
+                runtime_before,
+                runtime_after: state.runtime,
+                elapsed_start,
+                elapsed_end: elapsed,
+            });
         }
         ObjectiveValue {
             area: state.area(),
-            deployment_time: state.elapsed,
+            deployment_time: elapsed,
             baseline_runtime: self.baseline_runtime,
             final_runtime: state.runtime,
             base_build_cost: self.base_build_cost,
@@ -304,7 +284,7 @@ impl<'a> ObjectiveEvaluator<'a> {
     pub fn evaluate_area(&self, deployment: &Deployment) -> f64 {
         let mut state = EvalState::initial(self);
         for (_, index) in deployment.iter() {
-            self.apply_step(&mut state, index);
+            self.push(&mut state, index, None);
         }
         state.area()
     }
@@ -320,109 +300,6 @@ impl<'a> ObjectiveEvaluator<'a> {
     }
 }
 
-/// A re-entrant stepper over the evaluation state, for consumers that
-/// *execute* a deployment one build at a time (the `idd-deploy` runtime)
-/// rather than scoring a complete order.
-///
-/// Guarantee: applying a sequence of indexes through
-/// [`ObjectiveStepper::step`] produces bit-for-bit the same `runtime` and
-/// per-step metrics as [`ObjectiveEvaluator::evaluate`] on that order. The
-/// stepper keeps no area: its consumer reproduces the evaluator's area
-/// *exactly* by feeding every `(runtime_before, build_cost)` pair into an
-/// [`ExactSum`] via [`ExactSum::add_prod`] — the area is the once-rounded
-/// exact sum of those products, independent of the order they accrue in.
-///
-/// # Overlapping builds
-///
-/// The serial [`ObjectiveStepper::step`] is a composition of two slot-aware
-/// primitives that a concurrent runtime can drive independently:
-///
-/// 1. [`ObjectiveStepper::begin_build`] — prices the build against the
-///    *completed* set (an in-flight helper contributes nothing yet) and
-///    marks it in flight;
-/// 2. [`ObjectiveStepper::complete_build`] — lands the finished index,
-///    dropping the runtime by its newly available plans.
-///
-/// Between the two the consumer accrues `runtime · duration` of wall-clock
-/// at the current [`ObjectiveStepper::runtime`] level into its own
-/// [`ExactSum`], as `SlotSchedule` does. Builds may complete out of
-/// submission order; the runtime level only ever reflects *completed*
-/// indexes. The serial identity holds bit-for-bit: `step(i)` charges the
-/// cost `begin_build(i)` returns and moves the runtime as
-/// `complete_build(i)` does (same floating-point operations in the same
-/// order), which is what lets a one-slot concurrent scheduler reproduce
-/// [`ObjectiveEvaluator::evaluate`] exactly.
-#[derive(Debug, Clone)]
-pub struct ObjectiveStepper<'a> {
-    evaluator: ObjectiveEvaluator<'a>,
-    state: EvalState,
-    /// Bitmap of begun-but-not-completed indexes (parallel to `built`).
-    in_flight: Vec<bool>,
-}
-
-impl<'a> ObjectiveStepper<'a> {
-    /// Applies one deployment step (builds `index`) and returns its metrics.
-    pub fn step(&mut self, index: IndexId) -> StepMetrics {
-        self.evaluator.apply_step(&mut self.state, index)
-    }
-
-    /// Starts building `index`: marks it in flight and returns its effective
-    /// build cost, priced against the *completed* set only — a helper that
-    /// is itself still in flight discounts nothing.
-    ///
-    /// The cost is identical to what [`ObjectiveStepper::step`] would charge
-    /// at this state; the returned value is the caller's to schedule (the
-    /// stepper does not advance time).
-    pub fn begin_build(&mut self, index: IndexId) -> f64 {
-        debug_assert!(
-            !self.state.built[index.raw()] && !self.in_flight[index.raw()],
-            "{index} begun twice"
-        );
-        self.in_flight[index.raw()] = true;
-        self.evaluator
-            .instance
-            .effective_build_cost(index, &self.state.built)
-    }
-
-    /// Completes an in-flight build: the index becomes available, its plans
-    /// unlock, and the workload runtime drops accordingly. Returns
-    /// `(runtime_before, runtime_after)` around the completion.
-    ///
-    /// Completions may arrive in any order relative to
-    /// [`ObjectiveStepper::begin_build`] calls — only relative to their own
-    /// `begin_build`.
-    pub fn complete_build(&mut self, index: IndexId) -> (f64, f64) {
-        debug_assert!(self.in_flight[index.raw()], "{index} completed unbegun");
-        self.in_flight[index.raw()] = false;
-        let runtime_before = self.state.runtime;
-        self.evaluator.make_available(&mut self.state, index, None);
-        (runtime_before, self.state.runtime)
-    }
-
-    /// Current total workload runtime (after everything stepped so far).
-    pub fn runtime(&self) -> f64 {
-        self.state.runtime
-    }
-
-    /// Bitmap of built indexes, keyed by raw index id.
-    pub fn built(&self) -> &[bool] {
-        &self.state.built
-    }
-}
-
-impl<'a> ObjectiveEvaluator<'a> {
-    /// Starts a fresh [`ObjectiveStepper`] (nothing built yet). The stepper
-    /// owns a clone of this evaluator, so it stays usable after the borrow
-    /// ends.
-    pub fn stepper(&self) -> ObjectiveStepper<'a> {
-        ObjectiveStepper {
-            state: EvalState::initial(self),
-            in_flight: vec![false; self.instance.num_indexes()],
-            evaluator: self.clone(),
-        }
-    }
-}
-
 /// A deployment prefix under search: [`PrefixState::push`] appends an
 /// index and [`PrefixState::pop`] undoes the latest push, each in
 /// `O(plans using the index + its helpers)`.
@@ -433,6 +310,11 @@ impl<'a> ObjectiveEvaluator<'a> {
 /// for the prefix. A pop subtracts the terms its push added and restores
 /// the best speed-ups it raised from a stack that is reused, so no push or
 /// pop allocates once the stack has grown to the search depth.
+///
+/// It also holds the completed set of a k-slot
+/// [`SlotSchedule`](crate::SlotSchedule): a build is priced with
+/// [`PrefixState::build_cost`] at dispatch and pushed at completion, so the
+/// runtime only ever reflects completed indexes.
 #[derive(Debug)]
 pub struct PrefixState<'a> {
     evaluator: &'a ObjectiveEvaluator<'a>,
@@ -450,7 +332,6 @@ struct Frame {
     index: IndexId,
     build_cost: f64,
     runtime_before: f64,
-    elapsed_before: f64,
     raised_from: usize,
 }
 
@@ -459,7 +340,6 @@ impl PrefixState<'_> {
     pub fn push(&mut self, index: IndexId) {
         debug_assert!(!self.state.built[index.raw()], "{index} pushed twice");
         let runtime_before = self.state.runtime;
-        let elapsed_before = self.state.elapsed;
         let raised_from = self.raised.len();
         let build_cost = self
             .evaluator
@@ -468,7 +348,6 @@ impl PrefixState<'_> {
             index,
             build_cost,
             runtime_before,
-            elapsed_before,
             raised_from,
         });
     }
@@ -491,7 +370,6 @@ impl PrefixState<'_> {
             .area_acc
             .sub_prod(frame.runtime_before, frame.build_cost);
         state.runtime = frame.runtime_before;
-        state.elapsed = frame.elapsed_before;
         Some(frame.index)
     }
 
@@ -570,16 +448,6 @@ impl<'a> SuffixReplayEvaluator<'a> {
         pe
     }
 
-    /// The current base order.
-    pub fn base(&self) -> &Deployment {
-        &self.base
-    }
-
-    /// The objective area of the current base order.
-    pub fn base_area(&self) -> f64 {
-        self.checkpoints.last().map(EvalState::area).unwrap_or(0.0)
-    }
-
     /// Replaces the base order and rebuilds all checkpoints.
     pub fn set_base(&mut self, base: Deployment) {
         let n = base.len();
@@ -587,7 +455,7 @@ impl<'a> SuffixReplayEvaluator<'a> {
         let mut state = EvalState::initial(&self.evaluator);
         checkpoints.push(state.clone());
         for (_, index) in base.iter() {
-            self.evaluator.apply_step(&mut state, index);
+            self.evaluator.push(&mut state, index, None);
             checkpoints.push(state.clone());
         }
         self.base = base;
@@ -605,7 +473,7 @@ impl<'a> SuffixReplayEvaluator<'a> {
         }
         let mut state = self.checkpoints[common].clone();
         for pos in common..n {
-            self.evaluator.apply_step(&mut state, order.at(pos));
+            self.evaluator.push(&mut state, order.at(pos), None);
         }
         state.area()
     }
@@ -613,11 +481,11 @@ impl<'a> SuffixReplayEvaluator<'a> {
     /// Evaluates the area of the base order with positions `a` and `b`
     /// swapped, without materializing the swapped order.
     pub fn evaluate_swap(&self, a: usize, b: usize) -> f64 {
+        let n = self.base.len();
         if a == b {
-            return self.base_area();
+            return self.checkpoints[n].area();
         }
         let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let n = self.base.len();
         let mut state = self.checkpoints[lo].clone();
         for pos in lo..n {
             let index = if pos == lo {
@@ -627,27 +495,9 @@ impl<'a> SuffixReplayEvaluator<'a> {
             } else {
                 self.base.at(pos)
             };
-            self.evaluator.apply_step(&mut state, index);
+            self.evaluator.push(&mut state, index, None);
         }
         state.area()
-    }
-
-    /// Applies a swap to the base order and refreshes checkpoints from the
-    /// earlier of the two positions.
-    pub fn commit_swap(&mut self, a: usize, b: usize) {
-        if a == b {
-            return;
-        }
-        let (lo, _hi) = if a < b { (a, b) } else { (b, a) };
-        self.base.swap(a, b);
-        // Recompute checkpoints from `lo` onward.
-        let n = self.base.len();
-        self.checkpoints.truncate(lo + 1);
-        let mut state = self.checkpoints[lo].clone();
-        for pos in lo..n {
-            self.evaluator.apply_step(&mut state, self.base.at(pos));
-            self.checkpoints.push(state.clone());
-        }
     }
 }
 
@@ -718,8 +568,9 @@ impl SpanMove {
 /// the base through [`DeltaEvaluator::set_base`] in one `O(n · degree)`
 /// pass.
 #[derive(Debug, Clone)]
-pub struct DeltaEvaluator<'a> {
-    evaluator: ObjectiveEvaluator<'a>,
+pub struct DeltaEvaluator {
+    /// `R_∅`.
+    baseline_runtime: f64,
     soa: SoaView,
     base: Deployment,
     /// Base position of each index (inverse permutation).
@@ -748,16 +599,15 @@ pub struct DeltaEvaluator<'a> {
     scratch_runtime: ExactSum,
 }
 
-impl<'a> DeltaEvaluator<'a> {
+impl DeltaEvaluator {
     /// Creates a delta evaluator over `base`.
-    pub fn new(instance: &'a ProblemInstance, base: Deployment) -> Self {
-        let evaluator = ObjectiveEvaluator::new(instance);
+    pub fn new(instance: &ProblemInstance, base: Deployment) -> Self {
         let soa = SoaView::new(instance);
         let n = instance.num_indexes();
         let np = soa.num_plans();
         let nq = soa.num_queries();
         let mut de = Self {
-            evaluator,
+            baseline_runtime: instance.baseline_runtime(),
             soa,
             base: Deployment::new(Vec::new()),
             positions: vec![0; n],
@@ -800,8 +650,8 @@ impl<'a> DeltaEvaluator<'a> {
             self.positions[index.raw()] = p as u32;
         }
         self.runtime_accs[0].clear();
-        self.runtime_accs[0].add(self.evaluator.baseline_runtime);
-        self.runtime_at[0] = self.evaluator.baseline_runtime;
+        self.runtime_accs[0].add(self.baseline_runtime);
+        self.runtime_at[0] = self.baseline_runtime;
         self.area_acc.clear();
         self.base = base;
         let area = self.span_walk(0, n, &SpanMove::Swap { lo: 0, hi: 0 }, true, true);
@@ -1146,7 +996,7 @@ mod tests {
     #[test]
     fn interleaved_push_pop_explores_consistently() {
         // Explore every branch of a depth-first search and compare each
-        // prefix, after its pops, with a fresh evaluation.
+        // prefix, after its pops, with a fresh push-only state.
         let inst = delta_instance(2);
         let n = inst.num_indexes();
         let eval = ObjectiveEvaluator::new(&inst);
@@ -1165,13 +1015,11 @@ mod tests {
                 state.push(index);
                 prefix.push(index);
             }
-            let mut expected = eval.stepper();
-            let mut area = ExactSum::new();
+            let mut expected = eval.prefix_state();
             for &index in &prefix {
-                let step = expected.step(index);
-                area.add_prod(step.runtime_before, step.build_cost);
+                expected.push(index);
             }
-            assert_eq!(state.area().to_bits(), area.value().to_bits());
+            assert_eq!(state.area().to_bits(), expected.area().to_bits());
             assert_eq!(state.runtime().to_bits(), expected.runtime().to_bits());
             assert_eq!(state.built(), expected.built());
         }
@@ -1205,63 +1053,83 @@ mod tests {
 
     #[test]
     fn stepper_replays_evaluate_bit_for_bit() {
+        // Pushing a deployment onto a prefix state one index at a time,
+        // reading the runtime and build cost before each push, reproduces
+        // every step `evaluate` reports.
         let inst = competing_example();
         let eval = ObjectiveEvaluator::new(&inst);
         for order in [[0usize, 1], [1, 0]] {
             let d = Deployment::from_raw(order);
             let value = eval.evaluate(&d);
-            let mut stepper = eval.stepper();
-            assert_eq!(stepper.built(), &[false, false]);
+            let mut state = eval.prefix_state();
+            assert_eq!(state.built(), &[false, false]);
             let mut realized = 0.0_f64;
             let mut area = ExactSum::new();
             let mut elapsed = 0.0_f64;
             for (pos, index) in d.iter() {
-                let step = stepper.step(index);
+                let runtime_before = state.runtime();
+                let build_cost = state.build_cost(index);
+                let elapsed_start = elapsed;
+                elapsed += build_cost;
+                state.push(index);
+                let step = StepMetrics {
+                    index,
+                    build_cost,
+                    runtime_before,
+                    runtime_after: state.runtime(),
+                    elapsed_start,
+                    elapsed_end: elapsed,
+                };
                 assert_eq!(step, value.steps[pos]);
                 realized += step.runtime_before * step.build_cost;
                 area.add_prod(step.runtime_before, step.build_cost);
-                elapsed += step.build_cost;
             }
             // Bit-for-bit, not approximately: same ops in the same order.
             assert_eq!(realized.to_bits(), value.area.to_bits());
             assert_eq!(area.value().to_bits(), value.area.to_bits());
-            assert_eq!(stepper.runtime(), value.final_runtime);
+            assert_eq!(state.area().to_bits(), value.area.to_bits());
+            assert_eq!(state.runtime(), value.final_runtime);
             assert_eq!(elapsed.to_bits(), value.deployment_time.to_bits());
-            assert_eq!(stepper.built(), &[true, true]);
+            assert_eq!(state.built(), &[true, true]);
         }
     }
 
     #[test]
     fn slot_decomposition_replays_step_bit_for_bit() {
-        // step(i) ≡ begin_build(i); complete_build(i), with the caller
-        // accruing runtime · cost in between — the identity the one-slot
-        // concurrent scheduler relies on.
+        // A k-slot schedule prices a build at dispatch (`build_cost`, with
+        // the index not yet built) and makes it available at completion
+        // (`push`), the caller accruing runtime · cost in between; with one
+        // slot that reproduces `evaluate` step by step — the identity the
+        // one-slot concurrent scheduler relies on.
         let inst = competing_example();
         let eval = ObjectiveEvaluator::new(&inst);
         for order in [[0usize, 1], [1, 0]] {
             let d = Deployment::from_raw(order);
             let value = eval.evaluate(&d);
-            let mut stepper = eval.stepper();
+            let mut state = eval.prefix_state();
             let mut area = ExactSum::new();
             let mut elapsed = 0.0_f64;
             for (pos, index) in d.iter() {
-                let cost = stepper.begin_build(index);
+                let cost = state.build_cost(index);
                 assert_eq!(cost.to_bits(), value.steps[pos].build_cost.to_bits());
-                assert!(!stepper.built()[index.raw()]);
-                let runtime = stepper.runtime();
+                assert!(!state.is_built(index));
+                let runtime = state.runtime();
                 area.add_prod(runtime, cost);
                 elapsed += cost;
                 assert_eq!(
                     (runtime * cost).to_bits(),
                     (value.steps[pos].runtime_before * value.steps[pos].build_cost).to_bits()
                 );
-                let (before, after) = stepper.complete_build(index);
+                let before = state.runtime();
+                state.push(index);
+                let after = state.runtime();
                 assert_eq!(before.to_bits(), value.steps[pos].runtime_before.to_bits());
                 assert_eq!(after.to_bits(), value.steps[pos].runtime_after.to_bits());
-                assert!(stepper.built()[index.raw()]);
+                assert!(state.is_built(index));
             }
             assert_eq!(area.value().to_bits(), value.area.to_bits());
-            assert_eq!(stepper.runtime().to_bits(), value.final_runtime.to_bits());
+            assert_eq!(state.area().to_bits(), value.area.to_bits());
+            assert_eq!(state.runtime().to_bits(), value.final_runtime.to_bits());
             assert_eq!(elapsed.to_bits(), value.deployment_time.to_bits());
         }
     }
@@ -1273,25 +1141,25 @@ mod tests {
         // build *completes*, in completion order.
         let inst = competing_example();
         let eval = ObjectiveEvaluator::new(&inst);
-        let mut stepper = eval.stepper();
-        let c0 = stepper.begin_build(IndexId::new(0));
-        let c1 = stepper.begin_build(IndexId::new(1));
+        let mut state = eval.prefix_state();
+        let c0 = state.build_cost(IndexId::new(0));
+        let c1 = state.build_cost(IndexId::new(1));
         assert_eq!(c0, 4.0);
         assert_eq!(c1, 6.0, "in-flight i0 must not discount i1");
-        assert_eq!(stepper.runtime(), 30.0);
+        assert_eq!(state.runtime(), 30.0);
 
         // Both run concurrently; i0 completes at t=4, i1 at t=6.
         let mut area = ExactSum::new();
-        assert_eq!(stepper.runtime() * 4.0, 30.0 * 4.0); // [0,4] at the baseline runtime
-        area.add_prod(stepper.runtime(), 4.0);
-        let (_, after_i0) = stepper.complete_build(IndexId::new(0));
-        assert_eq!(after_i0, 25.0); // 5s plan available
-        assert_eq!(stepper.runtime() * 2.0, 25.0 * 2.0); // [4,6] at the post-i0 runtime
-        area.add_prod(stepper.runtime(), 2.0);
-        let (_, after_i1) = stepper.complete_build(IndexId::new(1));
-        assert_eq!(after_i1, 10.0); // 20s plan available
+        assert_eq!(state.runtime() * 4.0, 30.0 * 4.0); // [0,4] at the baseline runtime
+        area.add_prod(state.runtime(), 4.0);
+        state.push(IndexId::new(0));
+        assert_eq!(state.runtime(), 25.0); // 5s plan available
+        assert_eq!(state.runtime() * 2.0, 25.0 * 2.0); // [4,6] at the post-i0 runtime
+        area.add_prod(state.runtime(), 2.0);
+        state.push(IndexId::new(1));
+        assert_eq!(state.runtime(), 10.0); // 20s plan available
         assert_eq!(area.value(), 120.0 + 50.0);
-        assert_eq!(stepper.built(), &[true, true]);
+        assert_eq!(state.built(), &[true, true]);
     }
 
     #[test]
@@ -1306,17 +1174,17 @@ mod tests {
         b.add_plan(q, vec![i0, i1], 40.0);
         let inst = b.build().unwrap();
         let eval = ObjectiveEvaluator::new(&inst);
-        let mut stepper = eval.stepper();
+        let mut state = eval.prefix_state();
         // Submission order i1 then i0; i0 (cheaper) completes first.
-        stepper.begin_build(IndexId::new(1));
-        stepper.begin_build(IndexId::new(0));
+        assert_eq!(state.build_cost(IndexId::new(1)), 6.0);
+        assert_eq!(state.build_cost(IndexId::new(0)), 2.0);
         let mut area = ExactSum::new();
-        area.add_prod(stepper.runtime(), 2.0);
-        let (_, after_first) = stepper.complete_build(IndexId::new(0));
-        assert_eq!(after_first, 50.0, "half-available plan unlocks nothing");
-        area.add_prod(stepper.runtime(), 4.0);
-        let (_, after_second) = stepper.complete_build(IndexId::new(1));
-        assert_eq!(after_second, 10.0);
+        area.add_prod(state.runtime(), 2.0);
+        state.push(IndexId::new(0));
+        assert_eq!(state.runtime(), 50.0, "half-available plan unlocks nothing");
+        area.add_prod(state.runtime(), 4.0);
+        state.push(IndexId::new(1));
+        assert_eq!(state.runtime(), 10.0);
         assert_eq!(area.value(), 50.0 * 2.0 + 50.0 * 4.0);
     }
 
@@ -1520,8 +1388,11 @@ mod tests {
         let n = inst.num_indexes();
         let base = Deployment::identity(n);
         let reference = SuffixReplayEvaluator::new(&inst, base.clone());
-        let mut de = DeltaEvaluator::new(&inst, base);
-        assert_eq!(reference.base_area().to_bits(), de.base_area().to_bits());
+        let mut de = DeltaEvaluator::new(&inst, base.clone());
+        assert_eq!(
+            reference.evaluate_order(&base).to_bits(),
+            de.base_area().to_bits()
+        );
         for a in 0..n - 1 {
             assert_eq!(
                 reference.evaluate_swap(a, a + 1).to_bits(),

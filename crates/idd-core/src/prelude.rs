@@ -12,7 +12,7 @@ pub use crate::instance::{InstanceBuilder, ProblemInstance};
 pub use crate::interaction::{BuildInteraction, Precedence};
 pub use crate::matrix::MatrixFile;
 pub use crate::objective::{
-    DeltaEvaluator, ObjectiveEvaluator, ObjectiveStepper, ObjectiveValue, PrefixState, StepMetrics,
+    DeltaEvaluator, ObjectiveEvaluator, ObjectiveValue, PrefixState, StepMetrics,
     SuffixReplayEvaluator,
 };
 pub use crate::plan::QueryPlan;

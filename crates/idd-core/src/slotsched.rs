@@ -21,6 +21,10 @@
 //!   each elapsed span accruing `runtime · duration` into one [`ExactSum`]
 //!   ([`SlotSchedule::complete`]).
 //!
+//! The caller holds the completed set as a [`PrefixState`]: dispatch prices
+//! with its `build_cost`, and a completion accrues at its `runtime`, then
+//! pushes, so the state steps through the completion order.
+//!
 //! The deploy runtime (`idd-deploy`) drives the schedule through its
 //! journal transitions, adding events, replans and failures.
 //! [`SlotScheduleEvaluator`] runs it on a quiet tail, so on a quiet run it
@@ -33,7 +37,7 @@
 use crate::accsum::ExactSum;
 use crate::instance::ProblemInstance;
 use crate::journal::FailRecord;
-use crate::objective::{ObjectiveEvaluator, ObjectiveStepper};
+use crate::objective::{ObjectiveEvaluator, PrefixState};
 use crate::solution::Deployment;
 use crate::types::IndexId;
 use std::collections::VecDeque;
@@ -216,13 +220,14 @@ impl SlotSchedule {
 
     /// Dispatches the index at `plan_offset` in the pending suffix into
     /// `slot` at the current clock. The build is priced against the
-    /// completed set; `failure` maps (index, cost) to its failure spec —
-    /// `(retries, waste_per_failure)`: that many attempts waste that much
-    /// clock each before the build succeeds, all inside this slot — and the
-    /// slot stays occupied until completion.
+    /// completed set, `completed` ([`PrefixState::build_cost`]: an
+    /// in-flight helper discounts nothing); `failure` maps (index, cost) to
+    /// its failure spec — `(retries, waste_per_failure)`: that many attempts
+    /// waste that much clock each before the build succeeds, all inside
+    /// this slot — and the slot stays occupied until completion.
     pub fn dispatch(
         &mut self,
-        stepper: &mut ObjectiveStepper<'_>,
+        completed: &PrefixState<'_>,
         plan_offset: usize,
         slot: usize,
         failure: impl FnOnce(IndexId, f64) -> (u32, f64),
@@ -232,7 +237,7 @@ impl SlotSchedule {
             .remove(plan_offset)
             .expect("plan offset within the pending suffix");
         self.overtakes += usize::from(plan_offset > 0);
-        let cost = stepper.begin_build(index);
+        let cost = completed.build_cost(index);
         let (retries, waste_per_failure) = failure(index, cost);
         let mut wasted = 0.0;
         for _ in 0..retries {
@@ -255,9 +260,10 @@ impl SlotSchedule {
     }
 
     /// Completes the in-flight build at `at`: the workload cost of
-    /// `[clock, finish]` accrues at the current runtime level, the clock
-    /// advances, and the index lands.
-    pub fn complete(&mut self, stepper: &mut ObjectiveStepper<'_>, at: usize) -> SlotBuild {
+    /// `[clock, finish]` accrues at the runtime level of `completed`, the
+    /// clock advances, and the index lands ([`PrefixState::push`], so the
+    /// completed set's pushes follow completion order).
+    pub fn complete(&mut self, completed: &mut PrefixState<'_>, at: usize) -> SlotBuild {
         let build = self.in_flight.remove(at);
         // When nothing has been accrued since this build started (always
         // true with one slot), split the span into the serial per-attempt
@@ -270,12 +276,12 @@ impl SlotSchedule {
         } else {
             (0, build.finish - self.clock)
         };
-        let runtime = stepper.runtime();
+        let runtime = completed.runtime();
         for span in std::iter::repeat_n(build.waste_per_failure, attempts).chain([last]) {
             self.realized.add_prod(runtime, span);
         }
         self.clock = build.finish;
-        stepper.complete_build(build.index);
+        completed.push(build.index);
         self.built[build.index.raw()] = true;
         build
     }
@@ -366,7 +372,7 @@ impl<'a> SlotScheduleEvaluator<'a> {
     /// ever clear the dependent and the schedule would wedge.
     pub fn evaluate(&self, order: &Deployment) -> SlotScheduleValue {
         debug_assert!(order.validate(self.instance).is_ok());
-        let mut stepper = self.evaluator.stepper();
+        let mut completed = self.evaluator.prefix_state();
         let mut schedule =
             SlotSchedule::new(self.instance.num_indexes(), order.order().iter().copied());
         let mut draining = self.busy_until.clone();
@@ -378,7 +384,7 @@ impl<'a> SlotScheduleEvaluator<'a> {
                 let Some(pos) = schedule.next_dispatchable(self.instance, self.policy) else {
                     break;
                 };
-                schedule.dispatch(&mut stepper, pos, slot, |_, _| (0, 0.0));
+                schedule.dispatch(&completed, pos, slot, |_, _| (0, 0.0));
             }
             // Once every pending index has completed, slots still draining
             // are irrelevant: they must not stretch the makespan or accrue
@@ -393,10 +399,10 @@ impl<'a> SlotScheduleEvaluator<'a> {
                 // rate until then, but nothing completes.
                 (Some(&at), _) if next.is_none_or(|c| at <= schedule.in_flight[c].finish) => {
                     draining.pop();
-                    schedule.wait_until(stepper.runtime(), at);
+                    schedule.wait_until(completed.runtime(), at);
                 }
                 (_, Some(at)) => {
-                    schedule.complete(&mut stepper, at);
+                    schedule.complete(&mut completed, at);
                 }
                 _ => break,
             }
@@ -408,7 +414,7 @@ impl<'a> SlotScheduleEvaluator<'a> {
         SlotScheduleValue {
             area: schedule.realized.value(),
             makespan: schedule.clock,
-            final_runtime: stepper.runtime(),
+            final_runtime: completed.runtime(),
             overtakes: schedule.overtakes,
         }
     }

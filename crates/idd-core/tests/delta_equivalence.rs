@@ -223,7 +223,7 @@ proptest! {
                     assert_bits("oracle swap probe", oracle.evaluate_swap(a, b), want);
                     if commit {
                         delta.commit_swap(a, b);
-                        oracle.commit_swap(a, b);
+                        oracle.set_base(next.clone());
                         current = next;
                     }
                 }
@@ -249,7 +249,7 @@ proptest! {
             // The committed state must stay exact after every step.
             let want = full.evaluate_area(&current);
             assert_bits("episode base", delta.base_area(), want);
-            assert_bits("episode oracle base", oracle.base_area(), want);
+            assert_bits("episode oracle base", oracle.evaluate_order(&current), want);
             prop_assert_eq!(delta.base().order(), current.order());
         }
     }

@@ -155,7 +155,6 @@ fn exact_solvers_agree_on_the_optimum() {
         let cp = CpSolver::with_config(CpConfig::plain(SearchBudget::unlimited())).solve(&instance);
         let astar = AStarSolver::with_config(AStarConfig {
             budget: SearchBudget::unlimited(),
-            ..AStarConfig::default()
         })
         .solve(&instance);
         assert!(cp.is_optimal() && astar.is_optimal(), "seed {seed}");
@@ -169,7 +168,6 @@ fn exact_solvers_agree_on_the_optimum() {
         // discretization noise of the true optimum but never below it.
         let mip = MipSolver::with_config(MipConfig {
             budget: SearchBudget::unlimited(),
-            ..MipConfig::default()
         })
         .solve(&instance);
         assert!(mip.is_feasible(), "seed {seed}");

@@ -19,23 +19,15 @@ use idd_core::{Deployment, IndexId, ObjectiveEvaluator, ProblemInstance};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 
+/// Maximum number of distinct subsets kept in memory before giving up
+/// (models the memory exhaustion the paper reports).
+const MAX_STATES: usize = 2_000_000;
+
 /// Configuration of the A* solver.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AStarConfig {
     /// Time / node budget.
     pub budget: SearchBudget,
-    /// Maximum number of distinct subsets kept in memory before giving up
-    /// (models the memory exhaustion the paper reports).
-    pub max_states: usize,
-}
-
-impl Default for AStarConfig {
-    fn default() -> Self {
-        Self {
-            budget: SearchBudget::default(),
-            max_states: 2_000_000,
-        }
-    }
 }
 
 /// Key for a subset of built indexes (bit-packed).
@@ -103,6 +95,17 @@ impl AStarSolver {
     /// Runs the search inside a shared [`SolveContext`] (cancellable; A*
     /// only ever has a solution at the very end, which is published then).
     pub fn solve_in(&self, instance: &ProblemInstance, ctx: &SolveContext) -> SolveResult {
+        self.search(instance, ctx, MAX_STATES)
+    }
+
+    /// The search of [`AStarSolver::solve_in`], giving up once more than
+    /// `max_states` subsets are kept.
+    fn search(
+        &self,
+        instance: &ProblemInstance,
+        ctx: &SolveContext,
+        max_states: usize,
+    ) -> SolveResult {
         let mut clock = self.config.budget.start_cancellable(ctx.cancel_token());
         let n = instance.num_indexes();
         let words = n.div_ceil(64);
@@ -135,7 +138,7 @@ impl AStarSolver {
         };
 
         while let Some(node) = heap.pop() {
-            if clock.exhausted() || best_g.len() > self.config.max_states {
+            if clock.exhausted() || best_g.len() > max_states {
                 return SolveResult::did_not_finish(
                     "astar",
                     clock.elapsed_seconds(),
@@ -229,9 +232,7 @@ impl Solver for AStarSolver {
         budget: SearchBudget,
         ctx: &SolveContext,
     ) -> SolveResult {
-        let mut config = self.config.clone();
-        config.budget = budget;
-        AStarSolver::with_config(config).solve_in(instance, ctx)
+        AStarSolver::with_config(AStarConfig { budget }).solve_in(instance, ctx)
     }
 }
 
@@ -266,7 +267,6 @@ mod tests {
             let inst = instance(seed);
             let astar = AStarSolver::with_config(AStarConfig {
                 budget: SearchBudget::unlimited(),
-                ..AStarConfig::default()
             })
             .solve(&inst);
             let cp = CpSolver::with_config(CpConfig::plain(SearchBudget::unlimited())).solve(&inst);
@@ -285,9 +285,8 @@ mod tests {
         let inst = instance(4);
         let result = AStarSolver::with_config(AStarConfig {
             budget: SearchBudget::unlimited(),
-            max_states: 3,
         })
-        .solve(&inst);
+        .search(&inst, &SolveContext::new(), 3);
         assert_eq!(result.outcome, SolveOutcome::DidNotFinish);
         assert!(!result.is_feasible());
     }

@@ -32,23 +32,15 @@ use std::collections::BinaryHeap;
 /// into `|D| = 20·|I|` steps.
 const TIMESTEPS_PER_INDEX: usize = 20;
 
+/// Maximum number of open nodes kept in the frontier before the solver
+/// declares itself out of memory.
+const MAX_OPEN_NODES: usize = 200_000;
+
 /// Configuration of the MIP-style solver.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct MipConfig {
     /// Time / node budget.
     pub budget: SearchBudget,
-    /// Maximum number of open nodes kept in the frontier before the solver
-    /// declares itself out of memory.
-    pub max_open_nodes: usize,
-}
-
-impl Default for MipConfig {
-    fn default() -> Self {
-        Self {
-            budget: SearchBudget::default(),
-            max_open_nodes: 200_000,
-        }
-    }
 }
 
 /// Size of the discretized MIP model (Appendix B).
@@ -139,6 +131,17 @@ impl MipSolver {
     /// Runs the branch-and-bound inside a shared [`SolveContext`]
     /// (cancellable, publishing incumbent improvements).
     pub fn solve_in(&self, instance: &ProblemInstance, ctx: &SolveContext) -> SolveResult {
+        self.search(instance, ctx, MAX_OPEN_NODES)
+    }
+
+    /// The branch-and-bound of [`MipSolver::solve_in`], giving up once more
+    /// than `max_open_nodes` nodes are open.
+    fn search(
+        &self,
+        instance: &ProblemInstance,
+        ctx: &SolveContext,
+        max_open_nodes: usize,
+    ) -> SolveResult {
         let mut clock = self.config.budget.start_cancellable(ctx.cancel_token());
         let n = instance.num_indexes();
         let evaluator = ObjectiveEvaluator::new(instance);
@@ -163,7 +166,7 @@ impl MipSolver {
         let mut trajectory = crate::anytime::Trajectory::new();
 
         while let Some(node) = heap.pop() {
-            if clock.exhausted() || heap.len() > self.config.max_open_nodes {
+            if clock.exhausted() || heap.len() > max_open_nodes {
                 // Out of budget or out of memory, exactly like the paper's DF rows.
                 let elapsed = clock.elapsed_seconds();
                 let nodes = clock.nodes();
@@ -259,9 +262,7 @@ impl Solver for MipSolver {
         budget: SearchBudget,
         ctx: &SolveContext,
     ) -> SolveResult {
-        let mut config = self.config.clone();
-        config.budget = budget;
-        MipSolver::with_config(config).solve_in(instance, ctx)
+        MipSolver::with_config(MipConfig { budget }).solve_in(instance, ctx)
     }
 }
 
@@ -291,7 +292,6 @@ mod tests {
         let inst = instance();
         let mip = MipSolver::with_config(MipConfig {
             budget: SearchBudget::unlimited(),
-            ..MipConfig::default()
         })
         .solve(&inst);
         let cp = CpSolver::with_config(CpConfig::plain(SearchBudget::unlimited())).solve(&inst);
@@ -334,9 +334,8 @@ mod tests {
         let inst = instance();
         let result = MipSolver::with_config(MipConfig {
             budget: SearchBudget::unlimited(),
-            max_open_nodes: 2,
         })
-        .solve(&inst);
+        .search(&inst, &SolveContext::new(), 2);
         // With an absurdly small frontier the solver cannot finish.
         assert_ne!(result.outcome, SolveOutcome::Optimal);
     }
@@ -346,7 +345,6 @@ mod tests {
         let inst = instance();
         let result = MipSolver::with_config(MipConfig {
             budget: SearchBudget::nodes(3),
-            ..MipConfig::default()
         })
         .solve(&inst);
         assert!(result.nodes <= 4);

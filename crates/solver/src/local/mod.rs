@@ -141,11 +141,7 @@ impl<'c> Walk<'c> {
     ///
     /// Every stall event counts as a restart; only successful adoptions
     /// count as adoptions (so `adoptions <= restarts` always holds).
-    pub fn adopt(
-        &mut self,
-        delta: &mut DeltaEvaluator<'_>,
-        constraints: &OrderConstraints,
-    ) -> bool {
+    pub fn adopt(&mut self, delta: &mut DeltaEvaluator, constraints: &OrderConstraints) -> bool {
         if !self.ctx.cooperation().warm_starts() || self.since_improvement < self.stall_iterations {
             return false;
         }
@@ -260,7 +256,7 @@ impl<'c> Walk<'c> {
 /// improves the evaluator's base order. Returns whether it moved. The VNS
 /// polish and the LNS repair are both sweeps of this move.
 pub(crate) fn relocate_best(
-    delta: &mut DeltaEvaluator<'_>,
+    delta: &mut DeltaEvaluator,
     constraints: &OrderConstraints,
     from: usize,
     window: RangeInclusive<usize>,
