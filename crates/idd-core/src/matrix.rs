@@ -11,7 +11,8 @@
 //! adjacency the delta evaluator walks (index → plans, plan → members, query
 //! → plans, target → helpers) is a contiguous `u32`/`f64` slice, so a move
 //! evaluation touches a handful of cache lines instead of chasing
-//! `Vec<Vec<…>>` pointers.
+//! `Vec<Vec<…>>` pointers. The swap bounds of the delta evaluator also walk
+//! the other direction of the build interactions (helper → targets).
 
 use crate::error::{CoreError, Result};
 use crate::instance::ProblemInstance;
@@ -123,6 +124,10 @@ pub(crate) struct SoaView {
     helpers_off: Vec<u32>,
     helper_ids: Vec<u32>,
     helper_savings: Vec<f64>,
+    // helper index → (target index, build-cost saving)
+    targets_off: Vec<u32>,
+    target_ids: Vec<u32>,
+    target_savings: Vec<f64>,
     // per-index scalars
     creation_cost: Vec<f64>,
 }
@@ -139,9 +144,13 @@ impl SoaView {
         let mut helpers_off = Vec::with_capacity(n + 1);
         let mut helper_ids = Vec::new();
         let mut helper_savings = Vec::new();
+        let mut targets_off = Vec::with_capacity(n + 1);
+        let mut target_ids = Vec::new();
+        let mut target_savings = Vec::new();
         let mut creation_cost = Vec::with_capacity(n);
         plans_by_index_off.push(0);
         helpers_off.push(0);
+        targets_off.push(0);
         for i in 0..n {
             let id = IndexId::new(i);
             plans_by_index.extend(
@@ -156,6 +165,23 @@ impl SoaView {
                 helper_savings.push(saving);
             }
             helpers_off.push(helper_ids.len() as u32);
+            // One entry per target (the best saving of repeated
+            // interactions), so a walk over the targets meets each once.
+            let start = target_ids.len();
+            for &(target, saving) in instance.helps(id) {
+                let target = target.raw() as u32;
+                match target_ids[start..].iter().position(|&t| t == target) {
+                    Some(k) => {
+                        let best = &mut target_savings[start + k];
+                        *best = f64::max(*best, saving);
+                    }
+                    None => {
+                        target_ids.push(target);
+                        target_savings.push(saving);
+                    }
+                }
+            }
+            targets_off.push(target_ids.len() as u32);
             creation_cost.push(instance.creation_cost(id));
         }
 
@@ -199,6 +225,9 @@ impl SoaView {
             helpers_off,
             helper_ids,
             helper_savings,
+            targets_off,
+            target_ids,
+            target_savings,
             creation_cost,
         }
     }
@@ -225,8 +254,14 @@ impl SoaView {
     /// Plans of query `q`.
     #[inline]
     pub(crate) fn plans_of_query(&self, q: usize) -> &[u32] {
-        &self.plans_by_query
-            [self.plans_by_query_off[q] as usize..self.plans_by_query_off[q + 1] as usize]
+        &self.plans_by_query[self.query_slots(q)]
+    }
+
+    /// The slots of query `q`'s plans in the flat query → plans array: a
+    /// per-query slice of any array of `num_plans()` entries.
+    #[inline]
+    pub(crate) fn query_slots(&self, q: usize) -> std::ops::Range<usize> {
+        self.plans_by_query_off[q] as usize..self.plans_by_query_off[q + 1] as usize
     }
 
     /// Member indexes of plan `p`.
@@ -254,6 +289,15 @@ impl SoaView {
         let lo = self.helpers_off[i] as usize;
         let hi = self.helpers_off[i + 1] as usize;
         (&self.helper_ids[lo..hi], &self.helper_savings[lo..hi])
+    }
+
+    /// Build-interaction targets of helper index `i`: parallel slices of
+    /// distinct target ids and their best build-cost savings.
+    #[inline]
+    pub(crate) fn targets(&self, i: usize) -> (&[u32], &[f64]) {
+        let lo = self.targets_off[i] as usize;
+        let hi = self.targets_off[i + 1] as usize;
+        (&self.target_ids[lo..hi], &self.target_savings[lo..hi])
     }
 
     /// Base creation cost of index `i`.

@@ -29,7 +29,10 @@
 //!   `O(b - a)` — `O(1)` for an adjacent swap — over the struct-of-arrays
 //!   `SoaView` layout, *bit-identical* to re-running
 //!   [`ObjectiveEvaluator::evaluate`]. Any other order is adopted whole with
-//!   [`DeltaEvaluator::set_base`].
+//!   [`DeltaEvaluator::set_base`]. It also bounds every swap's area from
+//!   below without walking its span ([`DeltaEvaluator::swap_bound`], one
+//!   row of pairs at a time), so a best-swap scan walks only the swaps the
+//!   bound cannot rule out.
 //! * [`SuffixReplayEvaluator`] — the previous checkpoint-and-replay
 //!   incremental evaluator, kept as the easily-auditable reference the delta
 //!   path is differentially tested against (and as the "before" baseline of
@@ -567,6 +570,67 @@ impl SpanMove {
 /// order, such as a cooperative warm start that a search adopts, replaces
 /// the base through [`DeltaEvaluator::set_base`] in one `O(n · degree)`
 /// pass.
+///
+/// # Swap lower bounds
+///
+/// [`DeltaEvaluator::swap_bound`] bounds the area of the swap `(a, b)`,
+/// `a < b`, from below without walking its span. Write `x` and `y` for the
+/// indexes at `a` and `b`, `S_p` for the base's first `p` indexes, and
+/// `R_p`, `C_p` for the stored runtime level and cost at `p`. The swap
+/// keeps every term outside `[a, b]`; inside it:
+///
+/// * the runtime level at `a` is `R_a`, and at `p ∈ (a, b]` it is
+///   `R(S_p \ {x} ∪ {y}) ≥ R(S_p ∪ {y}) = D_y(p)`, because a runtime level
+///   never rises when an index is added to the built set;
+/// * every cost is exact: `y` priced against `S_a` at `a`, `x` against
+///   `S_{b+1} \ {x}` at `b`, and between them the base costs, except where
+///   `y` helps (cheaper) or `x` helped (dearer), re-priced against
+///   `S_p \ {x} ∪ {y}`.
+///
+/// So the area is at least
+/// `area − Σ_{p=a..b} R_p·C_p + R_a·C'_a + Σ_{a<p≤b} m_p·C'_p`, with
+/// `m_p = D_y(p)`. A cost can be slightly negative — the builder admits a
+/// saving up to `1e-9` above its target's creation cost — and then
+/// `R'·C' ≥ D·C'` fails, so such a term takes the upper level `m_p = R_∅`
+/// instead.
+///
+/// `D_y(p) = R_p − Σ_{q ∈ Q(y)} max(0, best⁺_q(p) − best_q(p))`, where
+/// `Q(y)` are the queries with a plan holding `y`, `best_q(p)` is `q`'s
+/// best speed-up with `S_p` built and `best⁺_q(p)` the best of `q`'s plans
+/// holding `y` whose other indexes lie in `S_p`. Both are step functions of
+/// `p`: [`DeltaEvaluator::swap_bound_row`] merges, per query of `y`, the
+/// steps of `best_q` (derived once per base from the plans' completion
+/// positions) with the positions of `y`'s plan partners, so a row costs
+/// `O(b + Σ_{q ∈ Q(y)} |plans(q)|)`. The old terms come from prefix sums of
+/// `R_p·C_p`, each summed exactly and rounded once per base; a pair then
+/// costs `O(helpers of x and y + helpers of x's targets in the span)`.
+///
+/// # The margin
+///
+/// The bound is computed in plain `f64`. Let `u = 2⁻⁵³`, `R̄` bound every
+/// runtime level and every gain sum (`max(R_∅, Σ_q max plan speed-up)`),
+/// `C̄ = Σ_i max(ctime(i), best saving(i) − ctime(i))` bound `Σ_p |C_p|` for
+/// every order, and `U = R̄·C̄` (normally `R_∅·Σ ctime`), which bounds every
+/// order's area and every partial sum below. One bound rounds:
+///
+/// * the base area, two prefix sums, their difference, `R_a·C'_a` and the
+///   four operations that combine the parts (each result at most `3·U`):
+///   at most `16·u·U`;
+/// * each `D_y(p)`: `R_p` itself (`u·R̄`), at most three operations per
+///   step event (`≤ |plans|` events per row) and one per position in the
+///   running gain sum, and the final subtraction, each off by at most
+///   `2·u·R̄`; weighted by `Σ|C'_p| ≤ C̄`, plus the rounding between
+///   `R(S'_p)` and the level the walk reads, at most
+///   `(6·|plans| + 2·n + 8)·u·U`;
+/// * the products and the at most `3·n` additions of the span's new terms
+///   (each partial sum at most `2·U`): at most `(6·n + 3)·u·U`;
+/// * and the walk's own area is one rounding of the exact area (`u·U`).
+///
+/// These sum to less than `(6·|plans| + 8·n + 32)·u·U`; the margin,
+/// [`DeltaEvaluator::swap_bound_margin`], doubles it for second-order terms,
+/// and is never zero. Subtracted from the bound it never exceeds
+/// [`DeltaEvaluator::evaluate_swap`]. On integer-valued instances below
+/// `2⁵³` every operation is exact and so is the bound.
 #[derive(Debug, Clone)]
 pub struct DeltaEvaluator {
     /// `R_∅`.
@@ -597,6 +661,62 @@ pub struct DeltaEvaluator {
     best_stamp: Vec<u64>,
     scratch_area: ExactSum,
     scratch_runtime: ExactSum,
+    bounds: SwapBounds,
+}
+
+/// The swap lower bounds' state: tables derived once per base, and the
+/// current row.
+#[derive(Debug, Clone)]
+struct SwapBounds {
+    /// The per-base tables below match the base (cleared by every commit
+    /// and `set_base`).
+    fresh: bool,
+    /// The row the per-row arrays hold (`usize::MAX` when none does).
+    row: usize,
+    /// See [`DeltaEvaluator::swap_bound_margin`].
+    margin: f64,
+    /// `prefix_area[k] = Σ_{p<k} R_p·C_p`, summed exactly, rounded once.
+    prefix_area: Vec<f64>,
+    /// Per query, in its `SoaView::query_slots`: the numbers of builds at
+    /// which its best speed-up over the base order rises, and the new best;
+    /// the first `steps_len[q]` slots are used.
+    step_at: Vec<u32>,
+    step_best: Vec<f64>,
+    steps_len: Vec<u32>,
+    /// Scratch for sorting one query's plans by completion.
+    completions: Vec<(u32, f64)>,
+    /// The row's `(query, t, speed-up)` for each plan of `y` whose other
+    /// indexes are the first `t` builds or fewer, `t ≤ row`.
+    partners: Vec<(u32, u32, f64)>,
+    /// Changes, by position, of the gain `y` adds to the runtime level.
+    gain_diff: Vec<f64>,
+    /// `D_y(p)`, for `p ≤ row`.
+    runtime_lb: Vec<f64>,
+    /// The base cost at `p < row`, re-priced with `y` built.
+    cost_with_y: Vec<f64>,
+    /// `tail[a]`: the lower bound of the new terms at `p ∈ (a, row)`, before
+    /// re-pricing the targets of the index at `a`.
+    tail: Vec<f64>,
+}
+
+impl SwapBounds {
+    /// Marks the tables and the row stale after the base changed.
+    fn base_changed(&mut self) {
+        self.fresh = false;
+        self.row = usize::MAX;
+    }
+}
+
+/// A lower bound on the term `R'·cost` for a runtime level `R'` with
+/// `runtime_lb ≤ R' ≤ R_∅`: the lower level for a non-negative cost, the
+/// upper one for a (slightly) negative one.
+#[inline]
+fn lower_term(runtime_lb: f64, baseline: f64, cost: f64) -> f64 {
+    if cost >= 0.0 {
+        runtime_lb * cost
+    } else {
+        baseline * cost
+    }
 }
 
 impl DeltaEvaluator {
@@ -606,8 +726,28 @@ impl DeltaEvaluator {
         let n = instance.num_indexes();
         let np = soa.num_plans();
         let nq = soa.num_queries();
+        let baseline_runtime = instance.baseline_runtime();
+        // The margin of the swap bounds (see the type's docs): `U = R̄·C̄`.
+        let gains: f64 = (0..nq)
+            .map(|q| {
+                soa.plans_of_query(q)
+                    .iter()
+                    .map(|&p| soa.speedup(p as usize))
+                    .fold(0.0, f64::max)
+            })
+            .sum();
+        let costs: f64 = (0..n)
+            .map(|i| {
+                let ctime = soa.creation_cost(i);
+                let saving = soa.helpers(i).1.iter().copied().fold(0.0, f64::max);
+                ctime.max(saving - ctime)
+            })
+            .sum();
+        let ops = (6 * np + 8 * n + 32) as f64;
+        let margin =
+            (ops * f64::EPSILON * baseline_runtime.max(gains) * costs).max(f64::MIN_POSITIVE);
         let mut de = Self {
-            baseline_runtime: instance.baseline_runtime(),
+            baseline_runtime,
             soa,
             base: Deployment::new(Vec::new()),
             positions: vec![0; n],
@@ -626,6 +766,21 @@ impl DeltaEvaluator {
             best_stamp: vec![0; nq],
             scratch_area: ExactSum::new(),
             scratch_runtime: ExactSum::new(),
+            bounds: SwapBounds {
+                fresh: false,
+                row: usize::MAX,
+                margin,
+                prefix_area: vec![0.0; n + 1],
+                step_at: vec![0; np],
+                step_best: vec![0.0; np],
+                steps_len: vec![0; nq],
+                completions: Vec::new(),
+                partners: Vec::new(),
+                gain_diff: vec![0.0; n],
+                runtime_lb: vec![0.0; n],
+                cost_with_y: vec![0.0; n],
+                tail: vec![0.0; n],
+            },
         };
         de.set_base(base);
         de
@@ -656,6 +811,7 @@ impl DeltaEvaluator {
         self.base = base;
         let area = self.span_walk(0, n, &SpanMove::Swap { lo: 0, hi: 0 }, true, true);
         self.area = area;
+        self.bounds.base_changed();
     }
 
     /// Area of the base order with positions `a` and `b` swapped. `O(1)`
@@ -706,6 +862,212 @@ impl DeltaEvaluator {
         for p in a..b {
             self.positions[self.base.at(p).raw()] = p as u32;
         }
+        self.bounds.base_changed();
+    }
+
+    /// What [`DeltaEvaluator::swap_bound`] may exceed the exact area by:
+    /// a lower bound minus this never exceeds
+    /// [`DeltaEvaluator::evaluate_swap`]. Derived in the type's docs; it
+    /// depends on the instance only, and is never zero.
+    pub fn swap_bound_margin(&self) -> f64 {
+        self.bounds.margin
+    }
+
+    /// Prepares row `b` of the swap lower bounds, after which
+    /// [`DeltaEvaluator::swap_bound`] answers `(a, b)` for every `a < b`
+    /// until the base changes or another row is prepared.
+    /// `O(b + Σ_{q ∈ Q(y)} |plans(q)|)` for `y` the index at `b`, plus
+    /// `O(n + |plans| · log)` for the first row after the base changed.
+    pub fn swap_bound_row(&mut self, b: usize) {
+        debug_assert!(b < self.base.len(), "row {b} outside the order");
+        if !self.bounds.fresh {
+            self.refresh_bound_tables();
+        }
+        let y = self.base.at(b).raw();
+        let soa = &self.soa;
+        let positions = &self.positions;
+        let bounds = &mut self.bounds;
+
+        // y's plans whose other indexes are all built by position b: with
+        // `t` builds they are, and S_p ∪ {y} completes the plan for p ≥ t.
+        bounds.partners.clear();
+        for &plan in soa.plans_using(y) {
+            let plan = plan as usize;
+            let t = soa
+                .members(plan)
+                .iter()
+                .filter(|&&m| m as usize != y)
+                .map(|&m| positions[m as usize] + 1)
+                .max()
+                .unwrap_or(0);
+            if t as usize <= b {
+                bounds
+                    .partners
+                    .push((soa.query_of(plan) as u32, t, soa.speedup(plan)));
+            }
+        }
+        bounds.partners.sort_unstable_by_key(|&(q, t, _)| (q, t));
+
+        // Per query of y: merge the steps of its best speed-up with those
+        // of its best plan holding y, and record where the gain changes.
+        bounds.gain_diff[..=b].fill(0.0);
+        let mut k = 0;
+        while k < bounds.partners.len() {
+            let q = bounds.partners[k].0;
+            let end = k + bounds.partners[k..].iter().take_while(|e| e.0 == q).count();
+            let group = &bounds.partners[k..end];
+            let first = soa.query_slots(q as usize).start;
+            let steps = first..first + bounds.steps_len[q as usize] as usize;
+            let (step_at, step_best) = (&bounds.step_at[steps.clone()], &bounds.step_best[steps]);
+            let (mut i, mut j) = (0, 0);
+            let (mut best, mut with_y, mut gain) = (0.0_f64, 0.0_f64, 0.0_f64);
+            // Once y's plans are all in, the gain can only fall; it stops
+            // mattering at zero.
+            while j < group.len() || (gain > 0.0 && i < step_at.len()) {
+                let at = group
+                    .get(j)
+                    .map_or(u32::MAX, |e| e.1)
+                    .min(step_at.get(i).copied().unwrap_or(u32::MAX));
+                if at as usize > b {
+                    break;
+                }
+                while i < step_at.len() && step_at[i] == at {
+                    best = step_best[i];
+                    i += 1;
+                }
+                while j < group.len() && group[j].1 == at {
+                    with_y = with_y.max(group[j].2);
+                    j += 1;
+                }
+                let next = (with_y - best).max(0.0);
+                if next != gain {
+                    bounds.gain_diff[at as usize] += next - gain;
+                    gain = next;
+                }
+            }
+            k = end;
+        }
+
+        // D_y(p) = R_p − the gain y adds with S_p built.
+        let mut gain = 0.0;
+        for p in 0..=b {
+            gain += bounds.gain_diff[p];
+            bounds.runtime_lb[p] = self.runtime_at[p] - gain;
+        }
+
+        // The base costs before b, cheaper where y helps.
+        bounds.cost_with_y[..b].copy_from_slice(&self.cost_at[..b]);
+        let (targets, savings) = soa.targets(y);
+        for (&z, &saving) in targets.iter().zip(savings) {
+            let p = positions[z as usize] as usize;
+            if p < b {
+                let cost = soa.creation_cost(z as usize) - saving;
+                bounds.cost_with_y[p] = bounds.cost_with_y[p].min(cost);
+            }
+        }
+
+        // tail[a] = Σ_{a<p<b} of the new terms' lower bounds.
+        if b > 0 {
+            bounds.tail[b - 1] = 0.0;
+            for a in (0..b - 1).rev() {
+                let p = a + 1;
+                let term = lower_term(
+                    bounds.runtime_lb[p],
+                    self.baseline_runtime,
+                    bounds.cost_with_y[p],
+                );
+                bounds.tail[a] = bounds.tail[p] + term;
+            }
+        }
+        bounds.row = b;
+    }
+
+    /// A lower bound on [`DeltaEvaluator::evaluate_swap`]`(a, b)`, up to
+    /// [`DeltaEvaluator::swap_bound_margin`], for `a < b` and `b` the row
+    /// prepared by [`DeltaEvaluator::swap_bound_row`]. `O(helpers of the two
+    /// indexes + helpers of the targets of the index at a that lie between
+    /// them)`; see the type's docs for the derivation.
+    pub fn swap_bound(&self, a: usize, b: usize) -> f64 {
+        debug_assert!(
+            a < b && b == self.bounds.row,
+            "swap_bound({a}, {b}) outside the prepared row"
+        );
+        let bounds = &self.bounds;
+        let pos = |i: usize| self.positions[i] as usize;
+        let x = self.base.at(a).raw();
+        let y = self.base.at(b).raw();
+        // y at a, against S_a; x at b, against S_{b+1} \ {x}: both exact.
+        let cost_a = self.cost_against(y, |h| pos(h) < a);
+        let cost_b = self.cost_against(x, |h| pos(h) <= b);
+        // Between them, the targets of x lose x as a helper.
+        let mut between = bounds.tail[a];
+        for &z in self.soa.targets(x).0 {
+            let (z, p) = (z as usize, pos(z as usize));
+            if a < p && p < b {
+                let cost = self.cost_against(z, |h| h == y || (h != x && pos(h) < p));
+                let lb = bounds.runtime_lb[p];
+                between += lower_term(lb, self.baseline_runtime, cost)
+                    - lower_term(lb, self.baseline_runtime, bounds.cost_with_y[p]);
+            }
+        }
+        let old = bounds.prefix_area[b + 1] - bounds.prefix_area[a];
+        (self.area - old)
+            + self.runtime_at[a] * cost_a
+            + between
+            + lower_term(bounds.runtime_lb[b], self.baseline_runtime, cost_b)
+    }
+
+    /// Effective build cost of index `i` when exactly the helpers for which
+    /// `built` holds are built: the span walk's `max` fold.
+    fn cost_against(&self, i: usize, built: impl Fn(usize) -> bool) -> f64 {
+        let (ids, savings) = self.soa.helpers(i);
+        let mut best = 0.0_f64;
+        for (&h, &saving) in ids.iter().zip(savings) {
+            if built(h as usize) {
+                best = best.max(saving);
+            }
+        }
+        self.soa.creation_cost(i) - best
+    }
+
+    /// Derives the per-base tables of the swap bounds: the exact prefix
+    /// sums of the base's terms and the steps of every query's best
+    /// speed-up over the base order.
+    fn refresh_bound_tables(&mut self) {
+        let n = self.base.len();
+        let bounds = &mut self.bounds;
+        let acc = &mut self.scratch_area;
+        acc.clear();
+        for p in 0..n {
+            acc.add_prod(self.runtime_at[p], self.cost_at[p]);
+            bounds.prefix_area[p + 1] = acc.value();
+        }
+        debug_assert_eq!(bounds.prefix_area[n].to_bits(), self.area.to_bits());
+        for q in 0..self.soa.num_queries() {
+            let first = self.soa.query_slots(q).start;
+            bounds.completions.clear();
+            bounds.completions.extend(
+                self.soa
+                    .plans_of_query(q)
+                    .iter()
+                    .map(|&p| (self.complete_at[p as usize], self.soa.speedup(p as usize))),
+            );
+            bounds.completions.sort_unstable_by_key(|&(at, _)| at);
+            let mut len = 0;
+            let mut best = 0.0_f64;
+            for &(at, speedup) in &bounds.completions {
+                if speedup > best {
+                    best = speedup;
+                    if len == 0 || bounds.step_at[first + len - 1] != at {
+                        len += 1;
+                    }
+                    bounds.step_at[first + len - 1] = at;
+                    bounds.step_best[first + len - 1] = best;
+                }
+            }
+            bounds.steps_len[q] = len as u32;
+        }
+        bounds.fresh = true;
     }
 
     /// Scores (and on `commit`, applies) the rewrite of positions `[a, b)`

@@ -15,6 +15,10 @@
 //!   adoption),
 //! * long random sequences interleaving evaluations with commits, which
 //!   would expose any stale per-position cache left behind by `commit_*`.
+//!
+//! The swap lower bounds a best-swap scan skips pairs with are pinned here
+//! too: after any sequence of commits, every bound minus its margin stays at
+//! or below the swap's exact area.
 
 use idd_core::{
     DeltaEvaluator, Deployment, IndexId, InstanceBuilder, ObjectiveEvaluator, ProblemInstance,
@@ -290,5 +294,121 @@ fn probe_after_commit_reuses_fresh_cache() {
             delta.evaluate_swap(a, a + 1).to_bits(),
             full.evaluate_area(&swapped).to_bits()
         );
+    }
+}
+
+/// A random instance for the swap bounds: several helpers per target,
+/// plans that share indexes, and either integer values, on which every
+/// bound is exact, or real values at a magnitude from `1e-3` to `1e6`. Some
+/// savings exceed their target's creation cost by less than the builder's
+/// `1e-9` tolerance, which makes that build's cost slightly negative once a
+/// large enough helper is built (visible at small magnitudes).
+fn arb_bound_instance() -> impl Strategy<Value = ProblemInstance> {
+    (2usize..=11, 0u8..2, 0usize..4).prop_flat_map(|(n, integer, magnitude)| {
+        let integer = integer == 1;
+        let scale = if integer {
+            [1.0, 1.0, 1e3, 1e3][magnitude]
+        } else {
+            [1e-3, 1.0, 1e3, 1e6][magnitude]
+        };
+        // Integer instances floor every drawn value.
+        let value = move |x: f64| if integer { x.floor() } else { x };
+        let costs = proptest::collection::vec(1.0f64..21.0, n);
+        let pool = proptest::collection::vec(0..n, 1..=n.min(5));
+        let queries = proptest::collection::vec(
+            (
+                10.0f64..201.0,
+                proptest::collection::vec(
+                    (proptest::collection::vec(0..n, 1..=3), 0u32..=10),
+                    1..=5,
+                ),
+            ),
+            1..=6,
+        );
+        let interactions = proptest::collection::vec((0..n, 0..n, 0u32..=10, 0u32..4), 0..=2 * n);
+        (costs, pool, queries, interactions).prop_map(
+            move |(costs, pool, queries, interactions)| {
+                let costs: Vec<f64> = costs.into_iter().map(value).collect();
+                let mut b = InstanceBuilder::new("swap-bounds");
+                for c in &costs {
+                    b.add_index(c * scale);
+                }
+                for (runtime, plans) in queries {
+                    let runtime = value(runtime);
+                    let q = b.add_query(runtime * scale);
+                    for (members, tenths) in plans {
+                        // Members come from a small shared pool, so plans
+                        // of different queries overlap.
+                        let mut ids: Vec<usize> =
+                            members.iter().map(|&m| pool[m % pool.len()]).collect();
+                        ids.sort_unstable();
+                        ids.dedup();
+                        let speedup = value(runtime * f64::from(tenths) / 10.0);
+                        let ids = ids.into_iter().map(IndexId::new).collect();
+                        b.add_plan(q, ids, speedup * scale);
+                    }
+                }
+                for (target, helper, tenths, kind) in interactions {
+                    if target == helper {
+                        continue;
+                    }
+                    let saving = if kind == 0 {
+                        costs[target] * scale + 0.5e-9
+                    } else {
+                        value(costs[target] * f64::from(tenths) / 10.0) * scale
+                    };
+                    b.add_build_interaction(IndexId::new(target), IndexId::new(helper), saving);
+                }
+                b.build().expect("generated instance is consistent")
+            },
+        )
+    })
+}
+
+/// Asserts `swap_bound(a, b) − margin ≤ evaluate_swap(a, b)` for every
+/// `a < b`, probing each swap between row preparation and the bound read.
+fn assert_bounds_hold(delta: &mut DeltaEvaluator) {
+    let n = delta.base().len();
+    let margin = delta.swap_bound_margin();
+    assert!(margin > 0.0, "the margin must never be zero");
+    for b in 1..n {
+        delta.swap_bound_row(b);
+        for a in (0..b).rev() {
+            let area = delta.evaluate_swap(a, b);
+            let bound = delta.swap_bound(a, b);
+            assert!(
+                bound - margin <= area,
+                "swap ({a}, {b}) of {:?}: bound {bound:?} - margin {margin:?} exceeds area {area:?}",
+                delta.base().order()
+            );
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// Every swap bound, minus its margin, stays at or below the exact
+    /// area, on every base a walk of swaps, shifts and whole-order
+    /// replacements reaches.
+    #[test]
+    fn swap_bounds_never_exceed_the_area(
+        (inst, moves) in arb_bound_instance()
+            .prop_flat_map(|inst| {
+                let n = inst.num_indexes();
+                (Just(inst), arb_moves(n, 6))
+            })
+    ) {
+        let n = inst.num_indexes();
+        let mut delta = DeltaEvaluator::new(&inst, Deployment::identity(n));
+        assert_bounds_hold(&mut delta);
+        for mv in moves {
+            match mv {
+                Move::Swap { a, b, .. } => delta.commit_swap(a.min(n - 1), b.min(n - 1)),
+                Move::Shift { from, to, .. } => delta.commit_shift(from.min(n - 1), to.min(n - 1)),
+                Move::Reseed { seed } => delta.set_base(shuffled(n, seed)),
+            }
+            assert_bounds_hold(&mut delta);
+        }
     }
 }
