@@ -88,6 +88,30 @@ pub fn parse_flag_value(bin: &str, flag: &str) -> Option<String> {
     None
 }
 
+/// Parses the value following `flag` in the process arguments, or returns
+/// `default` when the flag is absent. A value that does not parse as `T`,
+/// or that `valid` rejects, aborts with exit code 2 and a message naming the
+/// flag and what it `expects` — a mistyped option must never run the
+/// default instead.
+pub fn parse_flag<T: std::str::FromStr>(
+    bin: &str,
+    flag: &str,
+    default: T,
+    expects: &str,
+    valid: fn(&T) -> bool,
+) -> T {
+    let Some(raw) = parse_flag_value(bin, flag) else {
+        return default;
+    };
+    match raw.parse::<T>() {
+        Ok(value) if valid(&value) => value,
+        _ => {
+            eprintln!("{bin}: {flag} expects {expects}, got `{raw}`");
+            std::process::exit(2);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

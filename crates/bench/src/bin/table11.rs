@@ -11,8 +11,10 @@
 //!
 //! * **full** — clone the order, apply the move, `evaluate_area` from
 //!   scratch (`O(n)` per move);
-//! * **replay** — [`SuffixReplayEvaluator`], checkpoint + replay of the
-//!   suffix behind the move (`O(n)` worst case, cheaper near the tail);
+//! * **replay** — a [`PrefixState`] holding the base order: pop back to
+//!   the first position the move changes, push the moved suffix, read the
+//!   area, then pop and push the base suffix back (`O(n)` worst case,
+//!   cheaper near the tail);
 //! * **delta** — [`DeltaEvaluator`], span-local patching over the SoA
 //!   layout (`O(1)` adjacent swaps, `O(|span|)` otherwise)
 //!
@@ -24,11 +26,12 @@
 //! `--moves <k>` (move budget per cell, default 20000), `--seed <n>`,
 //! `--json <path>` (machine-readable `BENCH_table11.json`), `--tiny`
 //! (timing-free bit-equivalence verdicts on a fixed instance — fully
-//! machine-independent, diffed by the golden test).
+//! machine-independent, diffed by the golden test). A value that does not
+//! parse exits with code 2.
 
-use idd_bench::{parse_flag_value, BenchJson, BenchRecord, Table};
+use idd_bench::{parse_flag, parse_flag_value, BenchJson, BenchRecord, Table};
 use idd_core::{
-    DeltaEvaluator, Deployment, ObjectiveEvaluator, ProblemInstance, SuffixReplayEvaluator,
+    DeltaEvaluator, Deployment, IndexId, ObjectiveEvaluator, PrefixState, ProblemInstance,
 };
 use idd_workloads::synthetic::{generate, SyntheticConfig};
 
@@ -81,6 +84,57 @@ fn applied(base: &Deployment, mv: Move) -> Deployment {
     next
 }
 
+/// The index at position `p` once `mv` is applied to `base`.
+fn moved_at(base: &[IndexId], mv: Move, p: usize) -> IndexId {
+    match mv {
+        Move::Swap(a, b) if p == a => base[b],
+        Move::Swap(a, b) if p == b => base[a],
+        Move::Shift(from, to) if p == to => base[from],
+        Move::Shift(from, to) if (from..to).contains(&p) => base[p + 1],
+        Move::Shift(from, to) if (to + 1..=from).contains(&p) => base[p - 1],
+        _ => base[p],
+    }
+}
+
+/// The replay back end: a prefix state holding the whole base order.
+struct Replay<'e> {
+    base: Vec<IndexId>,
+    prefix: PrefixState<'e>,
+}
+
+impl<'e> Replay<'e> {
+    fn new(evaluator: &'e ObjectiveEvaluator<'e>, base: &Deployment) -> Self {
+        let mut prefix = evaluator.prefix_state();
+        base.iter().for_each(|(_, i)| prefix.push(i));
+        let base = base.order().to_vec();
+        Self { base, prefix }
+    }
+
+    /// Pops the prefix back to `first` and pushes `at(base, p)` for every
+    /// later position `p`.
+    fn rewrite(&mut self, first: usize, at: impl Fn(&[IndexId], usize) -> IndexId) {
+        let n = self.base.len();
+        for _ in first..n {
+            self.prefix.pop();
+        }
+        for p in first..n {
+            self.prefix.push(at(&self.base, p));
+        }
+    }
+
+    /// The area of the base order with `mv` applied; the base is restored
+    /// before returning.
+    fn evaluate(&mut self, mv: Move) -> f64 {
+        let first = match mv {
+            Move::Swap(a, b) | Move::Shift(a, b) => a.min(b),
+        };
+        self.rewrite(first, |base, p| moved_at(base, mv, p));
+        let area = self.prefix.area();
+        self.rewrite(first, |base, p| base[p]);
+        area
+    }
+}
+
 /// Scoring back ends under measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Backend {
@@ -104,23 +158,17 @@ impl Backend {
 /// keeps the optimizer honest).
 fn scan(
     backend: Backend,
-    instance: &ProblemInstance,
     base: &Deployment,
     moves: &[Move],
     full: &ObjectiveEvaluator,
-    replay: &SuffixReplayEvaluator,
+    replay: &mut Replay<'_>,
     delta: &mut DeltaEvaluator,
 ) -> u64 {
     let mut checksum = 0u64;
     for &mv in moves {
         let area = match backend {
             Backend::Full => full.evaluate_area(&applied(base, mv)),
-            Backend::Replay => match mv {
-                Move::Swap(a, b) => replay.evaluate_swap(a, b),
-                // The replay evaluator predates relocations; it scores them
-                // as whole-order replacements.
-                Move::Shift(_, _) => replay.evaluate_order(&applied(base, mv)),
-            },
+            Backend::Replay => replay.evaluate(mv),
             Backend::Delta => match mv {
                 Move::Swap(a, b) => delta.evaluate_swap(a, b),
                 Move::Shift(from, to) => delta.evaluate_shift(from, to),
@@ -128,21 +176,17 @@ fn scan(
         };
         checksum ^= area.to_bits();
     }
-    let _ = instance;
     checksum
 }
 
 /// Asserts all three back ends agree bit-for-bit on every move.
 fn cross_check(label: &str, instance: &ProblemInstance, base: &Deployment, moves: &[Move]) -> bool {
     let full = ObjectiveEvaluator::new(instance);
-    let replay = SuffixReplayEvaluator::new(instance, base.clone());
+    let mut replay = Replay::new(&full, base);
     let mut delta = DeltaEvaluator::new(instance, base.clone());
     for &mv in moves {
         let want = full.evaluate_area(&applied(base, mv));
-        let got_replay = match mv {
-            Move::Swap(a, b) => replay.evaluate_swap(a, b),
-            Move::Shift(_, _) => replay.evaluate_order(&applied(base, mv)),
-        };
+        let got_replay = replay.evaluate(mv);
         let got_delta = match mv {
             Move::Swap(a, b) => delta.evaluate_swap(a, b),
             Move::Shift(from, to) => delta.evaluate_shift(from, to),
@@ -195,7 +239,7 @@ fn measure(
     move_budget: u64,
 ) -> Vec<Cell> {
     let full = ObjectiveEvaluator::new(instance);
-    let replay = SuffixReplayEvaluator::new(instance, base.clone());
+    let mut replay = Replay::new(&full, base);
     let mut delta = DeltaEvaluator::new(instance, base.clone());
     let mut cells = Vec::new();
     for backend in [Backend::Full, Backend::Replay, Backend::Delta] {
@@ -203,7 +247,7 @@ fn measure(
         let mut checksum = 0u64;
         let started = std::time::Instant::now();
         while done < move_budget {
-            checksum ^= scan(backend, instance, base, moves, &full, &replay, &mut delta);
+            checksum ^= scan(backend, base, moves, &full, &mut replay, &mut delta);
             done += moves.len() as u64;
         }
         let elapsed = started.elapsed().as_secs_f64();
@@ -245,12 +289,10 @@ fn main() {
         return;
     }
 
-    let seed = parse_flag_value("table11", "--seed")
-        .map(|v| v.parse::<u64>().unwrap_or(42))
-        .unwrap_or(42);
-    let move_budget = parse_flag_value("table11", "--moves")
-        .map(|v| v.parse::<u64>().unwrap_or(20_000))
-        .unwrap_or(20_000);
+    let seed = parse_flag("table11", "--seed", 42, "an unsigned integer", |_| true);
+    let move_budget = parse_flag("table11", "--moves", 20_000, "an unsigned integer", |_| {
+        true
+    });
     let sizes = parse_sizes();
 
     println!("== Table 11: incremental evaluation throughput (seed {seed}) ==\n");

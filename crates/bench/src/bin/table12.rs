@@ -17,9 +17,10 @@
 //! (timing-free equivalence verdicts on a hand-specified zero-coupling
 //! instance — fully machine-independent, diffed by the golden test; exits
 //! non-zero if the sharded objective exceeds the monolithic one or the
-//! spliced order fails re-verification).
+//! spliced order fails re-verification). A value that does not parse, or
+//! a NaN or negative `--limit` or `--threshold`, exits with code 2.
 
-use idd_bench::{parse_flag_value, BenchJson, BenchRecord, Table};
+use idd_bench::{parse_flag, parse_flag_value, BenchJson, BenchRecord, Table};
 use idd_core::{ObjectiveEvaluator, ProblemInstance};
 use idd_solver::decompose::{ShardedConfig, ShardedOutcome, ShardedSolver};
 use idd_solver::solver::{CooperationPolicy, SolveContext};
@@ -54,18 +55,11 @@ fn main() {
         return;
     }
 
-    let seed = parse_flag_value("table12", "--seed")
-        .map(|v| v.parse::<u64>().unwrap_or(42))
-        .unwrap_or(42);
-    let limit = parse_flag_value("table12", "--limit")
-        .map(|v| v.parse::<f64>().unwrap_or(2.0))
-        .unwrap_or(2.0);
-    let coupling = parse_flag_value("table12", "--coupling")
-        .map(|v| v.parse::<usize>().unwrap_or(0))
-        .unwrap_or(0);
-    let threshold = parse_flag_value("table12", "--threshold")
-        .map(|v| v.parse::<f64>().unwrap_or(0.0))
-        .unwrap_or(0.0);
+    let non_negative = "a non-negative number";
+    let seed = parse_flag("table12", "--seed", 42, "an unsigned integer", |_| true);
+    let limit = parse_flag("table12", "--limit", 2.0, non_negative, |v| *v >= 0.0);
+    let coupling = parse_flag("table12", "--coupling", 0, "an unsigned integer", |_| true);
+    let threshold = parse_flag("table12", "--threshold", 0.0, non_negative, |v| *v >= 0.0);
     let sizes = match parse_flag_value("table12", "--sizes") {
         Some(v) => {
             let sizes: Result<Vec<usize>, _> = v.split(',').map(str::parse).collect();

@@ -34,7 +34,7 @@ pub mod args;
 pub mod figures;
 pub mod report;
 
-pub use args::{parse_flag_value, HarnessArgs};
+pub use args::{parse_flag, parse_flag_value, HarnessArgs};
 pub use report::{BenchJson, BenchRecord, BenchSeries, SeriesJson, SeriesPoint, Table};
 
 use idd_core::ProblemInstance;

@@ -103,7 +103,7 @@ fn table10_tiny_output_matches_golden() {
 }
 
 /// `table11 --tiny` pins the incremental-evaluation contract: the three
-/// scoring back ends (from-scratch, suffix replay, delta) must score every
+/// scoring back ends (from-scratch, prefix replay, delta) must score every
 /// workload move — adjacent swaps, all pairs, bounded-radius relocations,
 /// and a committed walk — bit-identically. No timings are printed, so the
 /// output is machine-independent; a delta-path cache bug flips a "yes" to
@@ -231,4 +231,26 @@ fn replay_reports_malformed_journal_line_numbers() {
         "stderr must point at the bad line as `path:{bad_line}:`, got:\n{stderr}"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A malformed flag value exits with code 2 and names the flag, instead of
+/// running the default.
+#[test]
+fn malformed_table_flags_exit_with_code_2() {
+    for (binary, flag, value) in [
+        (env!("CARGO_BIN_EXE_table11"), "--seed", "abc"),
+        (env!("CARGO_BIN_EXE_table11"), "--moves", "abc"),
+        (env!("CARGO_BIN_EXE_table12"), "--seed", "-1"),
+        (env!("CARGO_BIN_EXE_table12"), "--limit", "NaN"),
+        (env!("CARGO_BIN_EXE_table12"), "--coupling", "x"),
+        (env!("CARGO_BIN_EXE_table12"), "--threshold", "-0.5"),
+    ] {
+        let output = Command::new(binary)
+            .args([flag, value])
+            .output()
+            .unwrap_or_else(|e| panic!("failed to launch {binary}: {e}"));
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(flag), "{flag} {value}: {stderr}");
+    }
 }

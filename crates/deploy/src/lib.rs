@@ -52,10 +52,11 @@
 //!    and under work-conserving dispatch no free slot idles while an
 //!    eligible pending index exists (the `work_conserving` suite);
 //! 3. with `build_slots = 1` (the default) the unified scheduler reproduces
-//!    [`DeployRuntime::execute_serial_reference`] — the serial executor as
-//!    shipped before concurrent slots existed — **bit-for-bit**, and with a
-//!    quiet scenario the realized cost equals the offline objective exactly
-//!    (the runtime steps the offline evaluator's own arithmetic).
+//!    the paper's serial executor **bit-for-bit** — checked against a
+//!    serial oracle that lives in the tests, on public APIs only, and
+//!    restates the drop rules rather than calling the runtime's — and with
+//!    a quiet scenario the realized cost equals the offline objective
+//!    exactly (the runtime steps the offline evaluator's own arithmetic).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -31,13 +31,14 @@
 //!
 //! Everything is deterministic: same instance, same initial plan, same
 //! scenario, same configuration ⇒ same report. Two exact invariants anchor
-//! the model, both locked down by the `serial_equivalence` differential
-//! suite:
+//! the model:
 //!
-//! * with `build_slots = 1` (the default) the unified scheduler reproduces
-//!   the serial runtime — [`DeployRuntime::execute_serial_reference`], the
-//!   executor as shipped before concurrent slots existed — **bit-for-bit**,
-//!   report field by report field;
+//! * with `build_slots = 1` (the default) the unified scheduler is the
+//!   paper's serial executor **bit-for-bit**, report field by report field.
+//!   Its oracle lives in the tests (`tests/common/serial.rs`): a serial
+//!   executor written on public APIs only, which restates the drop rules
+//!   of [`EventKind::Revision`] instead of calling this module's; the
+//!   `serial_equivalence` and `work_conserving` suites compare the two;
 //! * with a quiet scenario and one slot the realized cumulative cost equals
 //!   the offline objective exactly (the runtime pushes its completions onto
 //!   an [`idd_core::PrefixState`], the evaluator's own step).
@@ -376,9 +377,8 @@ pub(crate) struct RunState {
     excluded: Vec<bool>,
     report: DeploymentReport,
     /// Every record passed to [`RunState::append`], in order. Only the live
-    /// runtime appends (replay checks records, the serial reference
-    /// predates the journal); `finish` hands it out as the run's
-    /// [`DeploymentJournal`].
+    /// runtime appends (replay checks the records it is fed); `finish` hands
+    /// it out as the run's [`DeploymentJournal`].
     journal: Vec<JournalRecord>,
     /// Runtime telemetry, projected from the records as they are appended.
     tracks: Option<Tracks>,
@@ -460,8 +460,8 @@ impl RunState {
 
     /// Applies one timed event, mutating the instance / target set and the
     /// mechanically-maintained pending order (additions append, drops
-    /// remove). Returns the trigger label.
-    fn apply_event(&mut self, event: &EvolutionEvent) -> Result<&'static str, DeployError> {
+    /// remove).
+    fn apply_event(&mut self, event: &EvolutionEvent) -> Result<(), DeployError> {
         match &event.kind {
             EventKind::Drift(drift) => {
                 self.instance = Rc::new(drift.apply_to(&self.instance)?);
@@ -499,7 +499,7 @@ impl RunState {
                 }
             }
         }
-        Ok(trigger_label(&event.kind))
+        Ok(())
     }
 
     /// The completed set over `evaluator` — an evaluator of the current
@@ -903,119 +903,6 @@ impl DeployRuntime {
             solver: outcome.solver,
             improved: outcome.improved,
         })))
-    }
-
-    /// The serial executor exactly as shipped before concurrent build slots
-    /// existed: one build at a time, events at build boundaries, replans on
-    /// events only: builds run one at a time whatever `build_slots` says,
-    /// and `trigger` is ignored.
-    ///
-    /// This is kept verbatim as the **reference oracle** for the
-    /// serial-equivalence differential suite: `execute` with the default
-    /// configuration must reproduce it bit-for-bit, field by field. It is
-    /// not deprecated — it is the executable specification of the one-slot
-    /// semantics.
-    pub fn execute_serial_reference(
-        &self,
-        instance: &ProblemInstance,
-        initial: &Deployment,
-        scenario: &EvolutionScenario,
-    ) -> Result<DeploymentReport, DeployError> {
-        initial
-            .validate(instance)
-            .map_err(DeployError::InvalidInitialPlan)?;
-        let mut state = RunState::new(instance, initial);
-
-        // Earliest event last, so `pop` yields events in time order.
-        let mut queue = scenario.sorted_events();
-        queue.reverse();
-
-        loop {
-            // 1. Land every event due at this boundary, then replan once.
-            let mut triggers: Vec<&'static str> = Vec::new();
-            while queue
-                .last()
-                .is_some_and(|e| e.at <= state.schedule.clock || state.schedule.pending.is_empty())
-            {
-                let event = queue.pop().expect("peeked");
-                // Post-completion events take effect when they land, not
-                // retroactively: idle time between builds accrues no cost.
-                state.schedule.clock = state.schedule.clock.max(event.at);
-                let label = state.apply_event(&event)?;
-                if !triggers.contains(&label) {
-                    triggers.push(label);
-                }
-                state.report.events_applied += 1;
-            }
-            if !triggers.is_empty() {
-                self.replan(&mut state, &triggers.join("+"))?;
-                state.validate_plan()?;
-            }
-
-            // 2. Nothing pending and nothing queued: done.
-            let evaluator = ObjectiveEvaluator::new(&state.instance);
-            let mut completed = state.completed(&evaluator);
-            if state.schedule.pending.is_empty() && queue.is_empty() {
-                state.report.final_runtime = completed.runtime();
-                break;
-            }
-
-            // 3. Execute builds until the next event is due (or the plan
-            //    runs out).
-            while !state.schedule.pending.is_empty() {
-                if queue.last().is_some_and(|e| e.at <= state.schedule.clock) {
-                    break; // event boundary: back to step 1
-                }
-                let next = state
-                    .schedule
-                    .pending
-                    .pop_front()
-                    .expect("checked non-empty");
-                let start = state.schedule.clock;
-
-                // Failed attempts waste clock at the current runtime.
-                let mut wasted = 0.0;
-                let mut retries = 0u32;
-                let runtime_before = completed.runtime();
-                let cost = completed.build_cost(next);
-                if let Some(failure) = scenario.failure_for(next) {
-                    let waste = cost * failure.waste_fraction.clamp(0.0, 1.0);
-                    for _ in 0..failure.failures {
-                        state.schedule.realized.add_prod(runtime_before, waste);
-                        wasted += waste;
-                        retries += 1;
-                    }
-                }
-
-                completed.push(next);
-                state.schedule.realized.add_prod(runtime_before, cost);
-                state.schedule.clock += wasted + cost;
-                state.report.builds.push(ExecutedBuild {
-                    position: state.committed.len(),
-                    index: next,
-                    slot: 0,
-                    start,
-                    finish: state.schedule.clock,
-                    cost,
-                    wasted,
-                    retries,
-                    plan_offset: 0,
-                    runtime_before,
-                    runtime_after: completed.runtime(),
-                });
-                state.report.total_build_time += cost;
-                state.report.total_wasted += wasted;
-                state.report.retries += retries;
-                state.committed.push(next);
-                state.completed_order.push(next);
-                state.schedule.built[next.raw()] = true;
-            }
-        }
-
-        state.report.realized_cost = state.schedule.realized.value();
-        state.report.total_clock = state.schedule.clock;
-        debug_assert!(state.report.prefixes_respected());
-        Ok(state.report)
     }
 }
 
@@ -1570,42 +1457,5 @@ mod tests {
             .execute(&inst, &plan, &scenario)
             .unwrap();
         assert_eq!(zero, one);
-    }
-
-    #[test]
-    fn one_slot_execute_matches_the_serial_reference_exactly() {
-        let inst = instance();
-        let plan = Deployment::from_raw([0, 1, 2, 3]);
-        let scenario = EvolutionScenario {
-            name: "mixed".into(),
-            events: vec![
-                drift_at(4.5, 1, 6.0),
-                EvolutionEvent {
-                    at: 9.0,
-                    kind: EventKind::Revision(DesignRevision {
-                        add: vec![IndexAddition {
-                            name: "late".into(),
-                            creation_cost: 2.0,
-                            plans: vec![(QueryId::new(0), vec![], 10.0)],
-                            helped_by: vec![],
-                            helps: vec![],
-                            after: vec![],
-                        }],
-                        drop: vec![],
-                    }),
-                },
-            ],
-            failures: vec![idd_core::BuildFailure {
-                index: IndexId::new(2),
-                failures: 1,
-                waste_fraction: 0.5,
-            }],
-        };
-        let runtime = DeployRuntime::new(DeployConfig::greedy_replan());
-        let unified = runtime.execute(&inst, &plan, &scenario).unwrap();
-        let serial = runtime
-            .execute_serial_reference(&inst, &plan, &scenario)
-            .unwrap();
-        assert_eq!(unified, serial, "one-slot scheduler must be bit-identical");
     }
 }

@@ -1,8 +1,9 @@
-//! Shared generators and comparators for the deploy integration suites:
-//! the seeded instance / plan / scenario / policy family of the
-//! serial-equivalence differential suite, reused verbatim by the journal
-//! replay wall so both suites pin the same grid.
+//! Shared generators, comparators and the serial oracle of the deploy
+//! integration suites: the seeded instance / plan / scenario / policy
+//! family the suites here draw from, so they pin the same grid.
 #![allow(dead_code)] // each test binary uses its own subset
+
+pub mod serial;
 
 use idd_core::{Deployment, EvolutionScenario, ProblemInstance};
 use idd_deploy::{DeployConfig, DeploymentReport};
@@ -90,6 +91,106 @@ pub fn scenario(inst: &ProblemInstance, kind: u8, seed: u64) -> EvolutionScenari
         3 => mixed_scenario(inst, &cfg),
         _ => EvolutionScenario::quiet("quiet"),
     }
+}
+
+/// The invariants of a run at any slot count: committed work (the built
+/// prefix and the in-flight set) is never reordered, rebuilt or cancelled,
+/// a build starts only after its prerequisites completed, and the slot
+/// timeline is physical.
+pub fn assert_frozen_and_physical(inst: &ProblemInstance, report: &DeploymentReport, slots: usize) {
+    // Commitment immutability: the realized order extends every
+    // replan's frozen prefix, which includes its in-flight set — so no
+    // replan reordered, rebuilt, or cancelled committed work.
+    assert!(report.prefixes_respected());
+    assert!(report.in_flight_respected());
+
+    // No index built twice, none invented.
+    let realized = report.realized_order();
+    let mut seen = std::collections::HashSet::new();
+    for (_, i) in realized.iter() {
+        assert!(seen.insert(i), "index {i} built twice");
+    }
+
+    // Every replan's in-flight set really was mid-build at that clock.
+    for r in &report.replans {
+        for f in &r.in_flight {
+            let b = report
+                .builds
+                .iter()
+                .find(|b| b.index == *f)
+                .expect("in-flight index was dispatched");
+            assert!(
+                b.start <= r.clock + 1e-9 && r.clock < b.finish - 1e-12 || b.finish == b.start,
+                "{f} recorded in flight at {} but occupies [{}, {}]",
+                r.clock,
+                b.start,
+                b.finish
+            );
+        }
+    }
+
+    // Closure validity on the original precedences, and the dispatch
+    // gate: a build may only *start* after its prerequisites completed.
+    for pr in inst.precedences() {
+        if let (Some(bp), Some(ap)) = (
+            realized.position_of(pr.before),
+            realized.position_of(pr.after),
+        ) {
+            assert!(bp < ap, "{} built after {}", pr.before, pr.after);
+            let before = &report.builds[bp];
+            let after = &report.builds[ap];
+            assert!(
+                before.finish <= after.start + 1e-9,
+                "{} started at {} before prerequisite {} completed at {}",
+                pr.after,
+                after.start,
+                pr.before,
+                before.finish
+            );
+        }
+    }
+
+    // The slot timeline is physical.
+    assert!(report.slots_used() <= slots);
+    for b in &report.builds {
+        assert!(
+            (b.finish - b.start - (b.wasted + b.cost)).abs() < 1e-9,
+            "{} occupies [{}, {}] but wasted+cost = {}",
+            b.index,
+            b.start,
+            b.finish,
+            b.wasted + b.cost
+        );
+    }
+    for a in &report.builds {
+        // Capacity: point-in-time concurrency never exceeds the slot
+        // count. Concurrency only increases at dispatch instants, so
+        // checking each build's start covers the maximum.
+        let concurrent = report
+            .builds
+            .iter()
+            .filter(|b| b.start <= a.start + 1e-12 && b.finish > a.start + 1e-12)
+            .count();
+        assert!(
+            concurrent <= slots,
+            "{} concurrent builds on {slots} slots at t={}",
+            concurrent,
+            a.start
+        );
+        // Two builds sharing a slot never overlap at all.
+        for b in &report.builds {
+            if a.position != b.position && a.slot == b.slot {
+                assert!(
+                    a.finish <= b.start + 1e-9 || b.finish <= a.start + 1e-9,
+                    "slot {} double-booked by {} and {}",
+                    a.slot,
+                    a.index,
+                    b.index
+                );
+            }
+        }
+    }
+    assert!(report.realized_cost.is_finite());
 }
 
 /// Field-by-field bitwise comparison with a readable failure message —

@@ -8,98 +8,19 @@
 //!   returns `InvalidPlan`;
 //! * the zero-event run reproduces the offline objective exactly
 //!   (bit-for-bit, not within a tolerance).
+//!
+//! The instances, plans, policies and scenarios come from `tests/common`;
+//! scenario kinds are drawn from `0..4`, so the quiet kind never appears.
 
+mod common;
+
+use common::{initial_plan, instance, policy, scenario};
 use idd_core::{
-    Deployment, EventKind, EvolutionEvent, EvolutionScenario, ObjectiveEvaluator, ProblemInstance,
-    QueryId, WorkloadDrift,
+    EventKind, EvolutionEvent, EvolutionScenario, ObjectiveEvaluator, QueryId, WorkloadDrift,
 };
 use idd_deploy::{DeployConfig, DeployRuntime};
-use idd_solver::replan::{ReplanStrategy, Replanner};
-use idd_solver::{CooperationPolicy, SearchBudget};
-use idd_workloads::evolution::{
-    drift_scenario, failure_scenario, mixed_scenario, revision_scenario, EvolutionConfig,
-};
-use idd_workloads::synthetic::{generate, SyntheticConfig};
+use idd_workloads::evolution::{drift_scenario, EvolutionConfig};
 use proptest::prelude::*;
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
-
-/// A deterministic instance family: synthetic, with precedences enabled so
-/// closure validity has teeth.
-fn instance(seed: u64) -> ProblemInstance {
-    generate(SyntheticConfig {
-        num_indexes: 9,
-        num_queries: 6,
-        plans_per_query: 4,
-        max_plan_width: 3,
-        precedence_probability: 0.15,
-        seed,
-        ..SyntheticConfig::default()
-    })
-}
-
-/// A valid initial plan: a seeded shuffle repaired into precedence order by
-/// a stable topological pass (mirrors how a DBA might hand the runtime any
-/// reasonable order, not necessarily the greedy one).
-fn initial_plan(inst: &ProblemInstance, seed: u64) -> Deployment {
-    let n = inst.num_indexes();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
-    // Stable Kahn: repeatedly emit the first index (in shuffled order) whose
-    // prerequisites are all emitted.
-    let mut emitted = vec![false; n];
-    let mut result = Vec::with_capacity(n);
-    while result.len() < n {
-        let next = order
-            .iter()
-            .copied()
-            .find(|&raw| {
-                !emitted[raw]
-                    && inst
-                        .precedences()
-                        .iter()
-                        .all(|pr| pr.after.raw() != raw || emitted[pr.before.raw()])
-            })
-            .expect("acyclic precedences always leave an emittable index");
-        emitted[next] = true;
-        result.push(next);
-    }
-    let d = Deployment::from_raw(result);
-    assert!(d.is_valid_for(inst));
-    d
-}
-
-fn policy(choice: u8) -> DeployConfig {
-    match choice % 3 {
-        0 => DeployConfig::static_plan(),
-        1 => DeployConfig::greedy_replan(),
-        _ => DeployConfig {
-            replanner: Replanner::new(
-                ReplanStrategy::Portfolio {
-                    cooperation: CooperationPolicy::Off,
-                    cancel_on_optimal: false,
-                },
-                SearchBudget::nodes(30),
-            ),
-            ..DeployConfig::default()
-        },
-    }
-}
-
-fn scenario(inst: &ProblemInstance, kind: u8, seed: u64) -> EvolutionScenario {
-    let cfg = EvolutionConfig {
-        seed,
-        num_events: 1 + (seed % 3) as usize,
-        num_failures: 1 + (seed % 2) as usize,
-        ..EvolutionConfig::default()
-    };
-    match kind % 4 {
-        0 => drift_scenario(inst, &cfg),
-        1 => revision_scenario(inst, &cfg),
-        2 => failure_scenario(inst, &cfg),
-        _ => mixed_scenario(inst, &cfg),
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]

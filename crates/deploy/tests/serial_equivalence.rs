@@ -1,15 +1,23 @@
 //! The serial-equivalence differential suite (ISSUE 5).
 //!
-//! The deployment runtime is one unified k-slot scheduler; the executor it
-//! replaced lives on as [`DeployRuntime::execute_serial_reference`], the
-//! executable specification of the one-slot semantics. This suite pins the
-//! two sides of the concurrency generalization:
+//! The deployment runtime is one unified k-slot scheduler. With one slot it
+//! must realize the paper's serial objective `Σ R_{i−1}·C_i` exactly, so
+//! this suite compares it with [`serial_oracle`] (`tests/common/serial.rs`),
+//! an independent serial executor written on public APIs only. The oracle
+//! restates the runtime's drop rules (exclusion, the refusal of a drop
+//! that would orphan a scheduled dependent, the ineffective-drop count)
+//! instead of calling them, shares no scheduling code with the runtime,
+//! and, like the serial executor that predates concurrent slots, ignores
+//! the configured `trigger`. The suite pins the two sides of the
+//! concurrency generalization:
 //!
 //! 1. **Differential:** with `build_slots = 1` (the default), `execute`
-//!    produces a [`DeploymentReport`] **bit-identical** to the serial
-//!    reference — every build record (start/finish/cost/runtimes), every
-//!    replan record, the realized cost — across seeded drift / revision /
-//!    failure / mixed scenarios under every replan policy.
+//!    produces a [`DeploymentReport`](idd_deploy::DeploymentReport)
+//!    **bit-identical** to the oracle's — every build record
+//!    (start/finish/cost/runtimes), every replan record, the realized cost
+//!    — across seeded drift / revision / failure / mixed scenarios under
+//!    every replan policy, plus hand-built scenarios that reach a refused
+//!    drop, which no generated scenario does at one slot.
 //! 2. **Concurrent invariants:** for any slot count, committed work (built
 //!    prefix + in-flight set) is never reordered or rebuilt by a replan,
 //!    every spliced order satisfies the revised closure, slots never
@@ -17,8 +25,14 @@
 
 mod common;
 
-use common::{assert_bit_identical, initial_plan, instance, policy, scenario};
-use idd_core::{EvolutionScenario, ObjectiveEvaluator};
+use common::serial::serial_oracle;
+use common::{
+    assert_bit_identical, assert_frozen_and_physical, initial_plan, instance, policy, scenario,
+};
+use idd_core::{
+    BuildFailure, Deployment, DesignRevision, EventKind, EvolutionEvent, EvolutionScenario,
+    IndexAddition, IndexId, ObjectiveEvaluator, ProblemInstance, QueryId, WorkloadDrift,
+};
 use idd_deploy::{DeployConfig, DeployRuntime};
 use proptest::prelude::*;
 
@@ -27,7 +41,7 @@ proptest! {
 
     /// The headline differential: one slot, any seeded scenario, any
     /// policy — the unified concurrent scheduler reproduces the serial
-    /// reference bit-for-bit, field by field.
+    /// oracle bit-for-bit, field by field.
     #[test]
     fn one_slot_reports_are_bit_identical_to_the_serial_reference(
         ((inst_seed, plan_seed), (scenario_kind, scenario_seed, policy_choice)) in
@@ -36,13 +50,12 @@ proptest! {
         let inst = instance(inst_seed);
         let plan = initial_plan(&inst, plan_seed);
         let scenario = scenario(&inst, scenario_kind, scenario_seed);
-        let runtime = DeployRuntime::new(policy(policy_choice));
-        let unified = runtime
+        let config = policy(policy_choice);
+        let unified = DeployRuntime::new(config.clone())
             .execute(&inst, &plan, &scenario)
             .expect("generated scenarios must be executable");
-        let serial = runtime
-            .execute_serial_reference(&inst, &plan, &scenario)
-            .expect("the reference accepts whatever execute accepts");
+        let serial = serial_oracle(&config.replanner, &inst, &plan, &scenario)
+            .expect("the oracle accepts whatever execute accepts");
         assert_bit_identical(&unified, &serial);
     }
 
@@ -63,88 +76,10 @@ proptest! {
             .execute(&inst, &plan, &scenario)
             .expect("generated scenarios must be executable");
 
-        // Commitment immutability: the realized order extends every
-        // replan's frozen prefix, which includes its in-flight set — so no
-        // replan reordered, rebuilt, or cancelled committed work.
-        prop_assert!(report.prefixes_respected());
-        prop_assert!(report.in_flight_respected());
-
-        // No index built twice, none invented.
-        let realized = report.realized_order();
-        let mut seen = std::collections::HashSet::new();
-        for (_, i) in realized.iter() {
-            prop_assert!(seen.insert(i), "index {i} built twice");
-        }
-
-        // Every replan's in-flight set really was mid-build at that clock.
-        for r in &report.replans {
-            for f in &r.in_flight {
-                let b = report
-                    .builds
-                    .iter()
-                    .find(|b| b.index == *f)
-                    .expect("in-flight index was dispatched");
-                prop_assert!(
-                    b.start <= r.clock + 1e-9 && r.clock < b.finish - 1e-12 || b.finish == b.start,
-                    "{f} recorded in flight at {} but occupies [{}, {}]",
-                    r.clock, b.start, b.finish
-                );
-            }
-        }
-
-        // Closure validity on the original precedences, and the dispatch
-        // gate: a build may only *start* after its prerequisites completed.
-        for pr in inst.precedences() {
-            if let (Some(bp), Some(ap)) =
-                (realized.position_of(pr.before), realized.position_of(pr.after))
-            {
-                prop_assert!(bp < ap, "{} built after {}", pr.before, pr.after);
-                let before = &report.builds[bp];
-                let after = &report.builds[ap];
-                prop_assert!(
-                    before.finish <= after.start + 1e-9,
-                    "{} started at {} before prerequisite {} completed at {}",
-                    pr.after, after.start, pr.before, before.finish
-                );
-            }
-        }
-
-        // The slot timeline is physical.
-        prop_assert!(report.slots_used() <= slots);
-        for b in &report.builds {
-            prop_assert!(
-                (b.finish - b.start - (b.wasted + b.cost)).abs() < 1e-9,
-                "{} occupies [{}, {}] but wasted+cost = {}",
-                b.index, b.start, b.finish, b.wasted + b.cost
-            );
-        }
-        for a in &report.builds {
-            // Capacity: point-in-time concurrency never exceeds the slot
-            // count. Concurrency only increases at dispatch instants, so
-            // checking each build's start covers the maximum.
-            let concurrent = report
-                .builds
-                .iter()
-                .filter(|b| b.start <= a.start + 1e-12 && b.finish > a.start + 1e-12)
-                .count();
-            prop_assert!(
-                concurrent <= slots,
-                "{} concurrent builds on {slots} slots at t={}",
-                concurrent, a.start
-            );
-            // Two builds sharing a slot never overlap at all.
-            for b in &report.builds {
-                if a.position != b.position && a.slot == b.slot {
-                    prop_assert!(
-                        a.finish <= b.start + 1e-9 || b.finish <= a.start + 1e-9,
-                        "slot {} double-booked by {} and {}",
-                        a.slot, a.index, b.index
-                    );
-                }
-            }
-        }
+        assert_frozen_and_physical(&inst, &report, slots);
 
         // Failures surface identically at any slot count.
+        let realized = report.realized_order();
         let expected_retries: u32 = scenario
             .failures
             .iter()
@@ -152,7 +87,6 @@ proptest! {
             .map(|f| f.failures)
             .sum();
         prop_assert_eq!(report.retries, expected_retries);
-        prop_assert!(report.realized_cost.is_finite());
     }
 
     /// Quiet scenarios on several slots: no replan fires, the plan executes
@@ -175,5 +109,116 @@ proptest! {
         // *or grow* (forfeited build-interaction discounts).
         prop_assert!(report.total_clock <= offline.deployment_time + 1e-9);
         prop_assert!(report.total_build_time >= offline.deployment_time - 1e-9);
+    }
+}
+
+/// The paper-style competing example plus a second query, so drift has
+/// something to move between; `gated` adds the precedence `i2 → i3`.
+fn fixture(gated: bool) -> ProblemInstance {
+    let mut b = ProblemInstance::builder("runtime");
+    let i0 = b.add_index(4.0);
+    let i1 = b.add_index(6.0);
+    let i2 = b.add_index(3.0);
+    let i3 = b.add_index(5.0);
+    let q0 = b.add_query(30.0);
+    b.add_plan(q0, vec![i0], 5.0);
+    b.add_plan(q0, vec![i1], 20.0);
+    let q1 = b.add_query(40.0);
+    b.add_plan(q1, vec![i2], 8.0);
+    b.add_plan(q1, vec![i2, i3], 25.0);
+    b.add_build_interaction(i1, i0, 2.0);
+    b.add_build_interaction(i3, i2, 1.5);
+    if gated {
+        b.add_precedence(i2, i3);
+    }
+    b.build().unwrap()
+}
+
+fn drift_at(at: f64, query: usize, weight: f64) -> EvolutionEvent {
+    EvolutionEvent {
+        at,
+        kind: EventKind::Drift(WorkloadDrift {
+            weights: vec![(QueryId::new(query), weight)],
+        }),
+    }
+}
+
+/// Runs `scenario` from `plan` at one slot under `config` and compares the
+/// report with the oracle's, bit for bit.
+fn assert_matches_the_oracle(
+    config: DeployConfig,
+    inst: &ProblemInstance,
+    plan: &Deployment,
+    scenario: &EvolutionScenario,
+) -> idd_deploy::DeploymentReport {
+    let unified = DeployRuntime::new(config.clone())
+        .execute(inst, plan, scenario)
+        .unwrap();
+    let serial = serial_oracle(&config.replanner, inst, plan, scenario).unwrap();
+    assert_bit_identical(&unified, &serial);
+    unified
+}
+
+#[test]
+fn one_slot_execute_matches_the_serial_reference_exactly() {
+    let inst = fixture(false);
+    let plan = Deployment::from_raw([0, 1, 2, 3]);
+    let scenario = EvolutionScenario {
+        name: "mixed".into(),
+        events: vec![
+            drift_at(4.5, 1, 6.0),
+            EvolutionEvent {
+                at: 9.0,
+                kind: EventKind::Revision(DesignRevision {
+                    add: vec![IndexAddition {
+                        name: "late".into(),
+                        creation_cost: 2.0,
+                        plans: vec![(QueryId::new(0), vec![], 10.0)],
+                        helped_by: vec![],
+                        helps: vec![],
+                        after: vec![],
+                    }],
+                    drop: vec![],
+                }),
+            },
+        ],
+        failures: vec![BuildFailure {
+            index: IndexId::new(2),
+            failures: 1,
+            waste_fraction: 0.5,
+        }],
+    };
+    assert_matches_the_oracle(DeployConfig::greedy_replan(), &inst, &plan, &scenario);
+}
+
+/// Drops are ruled on one by one: once `i0` is built, a revision dropping
+/// `i0`, `i2` and `i3` finds `i0` built (ineffective), refuses `i2` while
+/// its dependent `i3` is still scheduled, then retracts `i3`. Skipping the
+/// refusal would retract `i2` too and still leave a valid plan, so only a
+/// comparison with the oracle's own drop rules can tell.
+#[test]
+fn a_refused_drop_matches_the_serial_reference_exactly() {
+    let inst = fixture(true);
+    let plan = Deployment::from_raw([0, 1, 2, 3]);
+    let scenario = EvolutionScenario {
+        name: "refused drop".into(),
+        events: vec![EvolutionEvent {
+            at: 4.0,
+            kind: EventKind::Revision(DesignRevision {
+                add: vec![],
+                drop: vec![IndexId::new(0), IndexId::new(2), IndexId::new(3)],
+            }),
+        }],
+        failures: vec![],
+    };
+    for config in [DeployConfig::static_plan(), DeployConfig::greedy_replan()] {
+        let report = assert_matches_the_oracle(config, &inst, &plan, &scenario);
+        assert_eq!(report.ineffective_drops, 2);
+        let order = report.realized_order();
+        assert!(order.position_of(IndexId::new(2)).is_some(), "i2 is kept");
+        assert!(
+            order.position_of(IndexId::new(3)).is_none(),
+            "i3 is retracted"
+        );
     }
 }

@@ -7,8 +7,12 @@
 //! 1. **Serial degeneracy:** with one slot the first-eligible scan is
 //!    head-only (nothing is in flight at a dispatch point, and a validated
 //!    plan's head is always eligible), so `execute` stays **bit-identical**
-//!    to [`DeployRuntime::execute_serial_reference`] — the same differential
-//!    the head-of-line policy passes.
+//!    to the serial oracle of `tests/common/serial.rs` — the same
+//!    differential the head-of-line policy passes in `serial_equivalence`.
+//!    The oracle is a serial executor on public APIs only: it restates the
+//!    drop rules instead of calling the runtime's, takes only the
+//!    replanner from a configuration (so it ignores `dispatch` and
+//!    `trigger`), and shares no scheduling code with the runtime.
 //! 2. **Commitment immutability & slot physicality:** for any slot count,
 //!    overtaking never reorders committed work, violates a precedence, or
 //!    double-books a slot.
@@ -22,95 +26,17 @@
 //! Plus the event-boundary determinism satellite: coincident events batch
 //! into one replan, apply-order-independently, reproducibly.
 
+mod common;
+
+use common::serial::serial_oracle;
+use common::{assert_frozen_and_physical, initial_plan, instance, policy, scenario};
 use idd_core::{
-    Deployment, EventKind, EvolutionEvent, EvolutionScenario, ProblemInstance, QueryId,
-    SlotScheduleEvaluator, WorkloadDrift,
+    EventKind, EvolutionEvent, EvolutionScenario, ProblemInstance, QueryId, SlotScheduleEvaluator,
+    WorkloadDrift,
 };
 use idd_deploy::{DeployConfig, DeployRuntime, DeploymentReport, DispatchPolicy};
-use idd_solver::replan::{ReplanStrategy, Replanner};
-use idd_solver::{CooperationPolicy, SearchBudget};
-use idd_workloads::evolution::{
-    drift_scenario, failure_scenario, mixed_scenario, revision_scenario, EvolutionConfig,
-};
-use idd_workloads::synthetic::{generate, SyntheticConfig};
+use idd_workloads::evolution::{drift_scenario, failure_scenario, EvolutionConfig};
 use proptest::prelude::*;
-use rand::prelude::*;
-use rand_chacha::ChaCha8Rng;
-
-/// Same instance family as the serial-equivalence suite: precedences
-/// enabled, so blocked heads actually occur and overtaking has teeth.
-fn instance(seed: u64) -> ProblemInstance {
-    generate(SyntheticConfig {
-        num_indexes: 9,
-        num_queries: 6,
-        plans_per_query: 4,
-        max_plan_width: 3,
-        precedence_probability: 0.15,
-        seed,
-        ..SyntheticConfig::default()
-    })
-}
-
-/// A valid initial plan: a seeded shuffle repaired into precedence order by
-/// a stable topological pass.
-fn initial_plan(inst: &ProblemInstance, seed: u64) -> Deployment {
-    let n = inst.num_indexes();
-    let mut order: Vec<usize> = (0..n).collect();
-    order.shuffle(&mut ChaCha8Rng::seed_from_u64(seed));
-    let mut emitted = vec![false; n];
-    let mut result = Vec::with_capacity(n);
-    while result.len() < n {
-        let next = order
-            .iter()
-            .copied()
-            .find(|&raw| {
-                !emitted[raw]
-                    && inst
-                        .precedences()
-                        .iter()
-                        .all(|pr| pr.after.raw() != raw || emitted[pr.before.raw()])
-            })
-            .expect("acyclic precedences always leave an emittable index");
-        emitted[next] = true;
-        result.push(next);
-    }
-    let d = Deployment::from_raw(result);
-    assert!(d.is_valid_for(inst));
-    d
-}
-
-fn policy(choice: u8) -> DeployConfig {
-    match choice % 3 {
-        0 => DeployConfig::static_plan(),
-        1 => DeployConfig::greedy_replan(),
-        _ => DeployConfig {
-            replanner: Replanner::new(
-                ReplanStrategy::Portfolio {
-                    cooperation: CooperationPolicy::Off,
-                    cancel_on_optimal: false,
-                },
-                SearchBudget::nodes(30),
-            ),
-            ..DeployConfig::default()
-        },
-    }
-}
-
-fn scenario(inst: &ProblemInstance, kind: u8, seed: u64) -> EvolutionScenario {
-    let cfg = EvolutionConfig {
-        seed,
-        num_events: 1 + (seed % 3) as usize,
-        num_failures: 1 + (seed % 2) as usize,
-        ..EvolutionConfig::default()
-    };
-    match kind % 5 {
-        0 => drift_scenario(inst, &cfg),
-        1 => revision_scenario(inst, &cfg),
-        2 => failure_scenario(inst, &cfg),
-        3 => mixed_scenario(inst, &cfg),
-        _ => EvolutionScenario::quiet("quiet"),
-    }
-}
 
 /// `true` when every precedence prerequisite of `index` (among the builds
 /// this run executed) had completed by `t`.
@@ -136,7 +62,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Serial degeneracy: the work-conserving scheduler at one slot is
-    /// bit-identical to the serial reference across every scenario kind and
+    /// bit-identical to the serial oracle across every scenario kind and
     /// replan policy — exactly the differential head-of-line passes.
     #[test]
     fn work_conserving_one_slot_is_bit_identical_to_the_serial_reference(
@@ -146,15 +72,12 @@ proptest! {
         let inst = instance(inst_seed);
         let plan = initial_plan(&inst, plan_seed);
         let scenario = scenario(&inst, scenario_kind, scenario_seed);
-        let runtime = DeployRuntime::new(
-            policy(policy_choice).with_dispatch(DispatchPolicy::WorkConserving),
-        );
-        let unified = runtime
+        let config = policy(policy_choice).with_dispatch(DispatchPolicy::WorkConserving);
+        let unified = DeployRuntime::new(config.clone())
             .execute(&inst, &plan, &scenario)
             .expect("generated scenarios must be executable");
-        let serial = runtime
-            .execute_serial_reference(&inst, &plan, &scenario)
-            .expect("the reference accepts whatever execute accepts");
+        let serial = serial_oracle(&config.replanner, &inst, &plan, &scenario)
+            .expect("the oracle accepts whatever execute accepts");
         prop_assert_eq!(&unified, &serial, "one-slot work-conserving must stay serial");
         prop_assert_eq!(unified.out_of_order_dispatches, 0);
         prop_assert!(unified.builds.iter().all(|b| b.plan_offset == 0));
@@ -181,63 +104,7 @@ proptest! {
             .execute(&inst, &plan, &scenario)
             .expect("generated scenarios must be executable");
 
-        prop_assert!(report.prefixes_respected());
-        prop_assert!(report.in_flight_respected());
-
-        let realized = report.realized_order();
-        let mut seen = std::collections::HashSet::new();
-        for (_, i) in realized.iter() {
-            prop_assert!(seen.insert(i), "index {i} built twice");
-        }
-
-        // The dispatch gate: overtaking may skip a *blocked* head, never a
-        // precedence — a build still only starts after its prerequisites
-        // completed.
-        for pr in inst.precedences() {
-            if let (Some(bp), Some(ap)) =
-                (realized.position_of(pr.before), realized.position_of(pr.after))
-            {
-                prop_assert!(bp < ap, "{} built after {}", pr.before, pr.after);
-                let before = &report.builds[bp];
-                let after = &report.builds[ap];
-                prop_assert!(
-                    before.finish <= after.start + 1e-9,
-                    "{} started at {} before prerequisite {} completed at {}",
-                    pr.after, after.start, pr.before, before.finish
-                );
-            }
-        }
-
-        // The slot timeline is physical.
-        prop_assert!(report.slots_used() <= slots);
-        for b in &report.builds {
-            prop_assert!(
-                (b.finish - b.start - (b.wasted + b.cost)).abs() < 1e-9,
-                "{} occupies [{}, {}] but wasted+cost = {}",
-                b.index, b.start, b.finish, b.wasted + b.cost
-            );
-        }
-        for a in &report.builds {
-            let concurrent = report
-                .builds
-                .iter()
-                .filter(|b| b.start <= a.start + 1e-12 && b.finish > a.start + 1e-12)
-                .count();
-            prop_assert!(
-                concurrent <= slots,
-                "{} concurrent builds on {slots} slots at t={}",
-                concurrent, a.start
-            );
-            for b in &report.builds {
-                if a.position != b.position && a.slot == b.slot {
-                    prop_assert!(
-                        a.finish <= b.start + 1e-9 || b.finish <= a.start + 1e-9,
-                        "slot {} double-booked by {} and {}",
-                        a.slot, a.index, b.index
-                    );
-                }
-            }
-        }
+        assert_frozen_and_physical(&inst, &report, slots);
 
         // Deviation accounting is consistent, and with one slot there is
         // nothing to overtake.
@@ -246,7 +113,6 @@ proptest! {
         if slots == 1 {
             prop_assert_eq!(report.out_of_order_dispatches, 0);
         }
-        prop_assert!(report.realized_cost.is_finite());
     }
 
     /// Work conservation, reconstructed from the report: on a static plan

@@ -62,10 +62,7 @@ pub use journal::{
     CompleteRecord, DispatchRecord, EventRecord, FailRecord, JournalRecord, ReplanDecision,
 };
 pub use matrix::MatrixFile;
-pub use objective::{
-    DeltaEvaluator, ObjectiveEvaluator, ObjectiveValue, PrefixState, StepMetrics,
-    SuffixReplayEvaluator,
-};
+pub use objective::{DeltaEvaluator, ObjectiveEvaluator, ObjectiveValue, PrefixState, StepMetrics};
 pub use plan::QueryPlan;
 pub use query::QueryMeta;
 pub use reduce::{reduce, Density, ReduceOptions};

@@ -11,7 +11,7 @@
 //! effective cost of building the i-th index, i.e. its base creation cost
 //! minus the best build interaction among already-built indexes.
 //!
-//! Four evaluators are provided, all on one step (the private `EvalState`
+//! Three evaluators are provided, all on one step (the private `EvalState`
 //! and its push):
 //!
 //! * [`ObjectiveEvaluator`] — evaluates a [`Deployment`] from scratch in
@@ -33,10 +33,9 @@
 //!   below without walking its span ([`DeltaEvaluator::swap_bound`], one
 //!   row of pairs at a time), so a best-swap scan walks only the swaps the
 //!   bound cannot rule out.
-//! * [`SuffixReplayEvaluator`] — the previous checkpoint-and-replay
-//!   incremental evaluator, kept as the easily-auditable reference the delta
-//!   path is differentially tested against (and as the "before" baseline of
-//!   the `table11` moves/sec benchmark).
+//!
+//! The tests compare every incremental value with
+//! [`ObjectiveEvaluator::evaluate`] of the same order, bit for bit.
 //!
 //! # Order-canonical arithmetic
 //!
@@ -124,7 +123,7 @@ impl ObjectiveValue {
 }
 
 /// Mutable evaluation state rolled forward one deployment step at a time.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct EvalState {
     /// Bitmap of already-built indexes, keyed by raw index id.
     built: Vec<bool>,
@@ -417,90 +416,6 @@ impl PrefixState<'_> {
     /// `true` when every index of the instance is in the prefix.
     pub fn is_complete(&self) -> bool {
         self.frames.len() == self.state.built.len()
-    }
-}
-
-/// Checkpoint-and-replay incremental evaluator — the *reference* the delta
-/// path is differentially tested against.
-///
-/// [`SuffixReplayEvaluator::set_base`] records a full state checkpoint after
-/// every position; a move that changes the order from position `k` onward is
-/// scored by cloning the checkpoint at `k` and replaying the whole suffix.
-/// Correct by construction (it literally runs [`ObjectiveEvaluator`] steps)
-/// but `O(n · step)` per move and `O(n²)` checkpoint memory churn — which is
-/// why local search now runs on [`DeltaEvaluator`] instead. It remains the
-/// "before" baseline of the `table11` moves/sec benchmark.
-#[derive(Debug, Clone)]
-pub struct SuffixReplayEvaluator<'a> {
-    evaluator: ObjectiveEvaluator<'a>,
-    base: Deployment,
-    /// `checkpoints[k]` is the state after the first `k` indexes of `base`.
-    checkpoints: Vec<EvalState>,
-}
-
-impl<'a> SuffixReplayEvaluator<'a> {
-    /// Creates an incremental evaluator with the given base order.
-    pub fn new(instance: &'a ProblemInstance, base: Deployment) -> Self {
-        let evaluator = ObjectiveEvaluator::new(instance);
-        let mut pe = Self {
-            evaluator,
-            base: Deployment::new(Vec::new()),
-            checkpoints: Vec::new(),
-        };
-        pe.set_base(base);
-        pe
-    }
-
-    /// Replaces the base order and rebuilds all checkpoints.
-    pub fn set_base(&mut self, base: Deployment) {
-        let n = base.len();
-        let mut checkpoints = Vec::with_capacity(n + 1);
-        let mut state = EvalState::initial(&self.evaluator);
-        checkpoints.push(state.clone());
-        for (_, index) in base.iter() {
-            self.evaluator.push(&mut state, index, None);
-            checkpoints.push(state.clone());
-        }
-        self.base = base;
-        self.checkpoints = checkpoints;
-    }
-
-    /// Evaluates the area of `order`, reusing the checkpoint of the longest
-    /// common prefix with the base order.
-    pub fn evaluate_order(&self, order: &Deployment) -> f64 {
-        let n = self.base.len();
-        debug_assert_eq!(order.len(), n);
-        let mut common = 0;
-        while common < n && order.at(common) == self.base.at(common) {
-            common += 1;
-        }
-        let mut state = self.checkpoints[common].clone();
-        for pos in common..n {
-            self.evaluator.push(&mut state, order.at(pos), None);
-        }
-        state.area()
-    }
-
-    /// Evaluates the area of the base order with positions `a` and `b`
-    /// swapped, without materializing the swapped order.
-    pub fn evaluate_swap(&self, a: usize, b: usize) -> f64 {
-        let n = self.base.len();
-        if a == b {
-            return self.checkpoints[n].area();
-        }
-        let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-        let mut state = self.checkpoints[lo].clone();
-        for pos in lo..n {
-            let index = if pos == lo {
-                self.base.at(hi)
-            } else if pos == hi {
-                self.base.at(lo)
-            } else {
-                self.base.at(pos)
-            };
-            self.evaluator.push(&mut state, index, None);
-        }
-        state.area()
     }
 }
 
@@ -797,7 +712,7 @@ impl DeltaEvaluator {
     }
 
     /// Replaces the base order, rebuilding all per-position state in one
-    /// `O(n · degree)` pass (no per-checkpoint state clones).
+    /// `O(n · degree)` pass.
     pub fn set_base(&mut self, base: Deployment) {
         let n = base.len();
         debug_assert_eq!(n, self.positions.len());
@@ -1745,19 +1660,19 @@ mod tests {
     }
 
     #[test]
-    fn delta_agrees_with_suffix_replay_reference() {
+    fn delta_adjacent_swaps_agree_with_full_evaluation() {
         let inst = delta_instance(11);
         let n = inst.num_indexes();
+        let eval = ObjectiveEvaluator::new(&inst);
         let base = Deployment::identity(n);
-        let reference = SuffixReplayEvaluator::new(&inst, base.clone());
         let mut de = DeltaEvaluator::new(&inst, base.clone());
         assert_eq!(
-            reference.evaluate_order(&base).to_bits(),
+            eval.evaluate_area(&base).to_bits(),
             de.base_area().to_bits()
         );
         for a in 0..n - 1 {
             assert_eq!(
-                reference.evaluate_swap(a, a + 1).to_bits(),
+                eval.evaluate_area(&base.with_swap(a, a + 1)).to_bits(),
                 de.evaluate_swap(a, a + 1).to_bits(),
                 "adjacent swap at {a}"
             );

@@ -13,7 +13,6 @@ pub use crate::interaction::{BuildInteraction, Precedence};
 pub use crate::matrix::MatrixFile;
 pub use crate::objective::{
     DeltaEvaluator, ObjectiveEvaluator, ObjectiveValue, PrefixState, StepMetrics,
-    SuffixReplayEvaluator,
 };
 pub use crate::plan::QueryPlan;
 pub use crate::query::QueryMeta;
