@@ -8,10 +8,10 @@
 //! workload, scored with the what-if optimizer, and the best
 //! [`AdvisorConfig::max_indexes`] are kept.
 
-use crate::optimizer::Optimizer;
-use crate::physical::{CandidateIndex, PhysicalConfig};
+use crate::cost::params::to_seconds;
+use crate::optimizer::PlanCache;
+use crate::physical::CandidateIndex;
 use crate::query::{QuerySpec, Workload};
-use crate::whatif::WhatIfOptimizer;
 
 /// Minimum benefit (seconds summed over the workload) for a candidate to be
 /// considered at all.
@@ -190,49 +190,40 @@ impl Advisor {
     /// Returns the selected candidates in selection order, each annotated with
     /// the marginal benefit it contributed when selected.
     pub fn suggest(&self, workload: &Workload) -> Vec<ScoredCandidate> {
-        let optimizer = Optimizer::new(workload.catalog.clone());
-        let whatif = WhatIfOptimizer::new(optimizer);
         let candidates = self.enumerate(workload);
         if candidates.is_empty() || workload.queries.is_empty() {
             return Vec::new();
         }
 
-        // Queries that could possibly be affected by each candidate (same
-        // table is touched) — restricting the what-if calls to these makes the
-        // greedy loop tractable.
-        let relevant: Vec<Vec<usize>> = candidates
-            .iter()
-            .map(|c| {
-                workload
-                    .queries
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, q)| q.tables().contains(&c.table.as_str()))
-                    .map(|(i, _)| i)
-                    .collect()
-            })
-            .collect();
+        // A marginal evaluation prices only the queries a candidate can
+        // change (those where it has a cache pair), folding the cached terms
+        // of the selected design plus the candidate, in selection order.
+        let cache = &PlanCache::new(&workload.catalog, &workload.queries, &candidates);
+        let changes = |cand: usize| {
+            (0..workload.queries.len()).filter_map(move |qi| Some((qi, cache.pair_of(qi, cand)?)))
+        };
+        let cost_seconds = |qi: usize, pairs: &[usize], extra: Option<usize>| {
+            let config = pairs.iter().copied().chain(extra);
+            to_seconds(cache.fold(qi, config).0)
+        };
 
         // Current best cost of every query under the selected design.
-        let mut current_cost: Vec<f64> = workload
-            .queries
-            .iter()
-            .map(|q| whatif.baseline_seconds(q))
+        let mut current_cost: Vec<f64> = (0..workload.queries.len())
+            .map(|qi| cost_seconds(qi, &[], None))
             .collect();
+        // Per query, the pairs of the selected candidates in selection order.
+        let mut selected: Vec<Vec<usize>> = vec![Vec::new(); workload.queries.len()];
 
         // Marginal benefit of one candidate given the current design.
         let marginal = |cand: usize,
-                        selected: &PhysicalConfig,
+                        selected: &[Vec<usize>],
                         current_cost: &[f64]|
          -> (f64, Vec<(usize, f64)>) {
-            let mut trial = selected.clone();
-            trial.add(candidates[cand].clone());
             let mut total = 0.0;
             let mut new_costs = Vec::new();
-            for &qi in &relevant[cand] {
-                let q = &workload.queries[qi];
-                let cost = whatif.optimizer().cost_seconds(q, &trial);
-                let delta = (current_cost[qi] - cost).max(0.0) * q.weight;
+            for (qi, pair) in changes(cand) {
+                let cost = cost_seconds(qi, &selected[qi], Some(pair));
+                let delta = (current_cost[qi] - cost).max(0.0) * workload.queries[qi].weight;
                 if delta > 0.0 {
                     total += delta;
                     new_costs.push((qi, cost));
@@ -243,11 +234,10 @@ impl Advisor {
 
         // Lazy-greedy priority queue: (benefit upper bound, generation it was
         // computed at, candidate position).
-        let mut selected_config = PhysicalConfig::empty();
         let mut result: Vec<ScoredCandidate> = Vec::new();
         let mut heap: std::collections::BinaryHeap<HeapEntry> = (0..candidates.len())
             .map(|c| {
-                let (benefit, _) = marginal(c, &selected_config, &current_cost);
+                let (benefit, _) = marginal(c, &selected, &current_cost);
                 HeapEntry {
                     benefit,
                     generation: 0,
@@ -267,14 +257,16 @@ impl Advisor {
             }
             if top.generation == generation {
                 // Benefit is up to date: accept.
-                let (benefit, new_costs) = marginal(top.candidate, &selected_config, &current_cost);
+                let (benefit, new_costs) = marginal(top.candidate, &selected, &current_cost);
                 // Recompute once more for exactness (the stored value was
                 // computed at this generation, so it is already exact; this
                 // keeps the invariant obvious and cheap).
                 for (qi, cost) in new_costs {
                     current_cost[qi] = cost;
                 }
-                selected_config.add(candidates[top.candidate].clone());
+                for (qi, pair) in changes(top.candidate) {
+                    selected[qi].push(pair);
+                }
                 result.push(ScoredCandidate {
                     index: candidates[top.candidate].clone(),
                     total_benefit: benefit,
@@ -282,7 +274,7 @@ impl Advisor {
                 generation += 1;
             } else {
                 // Stale: recompute against the current design and reinsert.
-                let (benefit, _) = marginal(top.candidate, &selected_config, &current_cost);
+                let (benefit, _) = marginal(top.candidate, &selected, &current_cost);
                 if benefit >= MIN_TOTAL_BENEFIT {
                     heap.push(HeapEntry {
                         benefit,

@@ -1,28 +1,15 @@
-//! Operator-level cost formulas and per-table access-path selection.
+//! Operator-level cost formulas. The optimizer's plan cache
+//! (`crate::optimizer`) combines them into access paths and plans.
 
 use crate::catalog::{Catalog, Table};
 use crate::cost::params::{
     BTREE_DESCENT_PAGES, CPU_INDEX_TUPLE_COST, CPU_OPERATOR_COST, CPU_TUPLE_COST, HASH_BUILD_COST,
     RANDOM_PAGE_COST, SEQ_PAGE_COST,
 };
-use crate::cost::selectivity::{selectivity_of_columns, table_selectivity};
-use crate::physical::{CandidateIndex, PhysicalConfig};
-use crate::query::QuerySpec;
+use crate::physical::CandidateIndex;
 
-/// The chosen access path for one table inside one plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AccessPath {
-    /// Cost of producing the table's filtered rows.
-    pub cost: f64,
-    /// Name of the index used, or `None` for a sequential scan.
-    pub index: Option<String>,
-    /// Estimated number of rows the access path emits (after this table's
-    /// predicates).
-    pub output_rows: f64,
-}
-
-/// The cost model: turns catalog statistics and configurations into costs,
-/// priced with the substrate's fixed cost constants.
+/// The cost model: turns catalog statistics into operator costs, priced
+/// with the substrate's fixed cost constants.
 #[derive(Debug, Clone, Copy)]
 pub struct CostModel;
 
@@ -59,15 +46,13 @@ impl CostModel {
     ///
     /// `sargable_selectivity` is the combined selectivity of the query
     /// predicates on the index's key columns (the fraction of the index that
-    /// must be scanned); `residual_selectivity` is the combined selectivity of
-    /// *all* predicates on the table (what survives into the output).
+    /// must be scanned).
     pub fn index_access_cost(
         &self,
         catalog: &Catalog,
         table: &Table,
         index: &CandidateIndex,
         sargable_selectivity: f64,
-        residual_selectivity: f64,
         covering: bool,
     ) -> f64 {
         let matched = table.rows * sargable_selectivity;
@@ -82,75 +67,7 @@ impl CostModel {
             (matched * RANDOM_PAGE_COST).min(table.pages() * SEQ_PAGE_COST)
         };
         let residual_cpu = matched * CPU_OPERATOR_COST;
-        let _ = residual_selectivity;
         index_io + index_cpu + heap + residual_cpu
-    }
-
-    /// Chooses the cheapest way to produce the filtered rows of one table for
-    /// a query under `config`: a sequential scan or any *usable* index.
-    ///
-    /// An index is usable when its leading key column carries one of the
-    /// query's predicates on that table. Join-driven index lookups on the
-    /// fact table are handled separately by the optimizer because their cost
-    /// depends on the joined dimension.
-    pub fn best_access_path(
-        &self,
-        catalog: &Catalog,
-        query: &QuerySpec,
-        table_name: &str,
-        config: &PhysicalConfig,
-    ) -> AccessPath {
-        let table = match catalog.table(table_name) {
-            Some(t) => t,
-            None => {
-                return AccessPath {
-                    cost: 0.0,
-                    index: None,
-                    output_rows: 0.0,
-                }
-            }
-        };
-        let residual = table_selectivity(catalog, query, table_name);
-        let output_rows = (table.rows * residual).max(1.0);
-        let needed = query.referenced_columns(table_name);
-
-        let mut best = AccessPath {
-            cost: self.seq_scan_cost(table),
-            index: None,
-            output_rows,
-        };
-
-        for ix in config.indexes_on(table_name) {
-            let leading_has_predicate = ix
-                .leading_column()
-                .map(|lead| {
-                    query
-                        .predicates_on(table_name)
-                        .iter()
-                        .any(|p| p.column.column == lead)
-                })
-                .unwrap_or(false);
-            let covering = ix.covers(&needed);
-            // A covering index with no sargable predicate can still replace a
-            // heap scan by an index-only scan (narrower pages).
-            if !leading_has_predicate && !covering {
-                continue;
-            }
-            let sargable = if leading_has_predicate {
-                selectivity_of_columns(catalog, query, table_name, &ix.key_columns)
-            } else {
-                1.0
-            };
-            let cost = self.index_access_cost(catalog, table, ix, sargable, residual, covering);
-            if cost < best.cost {
-                best = AccessPath {
-                    cost,
-                    index: Some(ix.name.clone()),
-                    output_rows,
-                };
-            }
-        }
-        best
     }
 }
 
@@ -158,7 +75,9 @@ impl CostModel {
 mod tests {
     use super::*;
     use crate::catalog::{Column, Table};
-    use crate::query::{ColumnRef, Predicate};
+    use crate::optimizer::PlanCache;
+    use crate::physical::PhysicalConfig;
+    use crate::query::{ColumnRef, Predicate, QuerySpec};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -184,6 +103,21 @@ mod tests {
             )))
     }
 
+    /// The plan cache's cheapest access to table `slot` of `q` (0 is the
+    /// fact table, `1 + k` join `k`'s dimension) under `config`: its cost
+    /// and the name of the index it uses.
+    fn best_access(
+        cat: &Catalog,
+        q: &QuerySpec,
+        slot: usize,
+        config: &PhysicalConfig,
+    ) -> (f64, Option<String>) {
+        let cache = PlanCache::new(cat, std::slice::from_ref(q), config.indexes());
+        let (cost, pair) = cache.access(0, slot, cache.pairs(0));
+        let index = pair.map(|p| config.indexes()[cache.candidate_of(0, p)].name.clone());
+        (cost, index)
+    }
+
     #[test]
     fn seq_scan_scales_with_pages_and_rows() {
         let cat = catalog();
@@ -201,21 +135,20 @@ mod tests {
         let q = salary_query();
         let mut config = PhysicalConfig::empty();
         config.add(CandidateIndex::new("PEOPLE", vec!["CITY".into()]));
-        let path = model.best_access_path(&cat, &q, "PEOPLE", &config);
-        assert!(path.index.is_some());
+        let (cost, index) = best_access(&cat, &q, 0, &config);
+        assert!(index.is_some());
         let seq = model.seq_scan_cost(cat.table("PEOPLE").unwrap());
-        assert!(path.cost < seq);
+        assert!(cost < seq);
     }
 
     #[test]
     fn covering_index_beats_non_covering() {
         let cat = catalog();
-        let model = CostModel;
         let q = salary_query();
         let narrow = {
             let mut c = PhysicalConfig::empty();
             c.add(CandidateIndex::new("PEOPLE", vec!["CITY".into()]));
-            model.best_access_path(&cat, &q, "PEOPLE", &c).cost
+            best_access(&cat, &q, 0, &c).0
         };
         let covering = {
             let mut c = PhysicalConfig::empty();
@@ -223,7 +156,7 @@ mod tests {
                 CandidateIndex::new("PEOPLE", vec!["CITY".into()])
                     .with_includes(vec!["SALARY".into()]),
             );
-            model.best_access_path(&cat, &q, "PEOPLE", &c).cost
+            best_access(&cat, &q, 0, &c).0
         };
         assert!(covering < narrow, "covering {covering} vs narrow {narrow}");
     }
@@ -231,12 +164,11 @@ mod tests {
     #[test]
     fn irrelevant_index_is_ignored() {
         let cat = catalog();
-        let model = CostModel;
         let q = salary_query();
         let mut config = PhysicalConfig::empty();
         config.add(CandidateIndex::new("PEOPLE", vec!["REPORTTO".into()]));
-        let path = model.best_access_path(&cat, &q, "PEOPLE", &config);
-        assert!(path.index.is_none());
+        let (_, index) = best_access(&cat, &q, 0, &config);
+        assert!(index.is_none());
     }
 
     #[test]
@@ -245,18 +177,17 @@ mod tests {
         // serves the query's predicate: the same columns in the other order
         // cannot.
         let cat = catalog();
-        let model = CostModel;
         let q = salary_query();
-        let path_with = |keys: [&str; 2]| {
+        let index_with = |keys: [&str; 2]| {
             let mut config = PhysicalConfig::empty();
             config.add(CandidateIndex::new(
                 "PEOPLE",
                 keys.map(String::from).to_vec(),
             ));
-            model.best_access_path(&cat, &q, "PEOPLE", &config)
+            best_access(&cat, &q, 0, &config).1
         };
-        assert!(path_with(["CITY", "REPORTTO"]).index.is_some());
-        assert!(path_with(["REPORTTO", "CITY"]).index.is_none());
+        assert!(index_with(["CITY", "REPORTTO"]).is_some());
+        assert!(index_with(["REPORTTO", "CITY"]).is_none());
     }
 
     #[test]
@@ -270,11 +201,25 @@ mod tests {
 
     #[test]
     fn unknown_table_access_is_free_and_empty() {
+        // A join to a table the catalog lacks: no index serves it (this one
+        // would cover it) and its access costs nothing.
         let cat = catalog();
-        let model = CostModel;
-        let q = salary_query();
-        let path = model.best_access_path(&cat, &q, "MISSING", &PhysicalConfig::empty());
-        assert_eq!(path.cost, 0.0);
-        assert_eq!(path.output_rows, 0.0);
+        let plain = salary_query();
+        let q = salary_query().join(
+            ColumnRef::new("PEOPLE", "REPORTTO"),
+            ColumnRef::new("MISSING", "ID"),
+        );
+        let config =
+            PhysicalConfig::with_indexes(vec![CandidateIndex::new("MISSING", vec!["ID".into()])]);
+        let (cost, index) = best_access(&cat, &q, 1, &config);
+        assert_eq!(cost, 0.0);
+        assert!(index.is_none());
+        // It emits no rows, so its hash join builds nothing and the plan
+        // costs what it costs without the join.
+        let plan_cost = |q: &QuerySpec| {
+            let cache = PlanCache::new(&cat, std::slice::from_ref(q), config.indexes());
+            cache.fold(0, cache.pairs(0)).0
+        };
+        assert_eq!(plan_cost(&q).to_bits(), plan_cost(&plain).to_bits());
     }
 }

@@ -19,7 +19,8 @@
 //!   from one DBMS's cost model, so the model holds no state.
 //! * [`optimizer`] — picks the cheapest access path / join strategy for a
 //!   query under a given physical configuration and reports which indexes the
-//!   winning plan uses.
+//!   winning plan uses. Every what-if call folds its costs from a per-query
+//!   cache of the plan terms no configuration changes.
 //! * [`whatif`] — the what-if driver: repeatedly optimizes each query while
 //!   removing the indexes of the best plan, producing the competing atomic
 //!   configurations of the paper (Section 8).
@@ -30,10 +31,11 @@
 //! * [`extract`] — glues everything together and emits an
 //!   [`idd_core::ProblemInstance`].
 //!
-//! The substitution is documented in `DESIGN.md`: the ordering problem only
-//! consumes the matrix of costs/benefits/interactions, so any cost model that
-//! produces structurally equivalent matrices (multi-index plans, competing
-//! plans, build interactions) exercises the same downstream code paths.
+//! The substitution is sound for the reproduction because the ordering
+//! problem only consumes the matrix of costs/benefits/interactions: any cost
+//! model that produces structurally equivalent matrices (multi-index plans,
+//! competing plans, build interactions) exercises the same downstream code
+//! paths.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -143,14 +143,6 @@ impl PhysicalConfig {
         &self.indexes
     }
 
-    /// Indexes defined on one table.
-    pub fn indexes_on<'a>(
-        &'a self,
-        table: &'a str,
-    ) -> impl Iterator<Item = &'a CandidateIndex> + 'a {
-        self.indexes.iter().filter(move |i| i.table == table)
-    }
-
     /// Looks up an index by name.
     pub fn index(&self, name: &str) -> Option<&CandidateIndex> {
         self.indexes.iter().find(|i| i.name == name)
@@ -246,8 +238,7 @@ mod tests {
         cfg.add(ix.clone()); // duplicate ignored
         assert_eq!(cfg.len(), 1);
         assert!(cfg.index("ix_people_city").is_some());
-        assert_eq!(cfg.indexes_on("PEOPLE").count(), 1);
-        assert_eq!(cfg.indexes_on("OTHER").count(), 0);
+        assert_eq!(cfg.indexes(), &[ix]);
         assert!(cfg.remove("ix_people_city"));
         assert!(!cfg.remove("ix_people_city"));
         assert!(cfg.is_empty());

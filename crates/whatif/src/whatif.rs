@@ -10,9 +10,14 @@
 //! by iteratively removing the hypothetical indexes of the best atomic
 //! configuration and re-optimizing, yielding progressively weaker plans until
 //! no candidate index helps anymore.
+//!
+//! The loop runs on the optimizer's plan cache, built once per query over
+//! the candidates: a configuration is the list of the remaining candidates'
+//! cache pairs, re-optimizing folds them, and removing a plan's indexes
+//! drops their pairs.
 
 use crate::cost::params::to_seconds;
-use crate::optimizer::Optimizer;
+use crate::optimizer::{Optimizer, PlanCache};
 use crate::physical::{CandidateIndex, PhysicalConfig};
 use crate::query::QuerySpec;
 
@@ -59,28 +64,9 @@ impl WhatIfOptimizer {
         Self { optimizer }
     }
 
-    /// The underlying optimizer.
-    pub fn optimizer(&self) -> &Optimizer {
-        &self.optimizer
-    }
-
     /// Baseline cost of a query (no candidate index exists), in seconds.
     pub fn baseline_seconds(&self, query: &QuerySpec) -> f64 {
         self.optimizer.cost_seconds(query, &PhysicalConfig::empty())
-    }
-
-    /// Cost of a query in seconds when exactly the candidates at
-    /// `positions` are hypothetically materialized.
-    pub fn cost_with(
-        &self,
-        query: &QuerySpec,
-        candidates: &[CandidateIndex],
-        positions: &[usize],
-    ) -> f64 {
-        let config = PhysicalConfig::with_indexes(
-            positions.iter().map(|&p| candidates[p].clone()).collect(),
-        );
-        self.optimizer.cost_seconds(query, &config)
     }
 
     /// Extracts the competing atomic configurations of one query.
@@ -94,17 +80,18 @@ impl WhatIfOptimizer {
         candidates: &[CandidateIndex],
         options: WhatIfOptions,
     ) -> Vec<AtomicConfiguration> {
-        let baseline = self.baseline_seconds(query);
+        let cache = PlanCache::new(
+            self.optimizer.catalog(),
+            std::slice::from_ref(query),
+            candidates,
+        );
+        let baseline = to_seconds(cache.fold(0, std::iter::empty()).0);
         let min_speedup = baseline * options.min_speedup_ratio;
-        let name_to_pos: std::collections::HashMap<&str, usize> = candidates
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.as_str(), i))
-            .collect();
 
         let mut results: Vec<AtomicConfiguration> = Vec::new();
         let mut seen: std::collections::HashSet<Vec<usize>> = std::collections::HashSet::new();
-        let mut config = PhysicalConfig::with_indexes(candidates.to_vec());
+        // The configuration: the pairs of the candidates not yet removed.
+        let mut config: Vec<usize> = cache.pairs(0).collect();
 
         let record = |positions: Vec<usize>,
                       cost: f64,
@@ -126,32 +113,27 @@ impl WhatIfOptimizer {
         };
 
         for _ in 0..options.max_iterations {
-            if config.is_empty() {
+            let (cost, winner) = cache.fold(0, config.iter().copied());
+            let cost = to_seconds(cost);
+            // The plan's indexes by name: this order sets the order of the
+            // single-index probes below, and so of the plans.
+            let mut positions = cache.used(0, config.iter().copied(), winner);
+            positions.sort_by(|&a, &b| candidates[a].name.cmp(&candidates[b].name));
+            positions.dedup();
+            if positions.is_empty() || baseline - cost < min_speedup {
                 break;
             }
-            let plan = self.optimizer.optimize(query, &config);
-            let cost = to_seconds(plan.cost);
-            if plan.used_indexes.is_empty() || baseline - cost < min_speedup {
-                break;
-            }
-            let positions: Vec<usize> = plan
-                .used_indexes
-                .iter()
-                .filter_map(|n| name_to_pos.get(n.as_str()).copied())
-                .collect();
             record(positions.clone(), cost, &mut results, &mut seen);
 
             if positions.len() > 1 {
                 for &p in &positions {
-                    let cost_single = self.cost_with(query, candidates, &[p]);
+                    let cost_single = to_seconds(cache.fold(0, cache.pair_of(0, p).into_iter()).0);
                     record(vec![p], cost_single, &mut results, &mut seen);
                 }
             }
 
             // Remove the used indexes and look for the next-best plan.
-            for name in &plan.used_indexes {
-                config.remove(name);
-            }
+            config.retain(|&pair| !positions.contains(&cache.candidate_of(0, pair)));
         }
 
         results

@@ -1,8 +1,9 @@
 //! Calibration against the paper's Table 4.
 //!
 //! The generated workloads cannot reproduce the paper's instances bit-for-bit
-//! (the commercial design tool and benchmark data are unavailable — see
-//! DESIGN.md), so instead we check that the *shape* matches: index counts,
+//! (the commercial design tool and benchmark data are unavailable; the
+//! `idd-whatif` crate docs describe the substrate that stands in for them),
+//! so instead we check that the *shape* matches: index counts,
 //! plan counts, plan width and interaction counts must land in the same
 //! regime. [`CalibrationReport`] performs those checks and renders the
 //! side-by-side comparison printed by the Table-4 harness.
