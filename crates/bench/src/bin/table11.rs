@@ -18,9 +18,14 @@
 //! * **delta** — [`DeltaEvaluator`], span-local patching over the SoA
 //!   layout (`O(1)` adjacent swaps, `O(|span|)` otherwise)
 //!
-//! — reporting moves/second and the delta speedup. Before timing, every
-//! back end is cross-checked bit-for-bit on the full move set: a back end
-//! that disagrees aborts the bench.
+//! — reporting moves/second and each back end's speedup over full. Before
+//! timing, every back end is cross-checked bit-for-bit on the full move
+//! set: a back end that disagrees aborts the bench. The back ends' passes
+//! over the move set are timed interleaved (full, replay, delta, then
+//! again), and a speedup is the median over passes of full's pass time
+//! over the back end's, so a drift in the host's speed moves all three
+//! alike. The bench fails if the adjacent-swap speedup of delta is below
+//! 10x at any n >= 64.
 //!
 //! Flags: `--sizes a,b,c` (instance sizes, default `64,128,256`),
 //! `--moves <k>` (move budget per cell, default 20000), `--seed <n>`,
@@ -222,6 +227,8 @@ struct Cell {
     backend: Backend,
     moves: u64,
     elapsed: f64,
+    /// Median over passes of full's pass time over this back end's.
+    speedup: f64,
 }
 
 impl Cell {
@@ -230,6 +237,18 @@ impl Cell {
     }
 }
 
+fn median(mut values: Vec<f64>) -> f64 {
+    values.sort_by(f64::total_cmp);
+    let mid = values.len() / 2;
+    if values.len().is_multiple_of(2) {
+        (values[mid - 1] + values[mid]) / 2.0
+    } else {
+        values[mid]
+    }
+}
+
+/// Times whole passes over `moves`, the three back ends one after the
+/// other in every round, until each has scored `move_budget` moves.
 fn measure(
     instance: &ProblemInstance,
     base: &Deployment,
@@ -241,28 +260,39 @@ fn measure(
     let full = ObjectiveEvaluator::new(instance);
     let mut replay = Replay::new(&full, base);
     let mut delta = DeltaEvaluator::new(instance, base.clone());
-    let mut cells = Vec::new();
-    for backend in [Backend::Full, Backend::Replay, Backend::Delta] {
-        let mut done = 0u64;
-        let mut checksum = 0u64;
-        let started = std::time::Instant::now();
-        while done < move_budget {
-            checksum ^= scan(backend, base, moves, &full, &mut replay, &mut delta);
-            done += moves.len() as u64;
+    let backends = [Backend::Full, Backend::Replay, Backend::Delta];
+    let mut passes: [Vec<f64>; 3] = Default::default();
+    let mut done = 0u64;
+    let mut checksum = 0u64;
+    while done < move_budget {
+        for (backend, times) in backends.iter().zip(&mut passes) {
+            let started = std::time::Instant::now();
+            checksum ^= scan(*backend, base, moves, &full, &mut replay, &mut delta);
+            times.push(started.elapsed().as_secs_f64());
         }
-        let elapsed = started.elapsed().as_secs_f64();
-        // The checksum depends only on the instance, so repeated scans XOR
-        // to 0 or the single-scan value; consume it so nothing is elided.
-        std::hint::black_box(checksum);
-        cells.push(Cell {
+        done += moves.len() as u64;
+    }
+    // The checksum depends only on the instance, so repeated scans XOR to 0
+    // or the single-scan value; consume it so nothing is elided.
+    std::hint::black_box(checksum);
+    backends
+        .iter()
+        .zip(&passes)
+        .map(|(&backend, times)| Cell {
             n,
             workload,
             backend,
             moves: done,
-            elapsed,
-        });
-    }
-    cells
+            elapsed: times.iter().sum(),
+            speedup: median(
+                passes[0]
+                    .iter()
+                    .zip(times)
+                    .map(|(full, own)| full / own.max(1e-12))
+                    .collect(),
+            ),
+        })
+        .collect()
 }
 
 fn parse_sizes() -> Vec<usize> {
@@ -328,11 +358,9 @@ fn main() {
                 std::process::exit(1);
             }
             let cells = measure(&instance, &base, workload, &moves, n, move_budget);
-            let full_rate = cells[0].moves_per_sec();
             for cell in &cells {
-                let speedup = cell.moves_per_sec() / full_rate;
                 if workload == "adjacent" && cell.backend == Backend::Delta {
-                    adjacent_speedups.push((n, speedup));
+                    adjacent_speedups.push((n, cell.speedup));
                 }
                 table.row(vec![
                     cell.n.to_string(),
@@ -344,7 +372,7 @@ fn main() {
                     if cell.backend == Backend::Full {
                         "baseline".to_string()
                     } else {
-                        format!("{speedup:.1}x")
+                        format!("{:.1}x", cell.speedup)
                     },
                 ]);
                 json.push(BenchRecord {
@@ -366,8 +394,8 @@ fn main() {
 
     for (n, speedup) in &adjacent_speedups {
         println!(
-            "adjacent-swap scan at n={n}: delta is {speedup:.1}x the from-scratch rate \
-             (target: >= 10x for n >= 64)"
+            "adjacent-swap scan at n={n}: delta is {speedup:.1}x the from-scratch rate, \
+             median of interleaved passes (target: >= 10x for n >= 64)"
         );
     }
     if let Some((n, s)) = adjacent_speedups

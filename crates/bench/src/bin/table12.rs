@@ -10,8 +10,9 @@
 //! queries, cut by `--threshold`).
 //!
 //! Flags: `--sizes a,b,c` (total index counts, default `128,512,1024`),
-//! `--seed <n>`, `--limit <secs>` (monolithic wall-clock budget; each shard
-//! gets `limit / num_blocks`), `--coupling <k>` (cross-block queries,
+//! `--seed <n>`, `--limit <secs>` (wall-clock budget of each solve: the
+//! monolithic race's, and the whole sharded solve's, which shares it out
+//! over its shards' member runs), `--coupling <k>` (cross-block queries,
 //! default 0), `--threshold <w>` (cut threshold for the coupled variant),
 //! `--json <path>` (machine-readable `BENCH_table12.json`), `--tiny`
 //! (timing-free equivalence verdicts on a hand-specified zero-coupling
@@ -78,7 +79,7 @@ fn main() {
 
     println!(
         "== Table 12: monolithic portfolio vs shard-and-recombine \
-         (seed {seed}, {limit}s monolithic budget, coupling {coupling}) ==\n"
+         (seed {seed}, {limit}s budget per solve, coupling {coupling}) ==\n"
     );
 
     let mut table = Table::new(vec![
@@ -107,8 +108,7 @@ fn main() {
             .solve_detailed_in(&instance, &SolveContext::new())
             .combined;
 
-        let mut sharded_cfg =
-            ShardedConfig::with_budget(SearchBudget::seconds(limit / num_blocks as f64));
+        let mut sharded_cfg = ShardedConfig::with_budget(SearchBudget::seconds(limit));
         sharded_cfg.cut_threshold = threshold;
         let sharded = ShardedSolver::new(sharded_cfg).solve(&instance);
 
@@ -184,8 +184,9 @@ fn tiny_instance() -> ProblemInstance {
 }
 
 /// Golden-tested deterministic mode: node budgets, cooperation off, no
-/// cancellation race, sequential shard solving — no wall-clock reaches
-/// stdout, so the output is machine-independent. Pins the decomposition
+/// cancellation race — no wall-clock reaches stdout, and a shard's result
+/// does not depend on which thread runs its members when, so the output is
+/// machine-independent. Pins the decomposition
 /// contract: on a zero-coupling instance the sharded objective equals the
 /// monolithic optimum bit-for-bit, and the reported number is exactly the
 /// full-instance evaluator's verdict on the spliced order.
@@ -213,7 +214,6 @@ fn run_tiny(json_path: Option<&str>) {
     let mut cfg = ShardedConfig::with_budget(budget);
     cfg.cancel_on_optimal = false;
     cfg.cooperation = CooperationPolicy::Off;
-    cfg.max_parallel_shards = 1;
     let sharded: ShardedOutcome = ShardedSolver::new(cfg).solve(&instance);
 
     println!(

@@ -16,7 +16,9 @@
 //!    edges below the configured threshold (`0.0` cuts nothing ⇒ the
 //!    partition is *exact*); hard precedence/alliance edges are never cut.
 //! 3. [`shard::project`] each component onto a self-contained sub-instance
-//!    and race the standard portfolio on every shard in parallel.
+//!    and race the standard portfolio on every shard. The shards' member
+//!    runs share one pool of threads, one per core: a free core takes the
+//!    next member run of any shard.
 //! 4. Read each shard schedule back as a benefit curve
 //!    ([`idd_core::benefit_steps`]), decompose into maximal-density prefix
 //!    blocks and [`recombine::merge`] by Smith's rule — the optimal
@@ -47,17 +49,18 @@ use crate::properties::{analyze, AnalysisOptions};
 use crate::result::{CoopStats, SolveOutcome, SolveResult};
 use crate::solver::{CooperationPolicy, SolveContext};
 use idd_core::{benefit_steps, Deployment, IndexId, ObjectiveEvaluator, ProblemInstance};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// Configuration for [`ShardedSolver`].
 #[derive(Debug, Clone)]
 pub struct ShardedConfig {
-    /// Budget given to *each* shard's portfolio race (shards are far smaller
-    /// than the whole instance, so this is typically the monolithic budget
-    /// unchanged — the saving comes from search-space size, not budget
-    /// splitting).
+    /// The solve's budget. Its node limit applies to each member run of
+    /// each shard race. Its time limit is one deadline for the whole solve,
+    /// from [`ShardedSolver::solve`]'s entry: a member run that starts with
+    /// `left` of it left, `runs_left` runs not yet started (itself
+    /// included) and one thread per core gets
+    /// `min(left, left × threads / runs_left)`, and a monolithic fallback
+    /// gets whatever is left.
     pub shard_budget: SearchBudget,
     /// Soft coupling edges with accumulated weight below this are cut.
     /// `0.0` (the default) cuts nothing: shards are exactly independent and
@@ -67,18 +70,16 @@ pub struct ShardedConfig {
     /// The graph reads only the alliance groups, so the default,
     /// `AnalysisOptions::drill_down("A")`, runs the alliance detector alone.
     pub analysis: AnalysisOptions,
-    /// Passed through to each shard's [`PortfolioConfig`].
+    /// Passed through to each shard's [`PortfolioConfig`]: a member that
+    /// proves its shard optimal cancels that shard's remaining runs only.
     pub cancel_on_optimal: bool,
-    /// Passed through to each shard's [`PortfolioConfig`].
+    /// Passed through to each shard's [`PortfolioConfig`]; members cooperate
+    /// only with the members of their own shard.
     pub cooperation: CooperationPolicy,
-    /// How many shard races run concurrently. Each race itself spawns the
-    /// portfolio's member threads, so the default (`0`) picks
-    /// `max(1, available_parallelism / members)` to avoid oversubscription.
-    pub max_parallel_shards: usize,
 }
 
 impl ShardedConfig {
-    /// Default configuration with the given per-shard budget.
+    /// Default configuration with the given budget.
     pub fn with_budget(shard_budget: SearchBudget) -> Self {
         Self {
             shard_budget,
@@ -86,7 +87,6 @@ impl ShardedConfig {
             analysis: AnalysisOptions::drill_down("A"),
             cancel_on_optimal: true,
             cooperation: CooperationPolicy::Off,
-            max_parallel_shards: 0,
         }
     }
 }
@@ -103,7 +103,10 @@ impl Default for ShardedConfig {
 pub struct ShardReport {
     /// Parent-instance ids of the shard's indexes.
     pub members: Vec<IndexId>,
-    /// The shard portfolio's combined result.
+    /// The shard portfolio's combined result. Its `elapsed_seconds` is the
+    /// wall time from the shard's first member run's start to its last
+    /// run's end; other shards' runs share the threads in between, so the
+    /// shards' times overlap and do not add up to the solve's.
     pub result: SolveResult,
 }
 
@@ -148,7 +151,7 @@ impl ShardedSolver {
         Self { config }
     }
 
-    /// Convenience: default configuration with the given per-shard budget.
+    /// Convenience: default configuration with the given budget.
     pub fn recommended(shard_budget: SearchBudget) -> Self {
         Self::new(ShardedConfig::with_budget(shard_budget))
     }
@@ -161,17 +164,16 @@ impl ShardedSolver {
         })
     }
 
-    fn workers(&self, num_shards: usize) -> usize {
-        let configured = if self.config.max_parallel_shards > 0 {
-            self.config.max_parallel_shards
-        } else {
-            let cores = std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4);
-            // The recommended portfolio races 4 member threads per shard.
-            (cores / 4).max(1)
-        };
-        configured.min(num_shards).max(1)
+    /// `shard_budget` with its time limit cut to what is left of the
+    /// solve's deadline.
+    fn left(&self, started: Instant) -> SearchBudget {
+        let budget = self.config.shard_budget;
+        SearchBudget {
+            time_limit: budget
+                .time_limit
+                .map(|limit| limit.saturating_sub(started.elapsed())),
+            ..budget
+        }
     }
 
     fn monolithic(
@@ -182,7 +184,7 @@ impl ShardedSolver {
     ) -> ShardedOutcome {
         let outcome = self
             .portfolio()
-            .solve_detailed_in(instance, &SolveContext::new());
+            .race(instance, self.left(started), &SolveContext::new());
         let mut result = outcome.combined;
         result.solver = "sharded(monolithic-fallback)".to_string();
         result.elapsed_seconds = started.elapsed().as_secs_f64();
@@ -213,33 +215,19 @@ impl ShardedSolver {
             .map(|members| shard::project(instance, members))
             .collect();
 
-        // Worker pool: each worker pulls the next unsolved shard and races
-        // the full portfolio on it with a private SolveContext (no shared
-        // cancellation or incumbent across shards — they are different
-        // instances).
-        let results: Mutex<Vec<Option<SolveResult>>> =
-            Mutex::new(vec![None; shard_instances.len()]);
-        let next = AtomicUsize::new(0);
-        let workers = self.workers(shard_instances.len());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let k = next.fetch_add(1, Ordering::Relaxed);
-                    if k >= shard_instances.len() {
-                        break;
-                    }
-                    let outcome = self
-                        .portfolio()
-                        .solve_detailed_in(&shard_instances[k].instance, &SolveContext::new());
-                    results.lock().unwrap()[k] = Some(outcome.combined);
-                });
-            }
-        });
-        let shard_results: Vec<SolveResult> = results
-            .into_inner()
-            .unwrap()
+        // Every shard is one job of the portfolio's scheduler, with a
+        // private SolveContext (no shared cancellation or incumbent across
+        // shards — they are different instances), on one thread per core.
+        let jobs: Vec<(&ProblemInstance, SolveContext)> = shard_instances
+            .iter()
+            .map(|shard| (&shard.instance, SolveContext::new()))
+            .collect();
+        let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let shard_results: Vec<SolveResult> = self
+            .portfolio()
+            .schedule(&jobs, threads, self.left(started))
             .into_iter()
-            .map(|r| r.expect("worker pool visits every shard"))
+            .map(|outcome| outcome.combined)
             .collect();
 
         // Read each shard's schedule back as a benefit curve with parent
@@ -339,7 +327,6 @@ mod tests {
     fn budgeted() -> ShardedConfig {
         let mut config = ShardedConfig::with_budget(SearchBudget::nodes(200_000));
         config.cancel_on_optimal = false;
-        config.max_parallel_shards = 1;
         config
     }
 

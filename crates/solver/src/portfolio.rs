@@ -7,7 +7,7 @@
 //! *concurrently* against one wall-clock deadline and report the best
 //! incumbent any of them found:
 //!
-//! * every member runs on its own `std::thread`, sharing a
+//! * in a race every member runs on its own `std::thread`, sharing a
 //!   [`SolveContext`] (versioned incumbent cell + cancellation token + hint
 //!   deque);
 //! * improvements — objective *and* deployment order — are published to the
@@ -26,6 +26,14 @@
 //!
 //! By construction the portfolio's reported objective is the minimum over
 //! its members' results — it is never worse than its best member.
+//!
+//! One scheduler runs every race. It takes *jobs* (an instance and its
+//! context each) and runs their (job, member) pairs on a fixed number of
+//! scoped threads, each thread pulling the next run from an atomic counter.
+//! A race is one job on one thread per member; the sharded solver
+//! ([`crate::decompose`]) hands it every shard as a job on one thread per
+//! core, so a free core takes the next member run of any shard. Each job
+//! keeps its own context, so cancellation and cooperation stay within it.
 
 use crate::anytime::Trajectory;
 use crate::budget::SearchBudget;
@@ -36,6 +44,9 @@ use crate::result::{CoopStats, SolveOutcome, SolveResult};
 use crate::solver::{CooperationPolicy, SolveContext, Solver};
 use idd_core::ProblemInstance;
 use idd_telemetry::Telemetry;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, Instant};
 
 /// Configuration of the portfolio runner.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -147,10 +158,10 @@ impl PortfolioSolver {
 
     /// Attaches a telemetry handle (builder style). The default is
     /// [`Telemetry::off`], under which the race is bit-identical to an
-    /// uninstrumented one. With a recording handle, each member gets its
-    /// own track (`solver/<index>-<name>`) carrying a wall-clock `run`
-    /// span, incumbent-publish / restart / adoption / hint marks, and
-    /// end-of-run counters.
+    /// uninstrumented one. With a recording handle, each member run gets
+    /// its own track (`solver/<index>-<name>`, registered in run order)
+    /// carrying a wall-clock `run` span, incumbent-publish / restart /
+    /// adoption / hint marks, and end-of-run counters.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
         self.telemetry = telemetry;
         self
@@ -195,65 +206,119 @@ impl PortfolioSolver {
         self.race(instance, self.config.budget, ctx)
     }
 
-    fn race(
+    /// Races the members on `instance` inside `ctx`: one job on one thread
+    /// per member, so every member starts at once.
+    pub(crate) fn race(
         &self,
         instance: &ProblemInstance,
         budget: SearchBudget,
         ctx: &SolveContext,
     ) -> PortfolioOutcome {
-        let clock = SearchBudget::unlimited().start();
-        // Apply the configured policy without mutating the caller's context:
-        // the derived handle shares the cancel token, incumbent cell and
-        // hint deque, so outer cancellation and observation still work.
-        let ctx = &ctx.with_policy(self.config.cooperation);
-        // Register member tracks on this thread, in member order, *before*
-        // spawning: track ids are then deterministic regardless of how the
-        // OS schedules the race.
-        let tracks: Vec<_> = self
-            .members
+        let mut outcomes = self.schedule(&[(instance, ctx.clone())], self.members.len(), budget);
+        outcomes.pop().expect("one job, one outcome")
+    }
+
+    /// Runs every (job, member) pair of `jobs` on `threads` scoped threads
+    /// and returns each job's outcome, in job order.
+    ///
+    /// Runs are numbered job-major, members in registration order, and each
+    /// thread pulls the next number from an atomic counter, so a thread
+    /// that finishes a run starts the next one at once. A job's member runs
+    /// share its context, with the configured [`CooperationPolicy`] applied;
+    /// a member that proves optimality cancels only its own job.
+    ///
+    /// `budget`'s node limit applies to each run; its time limit is one
+    /// deadline for the whole call, which [`run_budget`] shares out as runs
+    /// start. A job's member results are folded by
+    /// [`PortfolioSolver::combine`] in member order, and its
+    /// `elapsed_seconds` is the wall time from its first run's start to its
+    /// last run's end.
+    pub(crate) fn schedule(
+        &self,
+        jobs: &[(&ProblemInstance, SolveContext)],
+        threads: usize,
+        budget: SearchBudget,
+    ) -> Vec<PortfolioOutcome> {
+        let started = Instant::now();
+        let deadline = budget
+            .time_limit
+            .and_then(|limit| started.checked_add(limit));
+        // Apply the configured policy without mutating the callers'
+        // contexts: a derived handle shares the cancel token, incumbent cell
+        // and hint deque, so outer cancellation and observation still work.
+        let contexts: Vec<SolveContext> = jobs
             .iter()
-            .enumerate()
-            .map(|(k, member)| {
+            .map(|(_, ctx)| ctx.with_policy(self.config.cooperation))
+            .collect();
+        let width = self.members.len();
+        let runs = jobs.len() * width;
+        // Register every run's track on this thread, in run order, *before*
+        // spawning: track ids are then deterministic regardless of how the
+        // OS schedules the runs.
+        let tracks: Vec<_> = (0..runs)
+            .map(|run| {
+                let k = run % width;
                 self.telemetry
-                    .register(format!("solver/{:02}-{}", k, member.name()))
+                    .register(format!("solver/{:02}-{}", k, self.members[k].name()))
             })
             .collect();
-        let members: Vec<SolveResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .members
-                .iter()
-                .zip(&tracks)
-                .map(|(member, track)| {
-                    scope.spawn(move || {
-                        // Park this member's recorder in the thread-local
-                        // slot so the local searches (whose trait signature
-                        // carries no telemetry) can emit through the free
-                        // functions; the guard submits the buffer when the
-                        // member finishes.
-                        let _guard = track.install();
-                        idd_telemetry::span_begin("run");
-                        let result = member.run(instance, budget, ctx);
-                        idd_telemetry::span_end("run");
-                        if self.config.cancel_on_optimal && result.is_optimal() {
-                            ctx.cancel_token().cancel();
-                        }
-                        result
-                    })
-                })
-                .collect();
+        let next = AtomicUsize::new(0);
+        let threads = threads.clamp(1, runs.max(1));
+        let worker = || {
+            let mut done = Vec::new();
+            loop {
+                // Relaxed: the counter only hands out run numbers; results
+                // come back through the joins.
+                let run = next.fetch_add(1, Ordering::Relaxed);
+                if run >= runs {
+                    return done;
+                }
+                let (instance, ctx) = (jobs[run / width].0, &contexts[run / width]);
+                let member = &self.members[run % width];
+                let left = SearchBudget {
+                    time_limit: deadline.map(|d| d.saturating_duration_since(Instant::now())),
+                    node_limit: budget.node_limit,
+                };
+                let share = run_budget(left, threads, runs - run);
+                // Park this run's recorder in the thread-local slot so the
+                // local searches (whose trait signature carries no
+                // telemetry) can emit through the free functions; the guard
+                // submits the buffer when the run finishes.
+                let _guard = tracks[run].install();
+                let begun = Instant::now();
+                idd_telemetry::span_begin("run");
+                let result =
+                    panic::catch_unwind(AssertUnwindSafe(|| member.run(instance, share, ctx)))
+                        .unwrap_or_else(|_| SolveResult::did_not_finish(member.name(), 0.0, 0));
+                idd_telemetry::span_end("run");
+                if self.config.cancel_on_optimal && result.is_optimal() {
+                    ctx.cancel_token().cancel();
+                }
+                done.push((run, begun, Instant::now(), result));
+            }
+        };
+        let mut finished: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads).map(|_| scope.spawn(worker)).collect();
             handles
                 .into_iter()
-                .zip(&self.members)
-                .map(|(handle, member)| {
-                    handle
-                        .join()
-                        .unwrap_or_else(|_| SolveResult::did_not_finish(member.name(), 0.0, 0))
-                })
+                .flat_map(|handle| handle.join().expect("a run's panic is caught"))
                 .collect()
         });
+        finished.sort_unstable_by_key(|&(run, ..)| run);
 
-        let combined = Self::combine(&members, clock.elapsed_seconds());
-        PortfolioOutcome { combined, members }
+        let mut finished = finished.into_iter();
+        (0..jobs.len())
+            .map(|_| {
+                let job: Vec<_> = finished.by_ref().take(width).collect();
+                let begun = job.iter().map(|&(_, begun, ..)| begun).min();
+                let ended = job.iter().map(|&(_, _, ended, _)| ended).max();
+                let elapsed = ended.zip(begun).map_or(0.0, |(e, b)| (e - b).as_secs_f64());
+                let members: Vec<SolveResult> =
+                    job.into_iter().map(|(.., result)| result).collect();
+                let combined = Self::combine(&members, elapsed);
+                PortfolioOutcome { combined, members }
+            })
+            .collect()
     }
 
     /// Folds member results into the portfolio report: minimum objective,
@@ -298,6 +363,26 @@ impl PortfolioSolver {
                 .iter()
                 .fold(CoopStats::default(), |acc, r| acc.merged(r.coop)),
         }
+    }
+}
+
+/// The budget of one member run: `left`'s node limit, and a share of its
+/// time limit, the time left before the deadline. With `runs_left` runs
+/// still to start (this one included) on `threads` threads, the run gets
+/// `min(left, left × threads / runs_left)`: once every remaining run has a
+/// thread of its own, a run may use all the time left; before that, the
+/// time left is split evenly over the runs still to come, and a run that
+/// ends early leaves its unused time to the later ones.
+fn run_budget(left: SearchBudget, threads: usize, runs_left: usize) -> SearchBudget {
+    SearchBudget {
+        time_limit: left.time_limit.map(|time| {
+            if runs_left <= threads {
+                return time;
+            }
+            let share = time.as_secs_f64() * threads as f64 / runs_left as f64;
+            Duration::try_from_secs_f64(share).map_or(time, |share| share.min(time))
+        }),
+        node_limit: left.node_limit,
     }
 }
 
@@ -440,6 +525,138 @@ mod tests {
         });
         // The scope joined, so the unlimited-budget members really stopped.
         assert_eq!(done.load(Ordering::SeqCst), 1);
+    }
+
+    /// Every result of an outcome, combined first: solver, order, objective
+    /// bits, nodes and outcome.
+    fn key(outcome: &PortfolioOutcome) -> Vec<String> {
+        std::iter::once(&outcome.combined)
+            .chain(&outcome.members)
+            .map(|r| {
+                format!(
+                    "{} {:?} {:x} {} {:?}",
+                    r.solver,
+                    r.deployment.as_ref().map(|d| d.order().to_vec()),
+                    r.objective.to_bits(),
+                    r.nodes,
+                    r.outcome
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn scheduled_jobs_do_not_depend_on_the_thread_count() {
+        // With node budgets, cooperation off and no cancellation, a job's
+        // outcome is a function of its instance: the same on 1, 2 and 4
+        // threads, and the same as a race on the instance alone.
+        let instances: Vec<ProblemInstance> = (5..10).map(instance).collect();
+        let budget = SearchBudget::nodes(40);
+        let portfolio = PortfolioSolver::recommended(budget).with_config(PortfolioConfig {
+            budget,
+            cancel_on_optimal: false,
+            cooperation: CooperationPolicy::Off,
+        });
+        let keys = |threads: usize| -> Vec<Vec<String>> {
+            let jobs: Vec<_> = instances
+                .iter()
+                .map(|inst| (inst, SolveContext::new()))
+                .collect();
+            portfolio
+                .schedule(&jobs, threads, budget)
+                .iter()
+                .map(key)
+                .collect()
+        };
+        let raced: Vec<Vec<String>> = instances
+            .iter()
+            .map(|inst| key(&portfolio.solve_detailed(inst)))
+            .collect();
+        for threads in [1, 2, 4] {
+            assert_eq!(keys(threads), raced, "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_proof_cancels_only_its_own_job() {
+        // CP+ proves the 6-index instance within the node budget (561
+        // nodes) but not the 10-index one. On one thread the second job
+        // starts after the proof, and its CP+ run must still spend its
+        // whole budget: the proof cancelled only the first job's context.
+        let (small, large) = (instance(6), instance(10));
+        let jobs = [(&small, SolveContext::new()), (&large, SolveContext::new())];
+        let budget = SearchBudget::nodes(1_000);
+        let members: Vec<Box<dyn Solver>> = vec![
+            Box::new(GreedySolver::new()),
+            Box::new(CpSolver::with_config(CpConfig::with_properties(budget))),
+        ];
+        let outcomes = PortfolioSolver::with_members(budget, members).schedule(&jobs, 1, budget);
+        assert_eq!(outcomes.len(), 2);
+        assert_eq!(outcomes[0].combined.outcome, SolveOutcome::Optimal);
+        assert!(jobs[0].1.is_cancelled());
+        assert!(!jobs[1].1.is_cancelled());
+        let [greedy, cp] = &outcomes[1].members[..] else {
+            panic!("two members");
+        };
+        assert!(greedy.is_feasible());
+        assert_eq!(cp.outcome, SolveOutcome::Feasible);
+        assert_eq!(cp.nodes, 1_000);
+        for (outcome, (inst, _)) in outcomes.iter().zip(&jobs) {
+            let d = outcome.combined.deployment.as_ref().unwrap();
+            assert!(d.is_valid_for(inst));
+        }
+    }
+
+    #[test]
+    fn run_budget_passes_no_time_limit_and_the_node_limit_through() {
+        for budget in [
+            SearchBudget::nodes(20),
+            SearchBudget::unlimited(),
+            SearchBudget::bounded(3.0, 7),
+            SearchBudget::seconds(0.0),
+        ] {
+            for (threads, runs_left) in [(1, 1), (1, 9), (2, 64), (4, 3)] {
+                let share = run_budget(budget, threads, runs_left);
+                assert_eq!(share.node_limit, budget.node_limit);
+                assert_eq!(share.time_limit.is_none(), budget.time_limit.is_none());
+            }
+        }
+    }
+
+    #[test]
+    fn run_budget_never_exceeds_the_time_left() {
+        let limits = [
+            Duration::ZERO,
+            Duration::from_nanos(1),
+            Duration::from_millis(7),
+            Duration::from_secs(2),
+            Duration::new(123_456_789, 987_654_321),
+            Duration::new(4_503_599_627, 370_496_999),
+            Duration::from_secs_f64(1e18),
+            Duration::MAX,
+        ];
+        for time in limits {
+            let left = SearchBudget {
+                time_limit: Some(time),
+                node_limit: None,
+            };
+            for threads in [1, 2, 3, 4, 64] {
+                for runs_left in [1, 2, 3, 5, 64, 128, 10_000] {
+                    let share = run_budget(left, threads, runs_left).time_limit.unwrap();
+                    assert!(share <= time, "{time:?} {threads} {runs_left}");
+                    if runs_left <= threads {
+                        assert_eq!(share, time, "a run with a thread to itself");
+                    }
+                }
+            }
+        }
+        // Before that, the runs still to start split the time left.
+        let left = SearchBudget::bounded(2.0, 20);
+        assert_eq!(run_budget(left, 2, 64), SearchBudget::bounded(0.0625, 20));
+        assert_eq!(
+            run_budget(left, 2, 3).time_limit,
+            Some(Duration::from_secs_f64(4.0 / 3.0))
+        );
     }
 
     #[test]

@@ -13,12 +13,22 @@
 //!   sharing no query, plan, interaction or precedence) the decomposition
 //!   is exact and the spliced sharded objective must reproduce the
 //!   CP-proved monolithic optimum bit-for-bit.
+//!
+//! A differential test also restates what a shard race returns — the first
+//! strict minimum, in member order, over standalone runs of the recommended
+//! members — and how the shard schedules are recombined, without calling
+//! the portfolio, and compares both with the sharded solve.
 
-use idd_core::{IndexId, InstanceBuilder, ProblemInstance};
-use idd_solver::decompose::{ShardedConfig, ShardedSolver};
+use idd_core::{benefit_steps, IndexId, InstanceBuilder, ObjectiveEvaluator, ProblemInstance};
+use idd_solver::decompose::{project, recombine, ShardSchedule, ShardedConfig, ShardedSolver};
+use idd_solver::exact::{CpConfig, CpSolver};
+use idd_solver::local::{SwapStrategy, TabuConfig, TabuSolver, VnsSolver};
 use idd_solver::properties::{alliance, colonized, disjoint, dominated};
-use idd_solver::solver::{CooperationPolicy, SolveContext};
-use idd_solver::{PortfolioConfig, PortfolioSolver, SearchBudget, SolveOutcome};
+use idd_solver::solver::{CooperationPolicy, SolveContext, Solver};
+use idd_solver::{
+    GreedySolver, PortfolioConfig, PortfolioSolver, SearchBudget, SolveOutcome, SolveResult,
+};
+use idd_workloads::synthetic::{generate_block_structured, BlockStructuredConfig};
 use proptest::prelude::*;
 
 /// Raw generated shape: per-index integer costs, per-query (runtime, plans),
@@ -291,7 +301,6 @@ proptest! {
         let mut cfg = ShardedConfig::with_budget(budget);
         cfg.cancel_on_optimal = true;
         cfg.cooperation = CooperationPolicy::Off;
-        cfg.max_parallel_shards = 1;
         let sharded = ShardedSolver::new(cfg).solve(&instance);
 
         prop_assert!(sharded.exact, "zero coupling must partition exactly");
@@ -305,6 +314,93 @@ proptest! {
             "sharded {} != monolithic {}",
             sharded.result.objective,
             mono.objective
+        );
+    }
+}
+
+/// The recommended portfolio's members, restated: greedy, VNS, CP+ and
+/// best-swap tabu, in that order.
+fn recommended_members(budget: SearchBudget) -> Vec<Box<dyn Solver>> {
+    vec![
+        Box::new(GreedySolver::new()),
+        Box::new(VnsSolver::new(budget)),
+        Box::new(CpSolver::with_config(CpConfig::with_properties(budget))),
+        Box::new(TabuSolver::with_config(TabuConfig {
+            strategy: SwapStrategy::Best,
+            budget,
+            ..TabuConfig::default()
+        })),
+    ]
+}
+
+/// Differential: on seeded zero-coupling block instances (4–6 blocks of
+/// 8–32 indexes), each shard's result is the first strict minimum, in
+/// member order, over standalone runs of the four members on the projected
+/// shard, and the solve's order is the recombination of those schedules.
+#[test]
+fn sharded_solve_equals_standalone_member_runs() {
+    let budget = SearchBudget::nodes(20);
+    for (num_blocks, block_size, seed) in [(4, 8, 11), (5, 16, 12), (6, 24, 13), (4, 32, 14)] {
+        let instance = generate_block_structured(BlockStructuredConfig::blocks(
+            num_blocks, block_size, 0, seed,
+        ));
+        let mut config = ShardedConfig::with_budget(budget);
+        config.cancel_on_optimal = false;
+        config.cooperation = CooperationPolicy::Off;
+        let outcome = ShardedSolver::new(config).solve(&instance);
+        let cell = format!("{num_blocks} blocks of {block_size}, seed {seed}");
+        assert!(outcome.exact && !outcome.monolithic_fallback, "{cell}");
+        assert!(outcome.shards.len() >= num_blocks, "{cell}");
+
+        let mut schedules = Vec::with_capacity(outcome.shards.len());
+        for (k, report) in outcome.shards.iter().enumerate() {
+            let shard = project(&instance, &report.members);
+            let runs: Vec<SolveResult> = recommended_members(budget)
+                .iter()
+                .map(|member| member.run_standalone(&shard.instance, budget))
+                .collect();
+            let mut best: Option<&SolveResult> = None;
+            for run in runs.iter().filter(|r| r.is_feasible()) {
+                if best.is_none_or(|b| run.objective < b.objective) {
+                    best = Some(run);
+                }
+            }
+            let best = best.expect("greedy is always feasible");
+            let outcome_want = if runs.iter().any(SolveResult::is_optimal) {
+                SolveOutcome::Optimal
+            } else {
+                SolveOutcome::Feasible
+            };
+            let got = &report.result;
+            let cell = format!("{cell}, shard {k}");
+            assert_eq!(got.deployment, best.deployment, "{cell}");
+            assert_eq!(got.objective.to_bits(), best.objective.to_bits(), "{cell}");
+            assert_eq!(
+                got.nodes,
+                runs.iter().map(|r| r.nodes).sum::<u64>(),
+                "{cell}"
+            );
+            assert_eq!(got.outcome, outcome_want, "{cell}");
+
+            let deployment = best
+                .deployment
+                .as_ref()
+                .expect("a feasible run has an order");
+            let value = ObjectiveEvaluator::new(&shard.instance).evaluate(deployment);
+            let steps = benefit_steps(&value)
+                .into_iter()
+                .map(|mut step| {
+                    step.index = shard.members[step.index.raw()];
+                    step
+                })
+                .collect();
+            schedules.push(ShardSchedule { steps });
+        }
+        let order = outcome.result.deployment.as_ref().expect("a sharded order");
+        assert_eq!(
+            order.order(),
+            recombine::merge(&schedules).as_slice(),
+            "{cell}"
         );
     }
 }
