@@ -385,6 +385,13 @@ impl PrefixState<'_> {
         self.state.area()
     }
 
+    /// The prefix's exact area, unrounded: [`PrefixState::area`] is its
+    /// [`ExactSum::value`]. A caller that knows the terms of a completion
+    /// can add them to a copy and read the completed area without pushing.
+    pub fn exact_area(&self) -> &ExactSum {
+        &self.state.area_acc
+    }
+
     /// Effective build cost `index` would have next.
     pub fn build_cost(&self, index: IndexId) -> f64 {
         self.evaluator

@@ -8,10 +8,14 @@
 //! with a schedule that never fires, plus hint stealing and delta repair),
 //! built on the CP-powered *reinsertion search* in this module: a subset of
 //! indexes is removed from the current order and optimally re-inserted by a
-//! small branch-and-prune search with a failure (backtrack) limit. The
-//! search pushes and pops indexes on an exact [`PrefixState`], so the area
-//! it compares with the incumbent is the canonical one: an order it
-//! returns is strictly better in the bits every member publishes.
+//! small branch-and-prune search with a failure (backtrack) limit. While
+//! relaxed indexes are left, the search pushes and pops indexes on an
+//! exact [`PrefixState`]. Once the last one is placed, the rest of the
+//! order is forced: the search reads it from tables computed once per
+//! search and adds its exact terms to a copy of the prefix's exact area.
+//! Either way the area it compares with the incumbent is the canonical
+//! one: an order it returns is strictly better in the bits every member
+//! publishes.
 //!
 //! All three share one `Walk`: the budget clock, the trajectory, incumbent
 //! publication and the cooperative warm-start machinery. The clock starts
@@ -33,7 +37,7 @@ use crate::constraints::OrderConstraints;
 use crate::exact::bounds::LowerBound;
 use crate::result::{CoopStats, SolveOutcome, SolveResult};
 use crate::solver::SolveContext;
-use idd_core::{DeltaEvaluator, Deployment, IndexId, PrefixState};
+use idd_core::{DeltaEvaluator, Deployment, ExactSum, IndexId, PrefixState};
 use std::ops::RangeInclusive;
 
 /// Derives a stall threshold (iterations without improvement before a
@@ -288,12 +292,37 @@ pub(crate) struct ReinsertionResult {
     pub proved: bool,
 }
 
+/// What the reinsertion search reads at the node that places `fixed[j]`
+/// once no relaxed index is left. The built set there is
+/// `relaxed ∪ fixed[..j]` wherever the relaxed indexes went, so each value
+/// depends on `j` alone.
+#[derive(Debug, Clone, Copy)]
+struct TailStep {
+    /// Runtime level while `fixed[j]` is built.
+    runtime: f64,
+    /// `fixed[j]`'s effective build cost.
+    cost: f64,
+    /// [`LowerBound::remaining`] at the node.
+    remaining: f64,
+    /// Whether the precedence closure lets `fixed[j]` go next.
+    placeable: bool,
+}
+
 /// Optimally re-inserts `relaxed` into the sequence `fixed` (whose relative
 /// order is preserved), looking for an order strictly better than
 /// `incumbent_area`. The search backtracks at most `failure_limit` times.
+/// `fixed` and `relaxed` must partition the instance's indexes.
+///
 /// It runs on `state`, which must hold the empty prefix and holds it again
 /// on return; its areas are the canonical evaluator's, so a returned
-/// order's area is exactly what [`DeltaEvaluator`] reads for it.
+/// order's area is exactly what [`DeltaEvaluator`] reads for it. The
+/// depth-first search pushes and pops while relaxed indexes are left.
+/// Once the last one is placed the only candidate at each node is the
+/// next fixed index, so the search walks the rest from per-search tables
+/// ([`TailStep`]): it adds each step's exact product to a copy of the
+/// prefix's [`PrefixState::exact_area`] and makes the same bound test,
+/// placeability test and failure count as a push-every-node search. Both
+/// read the same bits, so the orders, proofs and aborts are the same.
 pub(crate) fn reinsert(
     state: &mut PrefixState<'_>,
     constraints: &OrderConstraints,
@@ -308,6 +337,9 @@ pub(crate) fn reinsert(
         bound: &'a LowerBound,
         fixed: &'a [IndexId],
         relaxed: &'a [IndexId],
+        tail: Vec<TailStep>,
+        /// Area of the tail walk in progress, reused across walks.
+        area: ExactSum,
         best_area: f64,
         best_order: Option<Vec<IndexId>>,
         failures: u64,
@@ -315,72 +347,87 @@ pub(crate) fn reinsert(
         aborted: bool,
     }
 
+    impl Ctx<'_> {
+        fn fail(&mut self) {
+            self.failures += 1;
+            if self.failures > self.failure_limit {
+                self.aborted = true;
+            }
+        }
+
+        /// Places `fixed[next_fixed..]` after `order`, every relaxed index
+        /// being in it: each step is the node a push-every-node search
+        /// would reach, with its bound test and its only candidate.
+        fn complete(&mut self, state: &PrefixState<'_>, order: &[IndexId], next_fixed: usize) {
+            self.area.assign_from(state.exact_area());
+            for step in &self.tail[next_fixed..] {
+                if self.area.value() + step.remaining >= self.best_area - 1e-12 || !step.placeable {
+                    self.fail();
+                    return;
+                }
+                self.area.add_prod(step.runtime, step.cost);
+            }
+            let area = self.area.value();
+            if area < self.best_area - 1e-12 {
+                self.best_area = area;
+                self.best_order = Some([order, &self.fixed[next_fixed..]].concat());
+            }
+        }
+    }
+
     fn dfs(
         ctx: &mut Ctx<'_>,
         state: &mut PrefixState<'_>,
         order: &mut Vec<IndexId>,
         next_fixed: usize,
-        relaxed_used: &mut Vec<bool>,
+        relaxed_used: &mut [bool],
     ) {
         if ctx.aborted {
             return;
         }
-        if state.is_complete() {
-            let area = state.area();
-            if area < ctx.best_area - 1e-12 {
-                ctx.best_area = area;
-                ctx.best_order = Some(order.clone());
-            }
+        if order.len() - next_fixed == ctx.relaxed.len() {
+            ctx.complete(state, order, next_fixed);
             return;
         }
         let lb = state.area() + ctx.bound.remaining(state.built(), state.runtime());
         if lb >= ctx.best_area - 1e-12 {
-            ctx.failures += 1;
-            if ctx.failures > ctx.failure_limit {
-                ctx.aborted = true;
-            }
+            ctx.fail();
             return;
         }
 
         // Candidate moves: the next fixed index, then each unused relaxed
         // index (relaxed first would also work; fixed-first keeps the search
         // close to the incumbent which finds improvements faster).
-        let mut candidates: Vec<(bool, usize, IndexId)> = Vec::new();
-        if next_fixed < ctx.fixed.len() {
-            candidates.push((true, next_fixed, ctx.fixed[next_fixed]));
-        }
-        for (pos, &r) in ctx.relaxed.iter().enumerate() {
-            if !relaxed_used[pos] {
-                candidates.push((false, pos, r));
+        let mut any_feasible = false;
+        if let Some(&index) = ctx.fixed.get(next_fixed) {
+            if ctx.constraints.can_place(index, state.built()) {
+                any_feasible = true;
+                state.push(index);
+                order.push(index);
+                dfs(ctx, state, order, next_fixed + 1, relaxed_used);
+                order.pop();
+                state.pop();
             }
         }
-
-        let mut any_feasible = false;
-        for (is_fixed, pos, index) in candidates {
+        for pos in 0..ctx.relaxed.len() {
             if ctx.aborted {
                 return;
             }
-            if !ctx.constraints.can_place(index, state.built()) {
+            let index = ctx.relaxed[pos];
+            if relaxed_used[pos] || !ctx.constraints.can_place(index, state.built()) {
                 continue;
             }
             any_feasible = true;
             state.push(index);
             order.push(index);
-            if is_fixed {
-                dfs(ctx, state, order, next_fixed + 1, relaxed_used);
-            } else {
-                relaxed_used[pos] = true;
-                dfs(ctx, state, order, next_fixed, relaxed_used);
-                relaxed_used[pos] = false;
-            }
+            relaxed_used[pos] = true;
+            dfs(ctx, state, order, next_fixed, relaxed_used);
+            relaxed_used[pos] = false;
             order.pop();
             state.pop();
         }
         if !any_feasible {
-            ctx.failures += 1;
-            if ctx.failures > ctx.failure_limit {
-                ctx.aborted = true;
-            }
+            ctx.fail();
         }
     }
 
@@ -388,11 +435,35 @@ pub(crate) fn reinsert(
         state.built().iter().all(|&b| !b),
         "reinsert needs an empty prefix"
     );
+    debug_assert_eq!(fixed.len() + relaxed.len(), state.built().len());
+    // The tail tables: the relaxed indexes, then each fixed one, pushed in
+    // turn, reading the node that places `fixed[j]` before its push.
+    for &index in relaxed {
+        state.push(index);
+    }
+    let tail = fixed
+        .iter()
+        .map(|&index| {
+            let runtime = state.runtime();
+            let step = TailStep {
+                runtime,
+                cost: state.build_cost(index),
+                remaining: bound.remaining(state.built(), runtime),
+                placeable: constraints.can_place(index, state.built()),
+            };
+            state.push(index);
+            step
+        })
+        .collect();
+    while state.pop().is_some() {}
+
     let mut ctx = Ctx {
         constraints,
         bound,
         fixed,
         relaxed,
+        tail,
+        area: ExactSum::new(),
         best_area: incumbent_area,
         best_order: None,
         failures: 0,
@@ -556,6 +627,275 @@ mod tests {
         // exceeded by the very first pruned node.
         assert!(!result.proved);
         assert!(result.order.is_none());
+    }
+
+    /// The push-every-node reinsertion search that the tail tables
+    /// replaced, kept as the oracle of `reinsert`: it pushes and pops at
+    /// every node, the forced tail included, and also returns its failure
+    /// count.
+    fn reinsert_by_pushing(
+        state: &mut PrefixState<'_>,
+        constraints: &OrderConstraints,
+        bound: &LowerBound,
+        fixed: &[IndexId],
+        relaxed: &[IndexId],
+        incumbent_area: f64,
+        failure_limit: u64,
+    ) -> (Option<Vec<IndexId>>, bool, u64) {
+        struct Oracle<'a> {
+            constraints: &'a OrderConstraints,
+            bound: &'a LowerBound,
+            fixed: &'a [IndexId],
+            relaxed: &'a [IndexId],
+            best_area: f64,
+            best_order: Option<Vec<IndexId>>,
+            failures: u64,
+            failure_limit: u64,
+            aborted: bool,
+        }
+
+        fn dfs(
+            o: &mut Oracle<'_>,
+            state: &mut PrefixState<'_>,
+            order: &mut Vec<IndexId>,
+            next_fixed: usize,
+            relaxed_used: &mut Vec<bool>,
+        ) {
+            if o.aborted {
+                return;
+            }
+            if state.is_complete() {
+                let area = state.area();
+                if area < o.best_area - 1e-12 {
+                    o.best_area = area;
+                    o.best_order = Some(order.clone());
+                }
+                return;
+            }
+            let lb = state.area() + o.bound.remaining(state.built(), state.runtime());
+            if lb >= o.best_area - 1e-12 {
+                o.failures += 1;
+                if o.failures > o.failure_limit {
+                    o.aborted = true;
+                }
+                return;
+            }
+            let mut candidates: Vec<(bool, usize, IndexId)> = Vec::new();
+            if next_fixed < o.fixed.len() {
+                candidates.push((true, next_fixed, o.fixed[next_fixed]));
+            }
+            for (pos, &r) in o.relaxed.iter().enumerate() {
+                if !relaxed_used[pos] {
+                    candidates.push((false, pos, r));
+                }
+            }
+            let mut any_feasible = false;
+            for (is_fixed, pos, index) in candidates {
+                if o.aborted {
+                    return;
+                }
+                if !o.constraints.can_place(index, state.built()) {
+                    continue;
+                }
+                any_feasible = true;
+                state.push(index);
+                order.push(index);
+                if is_fixed {
+                    dfs(o, state, order, next_fixed + 1, relaxed_used);
+                } else {
+                    relaxed_used[pos] = true;
+                    dfs(o, state, order, next_fixed, relaxed_used);
+                    relaxed_used[pos] = false;
+                }
+                order.pop();
+                state.pop();
+            }
+            if !any_feasible {
+                o.failures += 1;
+                if o.failures > o.failure_limit {
+                    o.aborted = true;
+                }
+            }
+        }
+
+        let mut o = Oracle {
+            constraints,
+            bound,
+            fixed,
+            relaxed,
+            best_area: incumbent_area,
+            best_order: None,
+            failures: 0,
+            failure_limit,
+            aborted: false,
+        };
+        let mut order = Vec::new();
+        let mut relaxed_used = vec![false; relaxed.len()];
+        dfs(&mut o, state, &mut order, 0, &mut relaxed_used);
+        (o.best_order, !o.aborted, o.failures)
+    }
+
+    /// An instance whose build interaction saves 5e-10 more than its
+    /// target costs, inside the builder's 1e-9 tolerance: once its helper
+    /// is built, index 1 has a negative cost.
+    fn negative_cost_instance() -> ProblemInstance {
+        let mut b = ProblemInstance::builder("negative-cost");
+        let i: Vec<IndexId> = (0..7).map(|k| b.add_index(1.0 + k as f64)).collect();
+        for k in 0..7 {
+            let q = b.add_query(40.0 + 7.0 * k as f64);
+            b.add_plan(q, vec![i[k]], 3.0 + k as f64);
+            b.add_plan(q, vec![i[k], i[(k + 3) % 7]], 9.0 + k as f64);
+        }
+        b.add_build_interaction(i[1], i[0], 2.0 + 5e-10);
+        b.add_build_interaction(i[4], i[2], 1.5);
+        b.build().unwrap()
+    }
+
+    /// `true` when some `fixed[j]` cannot follow `relaxed ∪ fixed[..j]`:
+    /// the tail walk must then fail where the pushing search finds no
+    /// candidate.
+    fn tail_blocks(constraints: &OrderConstraints, fixed: &[IndexId], relaxed: &[IndexId]) -> bool {
+        let mut built = vec![false; fixed.len() + relaxed.len()];
+        for &r in relaxed {
+            built[r.raw()] = true;
+        }
+        fixed.iter().any(|&f| {
+            let blocked = !constraints.can_place(f, &built);
+            built[f.raw()] = true;
+            blocked
+        })
+    }
+
+    #[test]
+    fn tail_tables_reproduce_the_push_every_node_search() {
+        use idd_workloads::{generate_block_structured, BlockStructuredConfig};
+        use idd_workloads::{SyntheticConfig, SyntheticGenerator};
+        use rand::prelude::*;
+        use rand_chacha::ChaCha8Rng;
+
+        let precedences = SyntheticGenerator::new(SyntheticConfig {
+            num_indexes: 12,
+            num_queries: 9,
+            precedence_probability: 0.5,
+            seed: 5,
+            ..SyntheticConfig::default()
+        })
+        .generate();
+        let instances = [
+            generate_block_structured(BlockStructuredConfig::blocks(1, 8, 0, 42)),
+            generate_block_structured(BlockStructuredConfig::blocks(1, 16, 0, 7)),
+            generate_block_structured(BlockStructuredConfig::blocks(1, 32, 0, 42)),
+            precedences,
+            negative_cost_instance(),
+        ];
+        let mut rng = ChaCha8Rng::seed_from_u64(30);
+        let (mut compared, mut blocked_tails, mut improved, mut aborted) = (0, 0, 0, 0);
+        for inst in &instances {
+            let n = inst.num_indexes();
+            let constraints = OrderConstraints::from_instance(inst);
+            let bound = LowerBound::new(inst);
+            let eval = ObjectiveEvaluator::new(inst);
+            let mut state = eval.prefix_state();
+            // A feasible base (the greedy order) and a shuffled one, which
+            // breaks precedences on the precedence instance.
+            let mut shuffled: Vec<IndexId> = inst.index_ids().collect();
+            shuffled.shuffle(&mut rng);
+            let bases = [
+                crate::greedy::GreedySolver::new().construct(inst),
+                Deployment::new(shuffled),
+            ];
+            for base in &bases {
+                let own = eval.evaluate_area(base);
+                let below = |ulps: u64| f64::from_bits(own.to_bits() - ulps);
+                for size in [0, 1, 2, 3, 5, n] {
+                    let mut ids: Vec<IndexId> = inst.index_ids().collect();
+                    ids.shuffle(&mut rng);
+                    let relaxed = &ids[..size];
+                    let fixed: Vec<IndexId> = base
+                        .order()
+                        .iter()
+                        .copied()
+                        .filter(|i| !relaxed.contains(i))
+                        .collect();
+                    blocked_tails += usize::from(tail_blocks(&constraints, &fixed, relaxed));
+                    for incumbent in [f64::INFINITY, own, below(1), below(3)] {
+                        // The oracle's failure count under a cap; then every
+                        // limit up to one past it (a spread when it is
+                        // large, or when the cap stopped the oracle).
+                        let cap = if size == n && n > 8 { 300 } else { 2_000 };
+                        let (_, proved, count) = reinsert_by_pushing(
+                            &mut state,
+                            &constraints,
+                            &bound,
+                            &fixed,
+                            relaxed,
+                            incumbent,
+                            cap,
+                        );
+                        let top = if proved { count + 1 } else { cap };
+                        let limits: Vec<u64> = if top <= 40 {
+                            (0..=top).collect()
+                        } else {
+                            vec![0, 1, 2, top / 4, top / 2, top - 2, top - 1, top]
+                        };
+                        for limit in limits {
+                            let expected = reinsert_by_pushing(
+                                &mut state,
+                                &constraints,
+                                &bound,
+                                &fixed,
+                                relaxed,
+                                incumbent,
+                                limit,
+                            );
+                            let result = reinsert(
+                                &mut state,
+                                &constraints,
+                                &bound,
+                                &fixed,
+                                relaxed,
+                                incumbent,
+                                limit,
+                            );
+                            let case = format!(
+                                "{} size={size} incumbent={incumbent} limit={limit}",
+                                inst.name()
+                            );
+                            assert_eq!(result.order, expected.0, "{case}");
+                            assert_eq!(result.proved, expected.1, "{case}");
+                            assert!(state.built().iter().all(|&b| !b), "{case}");
+                            assert_eq!(state.exact_area().value().to_bits(), 0, "{case}");
+                            assert_eq!(state.pop(), None, "{case}");
+                            if let Some(order) = &result.order {
+                                let area = eval.evaluate_area(&Deployment::new(order.clone()));
+                                assert!(area < incumbent - 1e-12, "{case}");
+                                assert!(constraints.is_satisfied_by(order), "{case}");
+                            }
+                            compared += 1;
+                            improved += usize::from(result.order.is_some());
+                            aborted += usize::from(!result.proved);
+                        }
+                    }
+                }
+            }
+            // The accessor reads the area's exact sum: after pushes and
+            // pops its rounding is the area, bit for bit.
+            for step in 0..4 * n {
+                if step % 3 == 2 {
+                    state.pop();
+                } else if let Some(i) = inst.index_ids().find(|&i| !state.is_built(i)) {
+                    state.push(i);
+                }
+                assert_eq!(state.exact_area().value().to_bits(), state.area().to_bits());
+            }
+        }
+        // The grid reaches blocked tails, improvements and aborts.
+        assert!(blocked_tails > 0, "no tail was blocked by a precedence");
+        assert!(
+            improved > 0 && aborted > 0,
+            "{improved} improved, {aborted} aborted"
+        );
+        assert!(compared > 1000, "only {compared} searches compared");
     }
 
     #[test]

@@ -20,6 +20,13 @@
 //! repair or a polish step fails here. The grid must also actually reach
 //! those paths; the test asserts it does.
 //!
+//! After the grid come paper-size cells, each started from the greedy
+//! order as [`Solver::run`](idd_solver::Solver::run) starts it: VNS at
+//! seeds 42 and 1002 and LNS on the TPC-DS instance (148 indexes, 8
+//! relaxed per reinsertion) at 8 nodes, and VNS on two 32-index blocks (4
+//! relaxed) at 20 nodes. Their reinsertions walk fixed tails of up to 140
+//! and 60 indexes, where the grid's instances have 13 and 16 in all.
+//!
 //! To bless an intentional change:
 //! `BLESS=1 cargo test -p idd-solver --test local_golden`
 
@@ -29,6 +36,7 @@ use idd_solver::local::{
 };
 use idd_solver::{CooperationPolicy, GreedySolver, SearchBudget, SolveContext, SolveResult};
 use idd_telemetry::Telemetry;
+use idd_workloads::{generate_block_structured, tpcds_instance, BlockStructuredConfig};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
 use std::path::Path;
@@ -208,23 +216,20 @@ struct Fingerprint {
     telemetry: u64,
 }
 
-/// Runs one member on its own telemetry track and fingerprints the run.
+/// Runs one member from `initial` on its own telemetry track and
+/// fingerprints the run.
 fn fingerprint(
     member: &Member,
     budget: SearchBudget,
     instance: &ProblemInstance,
+    initial: Deployment,
     ctx: &SolveContext,
 ) -> Fingerprint {
     let telemetry = Telemetry::recording();
     let track = telemetry.register(member.label);
     let result = {
         let _installed = track.install();
-        (member.run)(
-            budget,
-            instance,
-            Deployment::identity(instance.num_indexes()),
-            ctx,
-        )
+        (member.run)(budget, instance, initial, ctx)
     };
     let view = format!("{:?}", telemetry.drain().deterministic_view());
     let order = result
@@ -250,6 +255,95 @@ fn fingerprint(
         ),
         telemetry: fnv1a(view.into_bytes()),
     }
+}
+
+/// One golden line: the cell, the member and the run's fingerprint.
+fn line(cell: &str, label: &str, print: &Fingerprint) -> String {
+    format!(
+        "{cell} {label:<21} objective={:016x} nodes={} coop={:?} \
+         order={:016x} trajectory={:016x} telemetry={:016x}",
+        print.objective_bits,
+        print.nodes,
+        print.coop,
+        print.order,
+        print.trajectory,
+        print.telemetry
+    )
+}
+
+/// The paper-size cells: VNS and LNS from the greedy order on TPC-DS and on
+/// two 32-index blocks, cooperation off.
+fn paper_size_lines() -> Vec<String> {
+    let tpcds = tpcds_instance().expect("TPC-DS extraction succeeds");
+    let blocks = generate_block_structured(BlockStructuredConfig::blocks(2, 32, 0, 42));
+    let cells: [(&str, &ProblemInstance, u64, Member); 4] = [
+        (
+            "tpcds",
+            &tpcds,
+            8,
+            Member {
+                label: "vns-seed42",
+                run: |b, inst, init, ctx| {
+                    let config = VnsConfig {
+                        seed: 42,
+                        ..VnsConfig::default()
+                    };
+                    vns(config, b).solve_in(inst, init, ctx)
+                },
+            },
+        ),
+        (
+            "tpcds",
+            &tpcds,
+            8,
+            Member {
+                label: "vns-seed1002",
+                run: |b, inst, init, ctx| {
+                    let config = VnsConfig {
+                        seed: 1002,
+                        ..VnsConfig::default()
+                    };
+                    vns(config, b).solve_in(inst, init, ctx)
+                },
+            },
+        ),
+        (
+            "tpcds",
+            &tpcds,
+            8,
+            Member {
+                label: "lns",
+                run: |b, inst, init, ctx| lns(LnsConfig::default(), b).solve_in(inst, init, ctx),
+            },
+        ),
+        (
+            "blocks-2x32",
+            &blocks,
+            20,
+            Member {
+                label: "vns",
+                run: |b, inst, init, ctx| vns(VnsConfig::default(), b).solve_in(inst, init, ctx),
+            },
+        ),
+    ];
+    cells
+        .iter()
+        .map(|(name, inst, nodes, member)| {
+            let initial = GreedySolver::new().construct(inst);
+            let print = fingerprint(
+                member,
+                SearchBudget::nodes(*nodes),
+                inst,
+                initial,
+                &SolveContext::with_cooperation(CooperationPolicy::Off),
+            );
+            line(
+                &format!("paper inst={name} nodes={nodes}"),
+                member.label,
+                &print,
+            )
+        })
+        .collect()
 }
 
 /// A context for `policy`, optionally carrying `seed` as the shared best.
@@ -300,18 +394,14 @@ fn local_search_grid_matches_golden() {
                         if seed.is_some() { "seeded" } else { "fresh" }
                     );
                     for member in &members {
-                        let print = fingerprint(member, budget, inst, &context(policy, *seed));
-                        lines.push(format!(
-                            "{cell} {:<21} objective={:016x} nodes={} coop={:?} \
-                             order={:016x} trajectory={:016x} telemetry={:016x}",
-                            member.label,
-                            print.objective_bits,
-                            print.nodes,
-                            print.coop,
-                            print.order,
-                            print.trajectory,
-                            print.telemetry
-                        ));
+                        let print = fingerprint(
+                            member,
+                            budget,
+                            inst,
+                            Deployment::identity(inst.num_indexes()),
+                            &context(policy, *seed),
+                        );
+                        lines.push(line(&cell, member.label, &print));
                         cells.push((cell.clone(), member.label, print));
                     }
                 }
@@ -344,6 +434,7 @@ fn local_search_grid_matches_golden() {
         "the VNS shift-descent polish never changed a run"
     );
 
+    lines.extend(paper_size_lines());
     let actual = lines.join("\n") + "\n";
     let golden = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/local_search.txt");
     if std::env::var_os("BLESS").is_some() {
